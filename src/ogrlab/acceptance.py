@@ -36,7 +36,7 @@ def criterion_01_orthopositroid_count():
     count = len(orthopositroids.enumerate_orthopositroids(2, 6))
     dt = time.monotonic() - t0
     ok = count == 99 and dt < 60
-    return ok, f"count={count} (want 99), runtime={dt:.1f}s (budget 60s)"
+    return ok, f"count={count} (want 99), within the 60s budget: {dt < 60}"
 
 
 def criterion_02_dimension_histogram():
@@ -51,7 +51,7 @@ def criterion_02_dimension_histogram():
         and dt < 900
     )
     return ok, (f"histogram={rep['histogram']}, resolved={rep['resolved']}/99, "
-                f"runtime={dt:.1f}s (budget 900s)")
+                f"within the 900s budget: {dt < 900}")
 
 
 def criterion_03_example_verdicts():
@@ -398,7 +398,7 @@ CRITERIA = [
     (6, "degree-2 basis checks", criterion_06_groebner_checks, False),
     (7, "worked-example straightening law", criterion_07_example_quadric, False),
     (8, "degree formula routes", criterion_08_degree_formula, False),
-    (9, "generator vanishing on samples", criterion_09_generator_vanishing, True),
+    (9, "generator vanishing on samples", criterion_09_generator_vanishing, False),
     (10, "complement coordinate identity", criterion_10_hodge, False),
     (11, "line-case cell combinatorics", criterion_11_line_case_combinatorics, False),
     (12, "canonical form positivity and residues", criterion_12_canonical_form, False),

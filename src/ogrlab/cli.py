@@ -1,13 +1,15 @@
 """Batch command-line front end with machine-readable output.
 
 Every subcommand prints one JSON document (or CSV/text where it makes
-sense) and returns 0 on success, 1 on verification failure, 2 on bad input.
-Output is deterministic for fixed flags and seed.
+sense) and returns 0 on success, 1 on verification failure or when the
+reader closes standard output early, 2 on bad input.  Output is
+deterministic for fixed flags and seed.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import ideal_gens, ogr1, orthopositroids, parity_duality, weyl
@@ -329,7 +331,14 @@ def _cmd_sample(args, out) -> int:
 def _cmd_selftest(args, out) -> int:
     from . import acceptance
 
-    results = acceptance.run_all(fast=args.fast, stream=out)
+    if args.format == "text":
+        results = acceptance.run_all(fast=args.fast, stream=out)
+    else:
+        results = acceptance.run_all(fast=args.fast)
+        _emit({"criteria": [
+            {"number": r.number, "name": r.name, "passed": r.passed, "detail": r.detail}
+            for r in results
+        ]}, args.format, out)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -433,8 +442,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
     p.add_argument("--fast", action="store_true",
-                   help="skip the slow numeric-dimension criteria")
-    p.add_argument("--format", default="text")
+                   help="skip criterion 2, the slow numeric cell-dimension sweep")
+    p.add_argument("--format", default="text", choices=["text", "json"])
     p.set_defaults(func=_cmd_selftest)
 
     return parser
@@ -447,7 +456,15 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args, sys.stdout)
+        code = args.func(args, sys.stdout)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed standard output; send what is still buffered
+        # to devnull so that the flush at exit does not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -45,9 +45,5 @@ class AmbiguityError(OgrlabError):
         self.candidates = candidates
 
 
-class VerificationError(OgrlabError):
-    """A cross-check that must hold failed (CLI exit code 1)."""
-
-
 class InternalInvariantError(OgrlabError):
     """Internal consistency violated; indicates a bug, not bad input."""

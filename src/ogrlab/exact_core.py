@@ -32,8 +32,9 @@ class GaussianRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        # a Fraction is immutable, so it is shared rather than copied
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     @staticmethod
     def _lift(x):
@@ -95,10 +96,11 @@ class GaussianRational:
         return GaussianRational(-self.re, -self.im)
 
     def __eq__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        if isinstance(other, GaussianRational):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return not self.im and self.re == other
+        return NotImplemented
 
     def __hash__(self):
         if self.im == 0:
@@ -195,6 +197,132 @@ def sort_sign(word) -> tuple[tuple[int, ...], int]:
 def eps(prefix, extra: int) -> int:
     """Sign of sorting the string 'prefix then extra'; 0 on repeats."""
     return sort_sign(tuple(prefix) + (extra,))[1]
+
+
+# ---------------------------------------------------------------------------
+# Integer-cleared kernel over Z and Z[i]
+# ---------------------------------------------------------------------------
+
+class GaussianInteger:
+    """Element re + im*i of Z[i], mixing with int.
+
+    The ring of the integer-cleared kernel: an entry cleared from a
+    GaussianRational becomes one of these, an entry cleared from a rational
+    stays an int, and results come back as GaussianRational or Fraction
+    accordingly.  `//` is exact division, valid only where the quotient is
+    known to lie in Z[i].
+    """
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int, im: int):
+        self.re = re
+        self.im = im
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return GaussianInteger(self.re * other, self.im * other)
+        return GaussianInteger(self.re * other.re - self.im * other.im,
+                               self.re * other.im + self.im * other.re)
+
+    __rmul__ = __mul__
+
+    def __sub__(self, other):
+        if isinstance(other, int):
+            return GaussianInteger(self.re - other, self.im)
+        return GaussianInteger(self.re - other.re, self.im - other.im)
+
+    def __rsub__(self, other):
+        return GaussianInteger(other - self.re, -self.im)
+
+    def __neg__(self):
+        return GaussianInteger(-self.re, -self.im)
+
+    def __floordiv__(self, other):
+        if isinstance(other, int):
+            return GaussianInteger(self.re // other, self.im // other)
+        norm = other.re * other.re + other.im * other.im
+        return GaussianInteger((self.re * other.re + self.im * other.im) // norm,
+                               (self.im * other.re - self.re * other.im) // norm)
+
+    def __rfloordiv__(self, other):
+        return GaussianInteger(other, 0) // self
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def __repr__(self):
+        return f"GaussianInteger({self.re}, {self.im})"
+
+
+def clear_denominators(values) -> tuple[int, list]:
+    """(D, numerators): D is the least common multiple of the denominators
+    of the exact scalars (of both parts over Q(i)), and each numerator is
+    D times its value, an int for a rational and a GaussianInteger for a
+    GaussianRational."""
+    values = [coerce_scalar(x) for x in values]
+    dens = []
+    for x in values:
+        if isinstance(x, GaussianRational):
+            dens += (x.re.denominator, x.im.denominator)
+        else:
+            dens.append(x.denominator)
+    D = math.lcm(*dens)
+    out = []
+    for x in values:
+        if isinstance(x, GaussianRational):
+            out.append(GaussianInteger(x.re.numerator * (D // x.re.denominator),
+                                       x.im.numerator * (D // x.im.denominator)))
+        else:
+            out.append(x.numerator * (D // x.denominator))
+    return D, out
+
+
+def _cleared_rows(rows):
+    """(scale, rows over Z or Z[i]): each row times the lcm of its own
+    denominators; scale is the product of those multipliers."""
+    scale = 1
+    cleared = []
+    for row in rows:
+        s, ints = clear_denominators(row)
+        scale *= s
+        cleared.append(ints)
+    return scale, cleared
+
+
+def _bareiss(m):
+    """Determinant of a square matrix over Z or Z[i] (the list of rows m is
+    overwritten), by fraction-free Bareiss elimination: by Sylvester's
+    identity every `//` below divides exactly.  Returns int 0 when a pivot
+    column is zero."""
+    n = len(m)
+    sign = 1
+    prev = 1
+    for p in range(n - 1):
+        if not m[p][p]:
+            for r in range(p + 1, n):
+                if m[r][p]:
+                    m[p], m[r] = m[r], m[p]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        top = m[p]
+        pivot = top[p]
+        for r in range(p + 1, n):
+            row = m[r]
+            lead = row[p]
+            for c in range(p + 1, n):
+                row[c] = (pivot * row[c] - lead * top[c]) // prev
+        prev = pivot
+    return sign * m[n - 1][n - 1] if n else 1
+
+
+def _unscale(d, scale: int):
+    """The exact value d / scale of a kernel result."""
+    if isinstance(d, GaussianInteger):
+        return GaussianRational(Fraction(d.re, scale), Fraction(d.im, scale))
+    return Fraction(d, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -350,30 +478,12 @@ class Mat:
         return x
 
     def det(self):
-        """Determinant by fraction-free (Bareiss) elimination."""
+        """Determinant, exact: the rows are cleared of denominators and the
+        integer matrix goes through the Bareiss kernel."""
         if self.nrows != self.ncols:
             raise SizeMismatchError("determinant of a non-square matrix")
-        n = self.nrows
-        if n == 0:
-            return Fraction(1)
-        m = [list(r) for r in self.rows]
-        sign = 1
-        prev = Fraction(1)
-        for p in range(n - 1):
-            if m[p][p] == 0:
-                for r in range(p + 1, n):
-                    if m[r][p] != 0:
-                        m[p], m[r] = m[r], m[p]
-                        sign = -sign
-                        break
-                else:
-                    return Fraction(0)
-            for r in range(p + 1, n):
-                for c in range(p + 1, n):
-                    m[r][c] = (m[p][p] * m[r][c] - m[r][p] * m[p][c]) / prev
-                m[r][p] = 0 * m[r][p]
-            prev = m[p][p]
-        return sign * m[n - 1][n - 1]
+        scale, cleared = _cleared_rows(self.rows)
+        return _unscale(_bareiss(cleared), scale)
 
 
 def _dot(u, v):
@@ -389,21 +499,24 @@ def _dot(u, v):
 def minors(matrix: Mat, k: int) -> dict[tuple[int, ...], object]:
     """All maximal minors of a k x n matrix, keyed by column subset.
 
-    Raises DegenerateInputError when the matrix has rank below k (all
-    minors vanish), since the result would not define a point.
+    Each row is cleared of its denominators once; every k x k column choice
+    then goes through the integer Bareiss kernel, and the product of the
+    row scales divides the result.  Raises DegenerateInputError when the
+    matrix has rank below k (all minors vanish), since the result would not
+    define a point.
     """
     if matrix.nrows != k:
         raise SizeMismatchError(f"expected {k} rows, got {matrix.nrows}")
     n = matrix.ncols
     if n < k:
         raise SizeMismatchError("fewer columns than rows")
+    scale, cleared = _cleared_rows(matrix.rows)
     out = {}
     any_nonzero = False
     for cols in ksubsets(n, k):
-        sub = Mat([[matrix.rows[i][j - 1] for j in cols] for i in range(k)])
-        d = sub.det()
-        out[cols] = d
-        if d != 0:
+        d = _bareiss([[row[j - 1] for j in cols] for row in cleared])
+        out[cols] = _unscale(d, scale)
+        if d:
             any_nonzero = True
     if not any_nonzero:
         raise DegenerateInputError("matrix has rank < k; all maximal minors vanish")

@@ -12,6 +12,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     DegenerateInputError,
@@ -22,9 +23,11 @@ from .errors import (
     UnsupportedFormError,
 )
 from .exact_core import (
+    GaussianInteger,
     GaussianRational,
     I_UNIT,
     Mat,
+    clear_denominators,
     eps,
     fraction_str,
     ksubsets,
@@ -85,9 +88,13 @@ class QuadraticForm:
 
 
 class PluckerVector:
-    """Projective coordinates of a k-plane: map from k-subsets to scalars."""
+    """Projective coordinates of a k-plane: map from k-subsets to scalars.
 
-    __slots__ = ("k", "n", "coords")
+    The coordinates are not meant to change after construction: `cleared`
+    caches them in integer form.
+    """
+
+    __slots__ = ("k", "n", "coords", "_cleared")
 
     def __init__(self, k: int, n: int, coords: dict):
         self.k = k
@@ -95,6 +102,7 @@ class PluckerVector:
         self.coords = {tuple(I): v for I, v in coords.items() if v != 0}
         if not self.coords:
             raise DegenerateInputError("identically zero Plucker vector")
+        self._cleared = None
 
     @classmethod
     def from_matrix(cls, matrix: Mat) -> "PluckerVector":
@@ -106,6 +114,30 @@ class PluckerVector:
 
     def support(self):
         return frozenset(self.coords)
+
+    def cleared(self):
+        """The coordinates over one common denominator, computed once.
+
+        Returns (D, re, im, gaussian).  re and im map each subset to the
+        integer real and imaginary parts of D times its coordinate; the key
+        None maps to D itself, the value of the constant 1, so a monomial of
+        lower degree can be padded with it.  im is None when no coordinate
+        is a GaussianRational, and gaussian is the set of subsets whose
+        coordinate is one.
+        """
+        if self._cleared is None:
+            D, nums = clear_denominators(self.coords.values())
+            re = {None: D}
+            im = {None: 0}
+            gaussian = set()
+            for I, v in zip(self.coords, nums):
+                if isinstance(v, GaussianInteger):
+                    re[I], im[I] = v.re, v.im
+                    gaussian.add(I)
+                else:
+                    re[I], im[I] = v, 0
+            self._cleared = (D, re, im if gaussian else None, frozenset(gaussian))
+        return self._cleared
 
     def scale(self, c) -> "PluckerVector":
         return PluckerVector(self.k, self.n, {I: c * v for I, v in self.coords.items()})
@@ -195,8 +227,12 @@ def orthogonality_residual(p: PluckerVector, form: QuadraticForm) -> Mat:
 # Exact sampling
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _congruence_to_antidiagonal(form: QuadraticForm, field: str) -> Mat:
     """Rows m_1..m_n with m_s Omega m_t^T equal to the antidiagonal form.
+
+    Built and checked once per (form, field); callers must not mutate the
+    returned matrix.
 
     Rational pairing matches plus-coordinates with minus-coordinates in
     index order (for the alternating form this is the fixed (1,2), (3,4),

@@ -15,7 +15,15 @@ from itertools import combinations
 from math import gcd
 
 from .errors import InputError, InternalInvariantError, SizeMismatchError
-from .exact_core import binom, colex_key, ksubsets, sort_sign, subset_complement
+from .exact_core import (
+    GaussianRational,
+    binom,
+    clear_denominators,
+    colex_key,
+    ksubsets,
+    sort_sign,
+    subset_complement,
+)
 from .forms_points import PluckerVector, QuadraticForm
 from .posets import (
     linear_extension,
@@ -35,20 +43,26 @@ def _mono(*subsets):
 
 
 class Polynomial:
-    """Sparse polynomial in Plucker variables with rational coefficients."""
+    """Sparse polynomial in Plucker variables with rational coefficients.
 
-    __slots__ = ("k", "n", "terms")
+    Change the terms only through add_term, which drops the integer form
+    that evaluate compiles on first use.
+    """
+
+    __slots__ = ("k", "n", "terms", "_compiled")
 
     def __init__(self, k: int, n: int, terms: dict | None = None):
         self.k = k
         self.n = n
         self.terms = {}
+        self._compiled = None
         if terms:
             for m, c in terms.items():
                 if c:
                     self.terms[m] = Fraction(c)
 
     def add_term(self, monomial, coeff):
+        self._compiled = None
         c = self.terms.get(monomial, Fraction(0)) + coeff
         if c:
             self.terms[monomial] = c
@@ -81,16 +95,49 @@ class Polynomial:
             and self.terms == other.terms
         )
 
+    def _compile(self):
+        """(L, degree, coefficients, monomials): L times each coefficient is
+        an integer, and every monomial is padded with None (the constant 1
+        of PluckerVector.cleared) up to the top degree."""
+        L, coeffs = clear_denominators(self.terms.values())
+        if any(not isinstance(c, int) for c in coeffs):
+            raise InputError("polynomial coefficients must be rational")
+        degree = max(map(len, self.terms), default=0)
+        monos = self.terms.keys()
+        if any(len(m) < degree for m in monos):
+            monos = [tuple(m) + (None,) * (degree - len(m)) for m in monos]
+        return L, degree, coeffs, monos
+
     def evaluate(self, p: PluckerVector):
+        """Exact value at a point: a GaussianRational when a variable of the
+        polynomial has a GaussianRational coordinate, else a Fraction.
+
+        The sum runs in integers (or pairs of them over Z[i]) on the
+        cleared forms of both sides, and is divided once at the end.
+        """
         if (p.k, p.n) != (self.k, self.n):
             raise SizeMismatchError("vector type does not match polynomial type")
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            val = c
-            for factor in m:
-                val = val * p.get(factor)
-            total = total + val
-        return total
+        if self._compiled is None:
+            self._compiled = self._compile()
+        L, degree, coeffs, monos = self._compiled
+        D, re, im, gaussian = p.cleared()
+        den = L * D ** degree
+        if im is None or gaussian.isdisjoint(f for m in monos for f in m):
+            total = 0
+            for c, m in zip(coeffs, monos):
+                for f in m:
+                    c *= re.get(f, 0)
+                total += c
+            return Fraction(total, den)
+        total_re = total_im = 0
+        for c, m in zip(coeffs, monos):
+            vr, vi = c, 0
+            for f in m:
+                xr, xi = re.get(f, 0), im.get(f, 0)
+                vr, vi = vr * xr - vi * xi, vr * xi + vi * xr
+            total_re += vr
+            total_im += vi
+        return GaussianRational(Fraction(total_re, den), Fraction(total_im, den))
 
     def normalized(self) -> "Polynomial":
         """Scale so the colex-least monomial has coefficient 1 (for dedup)."""

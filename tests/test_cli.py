@@ -1,5 +1,14 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import ogrlab
+from ogrlab import acceptance
 from ogrlab.cli import main
 
 
@@ -127,3 +136,82 @@ def test_csv_format(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("perm;")
     assert len(lines) == 16  # header + 15 records
+
+
+# sha256 of the `ogrlab sample` output of the Fraction / GaussianRational
+# kernel that the integer-cleared one replaced
+SAMPLE_DIGESTS = {
+    "--k 2 --n 6 --seed 0":
+        "bd594b73c03a73eef5a92d32b50945bc12f7fb9e0dd2936e5577833f6b155818",
+    "--k 2 --n 6 --seed 11":
+        "f0c51a4ccebda8af405bf5e1d50bc03ce7dade0b216c2240977cf6ee6437559a",
+    "--k 3 --n 7 --seed 4":
+        "915760c75167e74cd24c6b90d8a267e038b61919186e7fdd4676867c976d58bf",
+    "--k 2 --n 6 --form standard --field gaussian --seed 3":
+        "606ae1a44844fc8ede1c276f0adb7a49aa6c632888dad36d7afc75753567675d",
+    "--k 3 --n 7 --form standard --field gaussian --seed 7":
+        "acaa08d7c914503e7d97b22219fa1266af4f18c3313a5064112c9d12305b1c6c",
+    "--k 3 --n 6 --form hyperbolic --field gaussian --seed 2":
+        "99773930a96bf649ffe059fe2f59e58a90904c904062c7f1a91cc4e9628eb08d",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(SAMPLE_DIGESTS))
+def test_sample_output_unchanged(flags, capsys):
+    code, out = run_cli(["sample", *flags.split()], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_DIGESTS[flags]
+
+
+def test_closed_pipe_exits_quietly():
+    src = Path(ogrlab.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    # about 140 kB of output, more than a pipe buffers
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ogrlab.cli", "equations", "--k", "3", "--n", "7",
+         "--form", "standard"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+@pytest.fixture
+def two_criteria(monkeypatch):
+    """Selftest over criteria 1 and 3 only, to keep the CLI tests short."""
+    monkeypatch.setattr(acceptance, "CRITERIA",
+                        [c for c in acceptance.CRITERIA if c[0] in (1, 3)])
+
+
+def test_selftest_text_format(two_criteria, capsys):
+    code, out = run_cli(["selftest"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("[PASS] criterion  1 (orthopositroid count at (2,6))")
+    assert lines[1].startswith("[PASS] criterion  3 ")
+
+
+def test_selftest_json_format(two_criteria, capsys):
+    code, out = run_cli(["selftest", "--format", "json"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    assert [c["number"] for c in payload["criteria"]] == [1, 3]
+    assert all(c["passed"] is True for c in payload["criteria"])
+    assert all(set(c) == {"number", "name", "passed", "detail"}
+               for c in payload["criteria"])
+    assert payload["criteria"][0]["name"] == "orthopositroid count at (2,6)"
+    _, again = run_cli(["selftest", "--format", "json"], capsys)
+    assert again == out
+
+
+def test_selftest_rejects_unknown_format(capsys):
+    assert main(["selftest", "--format", "csv"]) == 2
+
+
+def test_fast_skips_only_the_numeric_sweep():
+    slow = [number for number, _, _, is_slow in acceptance.CRITERIA if is_slow]
+    assert slow == [2]

@@ -9,6 +9,7 @@ from ogrlab.exact_core import (
     GaussianRational,
     I_UNIT,
     Mat,
+    clear_denominators,
     colex_rank,
     colex_unrank,
     eps,
@@ -16,8 +17,29 @@ from ogrlab.exact_core import (
     ksubsets,
     minors,
     rand_matrix,
+    rand_rational,
     sort_sign,
 )
+
+
+def cofactor_det(rows):
+    """Laplace expansion along the first row: the reference determinant."""
+    if not rows:
+        return Fraction(1)
+    total = Fraction(0)
+    for j, a in enumerate(rows[0]):
+        rest = [row[:j] + row[j + 1:] for row in rows[1:]]
+        total = total + (-1) ** j * a * cofactor_det(rest)
+    return total
+
+
+def rand_gaussian_matrix(rng, nrows, ncols):
+    """Entries of Q(i), about half of them with a nonzero imaginary part."""
+    return Mat([
+        [GaussianRational(rand_rational(rng), rand_rational(rng))
+         if rng.random() < 0.5 else rand_rational(rng) for _ in range(ncols)]
+        for _ in range(nrows)
+    ])
 
 
 def test_sort_sign_identity():
@@ -105,6 +127,52 @@ def test_det_bareiss_matches_cofactor():
             + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
         )
         assert A.det() == cof
+
+
+@pytest.mark.parametrize("field", ["rational", "gaussian"])
+def test_det_matches_cofactor_expansion(field):
+    rng = random.Random(31)
+    make = rand_matrix if field == "rational" else rand_gaussian_matrix
+    for size in range(5):
+        for _ in range(10):
+            A = make(rng, size, size)
+            assert A.det() == cofactor_det(A.rows)
+
+
+@pytest.mark.parametrize("field", ["rational", "gaussian"])
+def test_minors_match_cofactor_expansion(field):
+    rng = random.Random(37)
+    make = rand_matrix if field == "rational" else rand_gaussian_matrix
+    for k, n in [(1, 4), (2, 5), (3, 6), (4, 6)]:
+        A = make(rng, k, n)
+        ms = minors(A, k)
+        assert set(ms) == set(ksubsets(n, k))
+        for cols, value in ms.items():
+            assert value == cofactor_det([[row[j - 1] for j in cols] for row in A.rows])
+
+
+def test_det_zero_leading_pivot_swaps_rows():
+    z = GaussianRational(Fraction(1, 2), -3)
+    for A in (
+        Mat([[0, 2, Fraction(1, 3)], [5, 1, 0], [Fraction(-1, 4), 7, 1]]),
+        Mat([[0, z, 1], [0, 1, z], [Fraction(2, 3), 0, 4]]),
+        Mat([[1, 2, 3], [2, 4, Fraction(1, 5)], [z, 1, 0]]),  # zero second pivot
+    ):
+        assert A.det() == cofactor_det(A.rows) != 0
+        assert minors(A, 3)[(1, 2, 3)] == A.det()
+
+
+def test_minors_rank_deficient_gaussian():
+    z = GaussianRational(1, Fraction(2, 3))
+    with pytest.raises(DegenerateInputError):
+        minors(Mat([[1, z, 0], [z, z * z, 0]]), 2)
+
+
+def test_clear_denominators():
+    D, nums = clear_denominators([Fraction(1, 6), 2, GaussianRational(Fraction(1, 4), -1)])
+    assert D == 12
+    assert nums[:2] == [2, 24]
+    assert (nums[2].re, nums[2].im) == (3, -12)
 
 
 def test_minors_identity_block():

@@ -3,8 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from ogrlab.errors import InputError
-from ogrlab.exact_core import rand_matrix, subset_complement
+from ogrlab.errors import InputError, SizeMismatchError
+from ogrlab.exact_core import (
+    GaussianRational,
+    Mat,
+    rand_matrix,
+    rand_rational,
+    subset_complement,
+)
 from ogrlab.forms_points import PluckerVector, QuadraticForm, sample_isotropic
 from ogrlab.ideal_gens import (
     Degree2Span,
@@ -30,6 +36,79 @@ def plucker_of_random_matrix(rng, k, n):
         M = rand_matrix(rng, k, n)
         if M.rank() == k:
             return PluckerVector.from_matrix(M)
+
+
+def reference_value(poly, p):
+    """Term-by-term sum in Fraction / GaussianRational arithmetic."""
+    total = Fraction(0)
+    for m, c in poly.terms.items():
+        val = c
+        for factor in m:
+            val = val * p.get(factor)
+        total = total + val
+    return total
+
+
+def random_point(rng, k, n, gaussian):
+    """Plucker vector of a random (not isotropic) rational or Q(i) plane."""
+    while True:
+        M = Mat([
+            [GaussianRational(rand_rational(rng), rand_rational(rng))
+             if gaussian else rand_rational(rng) for _ in range(n)]
+            for _ in range(k)
+        ])
+        if M.rank() == k:
+            return PluckerVector.from_matrix(M)
+
+
+@pytest.mark.parametrize("gaussian", [False, True])
+@pytest.mark.parametrize("k,n", [(2, 5), (3, 6)])
+def test_evaluate_matches_reference_sum(k, n, gaussian):
+    rng = random.Random(10 * k + n + gaussian)
+    polys = list(plucker_relations(k, n))
+    polys += orthogonality_relations(k, n, QuadraticForm.standard(n))
+    polys += [poly for _, _, poly in all_straightening_lambda(k, n)]
+    # normalized() of these sums divides by 2 or 3: coefficients with denominators
+    polys += [(a.scale(2) + b.scale(3)).normalized() for a, b in zip(polys[::5], polys[1::5])]
+    assert any(c.denominator > 1 for poly in polys for c in poly.terms.values())
+    nonzero = 0
+    for _ in range(3):
+        p = random_point(rng, k, n, gaussian)
+        for poly in polys:
+            value = poly.evaluate(p)
+            assert value == reference_value(poly, p)
+            assert isinstance(value, GaussianRational) == gaussian
+            nonzero += value != 0
+    assert nonzero > len(polys)
+
+
+def test_evaluate_mixed_degrees_and_empty():
+    p = PluckerVector(2, 4, {(1, 2): Fraction(2, 3), (3, 4): GaussianRational(1, -2)})
+    poly = Polynomial(2, 4, {
+        ((1, 2),): Fraction(1, 2),
+        ((1, 2), (3, 4)): Fraction(-5),
+        ((1, 3), (1, 2), (1, 2)): Fraction(7),
+        (): Fraction(3, 4),
+    })
+    assert poly.evaluate(p) == reference_value(poly, p)
+    assert Polynomial(2, 4).evaluate(p) == 0
+    only_rational = Polynomial(2, 4, {((1, 2), (1, 2)): Fraction(1)})
+    value = only_rational.evaluate(p)
+    assert value == Fraction(4, 9) and isinstance(value, Fraction)
+    with pytest.raises(SizeMismatchError):
+        Polynomial(2, 5, {((1, 2),): 1}).evaluate(p)
+
+
+def test_add_term_after_evaluate_recompiles():
+    rng = random.Random(4)
+    p = random_point(rng, 2, 5, gaussian=True)
+    poly = plucker_relations(2, 5)[0].scale(1)
+    before = poly.evaluate(p)
+    assert before == reference_value(poly, p)
+    poly.add_term(_mono((1, 2), (3, 4)), Fraction(5, 3))
+    assert poly.evaluate(p) == reference_value(poly, p) != before
+    poly.add_term(_mono((1, 2), (3, 4)), Fraction(-5, 3))
+    assert poly.evaluate(p) == before
 
 
 def test_plucker_relations_classical():
