@@ -23,7 +23,6 @@ from .forms_points import (
     complementary_ratio_sign,
     hodge_check,
     is_totally_nonnegative,
-    orthogonality_residual,
     sample_isotropic,
     sample_isotropic_component,
 )
@@ -70,11 +69,7 @@ def criterion_04_degree2_dimensions():
         std = posets.count_standard_monomials(k, n, 2)
         wd = weyl.weyl_dim(k, n, 2)
         pred = weyl.standard_monomial_prediction(k, n)
-        span = ideal_gens.Degree2Span(k, n)
-        for poly in ideal_gens.plucker_relations(k, n):
-            span.add(poly)
-        for poly in ideal_gens.orthogonality_relations(k, n, QuadraticForm.standard(n)):
-            span.add(poly)
+        span = ideal_gens.relation_span(k, n)
         want_rank = binom(binom(n, k) + 1, 2) - std
         good = std == wd == pred and span.rank == want_rank
         ok = ok and good
@@ -265,7 +260,7 @@ def criterion_12_canonical_form():
     for n in (4, 5, 6):
         p = (n + 1) // 2
         pts = ogr1.interior_points(n, seed=n, count=100)
-        pos = all(ogr1._coeff_from_chart(us, p) > 0 for us in pts)
+        pos = all(ogr1.canonical_coeff(us, p) > 0 for us in pts)
         res = [ogr1.residue_check(n, i, seed=100 * n + i) for i in range(2, n + 1)]
         res_ok = all(r["ok"] for r in res)
         worst = max(r["max_rel_err"] for r in res)
@@ -281,7 +276,7 @@ def criterion_13_phi_samples(count: int = 20):
     for seed in range(count):
         q = sample_isotropic_component(3, seed=seed, component="standard").plucker()
         p = parity_duality.phi_map(q)
-        if not orthogonality_residual(p, alt5).is_zero():
+        if not ideal_gens.is_isotropic(p, alt5):
             bad += 1
         elif any(g.evaluate(p) != 0 for g in plucker5):
             bad += 1
@@ -297,7 +292,7 @@ def criterion_13_phi_samples(count: int = 20):
     tnn_ok = is_totally_nonnegative(tnn5)
     q6 = parity_duality.phi_inverse(tnn5)
     tnn_ok = tnn_ok and is_totally_nonnegative(q6)
-    tnn_ok = tnn_ok and orthogonality_residual(q6, QuadraticForm.alternating(6)).is_zero()
+    tnn_ok = tnn_ok and ideal_gens.is_isotropic(q6, QuadraticForm.alternating(6))
     back = parity_duality.phi_map(q6)
     tnn_ok = tnn_ok and is_totally_nonnegative(back) and back.eq_projective(tnn5)
     ok = bad == 0 and tnn_ok

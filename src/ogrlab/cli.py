@@ -19,7 +19,6 @@ from .forms_points import (
     QuadraticForm,
     Subspace,
     hodge_check,
-    orthogonality_residual,
     sample_isotropic,
     sample_isotropic_component,
 )
@@ -175,7 +174,7 @@ def _cmd_ogr1_canonical(args, out) -> int:
               for i in range(2, args.n + 1)]
     pts = ogr1.interior_points(args.n, args.seed, 100)
     p = (args.n + 1) // 2
-    positive = all(ogr1._coeff_from_chart(us, p) > 0 for us in pts)
+    positive = all(ogr1.canonical_coeff(us, p) > 0 for us in pts)
     payload = {
         "n": args.n,
         "interior_positive": positive,
@@ -210,12 +209,12 @@ def _cmd_phi_map(args, out) -> int:
     q = sample_isotropic_component(args.k + 1, seed=args.seed,
                                    component="standard").plucker()
     p = parity_duality.phi_map(q)
-    resid = orthogonality_residual(p, QuadraticForm.alternating(2 * args.k + 1))
     payload = {
         "k": args.k,
         "input": q.to_json(),
         "image": p.to_json(),
-        "image_residual_zero": resid.is_zero(),
+        "image_residual_zero": ideal_gens.is_isotropic(
+            p, QuadraticForm.alternating(2 * args.k + 1)),
     }
     _emit(payload, args.format, out)
     return 0 if payload["image_residual_zero"] else 1
@@ -313,7 +312,7 @@ def _cmd_ortho_dims(args, out) -> int:
 def _cmd_sample(args, out) -> int:
     form = _parse_form(args.form, args.n)
     sub = sample_isotropic(args.k, args.n, form, args.seed, field=args.field)
-    resid = orthogonality_residual(sub.plucker(), form)
+    p = sub.plucker()
     payload = {
         "k": args.k,
         "n": args.n,
@@ -321,8 +320,8 @@ def _cmd_sample(args, out) -> int:
         "seed": args.seed,
         "basis": [[fraction_str(x) for x in sub.basis.row(i)]
                   for i in range(sub.k)],
-        "plucker": sub.plucker().to_json(),
-        "residual_zero": resid.is_zero(),
+        "plucker": p.to_json(),
+        "residual_zero": ideal_gens.is_isotropic(p, form),
     }
     _emit(payload, args.format, out)
     return 0 if payload["residual_zero"] else 1

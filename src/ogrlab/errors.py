@@ -33,10 +33,6 @@ class PoleError(InputError):
     """Evaluation of a rational form at one of its poles."""
 
 
-class NoSolutionError(OgrlabError):
-    """Exact linear solve on an inconsistent system."""
-
-
 class AmbiguityError(OgrlabError):
     """A construction the theory asserts to be unique admitted several candidates."""
 

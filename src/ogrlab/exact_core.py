@@ -15,7 +15,6 @@ from itertools import combinations
 from .errors import (
     DegenerateInputError,
     InputError,
-    NoSolutionError,
     SizeMismatchError,
 )
 
@@ -342,10 +341,6 @@ class Mat:
                 raise SizeMismatchError("ragged rows")
 
     @classmethod
-    def zero(cls, r, c):
-        return cls([[0] * c for _ in range(r)])
-
-    @classmethod
     def identity(cls, n):
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -462,20 +457,6 @@ class Mat:
                 v[pc] = -red.rows[pr][fc]
             basis.append(v)
         return basis
-
-    def solve(self, rhs):
-        """Exact solution of self * x = rhs (one solution; raises if none)."""
-        if len(rhs) != self.nrows:
-            raise SizeMismatchError("rhs length mismatch")
-        aug = Mat([list(r) + [b] for r, b in zip(self.rows, rhs)])
-        red, pivots = aug.rref()
-        nc = self.ncols
-        if nc in pivots:
-            raise NoSolutionError("inconsistent linear system")
-        x = [Fraction(0)] * nc
-        for pr, pc in enumerate(pivots):
-            x[pc] = red.rows[pr][nc]
-        return x
 
     def det(self):
         """Determinant, exact: the rows are cleared of denominators and the

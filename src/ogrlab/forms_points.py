@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -28,7 +28,6 @@ from .exact_core import (
     I_UNIT,
     Mat,
     clear_denominators,
-    eps,
     fraction_str,
     ksubsets,
     minors,
@@ -173,13 +172,19 @@ class PluckerVector:
 
 @dataclass
 class Subspace:
-    """A k-plane given by a k x n basis matrix of full row rank."""
+    """A k-plane given by a k x n basis matrix of full row rank.
+
+    The Plucker vector is computed once, at construction: its maximal
+    minors decide the rank.  The basis is not meant to change afterwards.
+    """
 
     basis: Mat
+    _plucker: PluckerVector = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.basis.rank() != self.basis.nrows:
+        if self.basis.nrows > self.basis.ncols:
             raise DegenerateInputError("basis matrix is rank-deficient")
+        self._plucker = PluckerVector.from_matrix(self.basis)
 
     @property
     def k(self):
@@ -190,37 +195,7 @@ class Subspace:
         return self.basis.ncols
 
     def plucker(self) -> PluckerVector:
-        return PluckerVector.from_matrix(self.basis)
-
-
-# ---------------------------------------------------------------------------
-# Cocircuit matrix and the orthogonality residual
-# ---------------------------------------------------------------------------
-
-def cocircuit_matrix(p: PluckerVector) -> Mat:
-    """Rows indexed by (k-1)-subsets I in colex order; entry at column l is
-    eps(I, l) * p_{I + l}, and 0 for l in I."""
-    k, n = p.k, p.n
-    rows = []
-    for I in ksubsets(n, k - 1):
-        row = []
-        for l in range(1, n + 1):
-            if l in I:
-                row.append(Fraction(0))
-            else:
-                s = eps(I, l)
-                row.append(s * p.get(tuple(sorted(I + (l,)))))
-        rows.append(row)
-    return Mat(rows)
-
-
-def orthogonality_residual(p: PluckerVector, form: QuadraticForm) -> Mat:
-    """P * Omega * P^T; the zero matrix exactly when p lies on the isotropic
-    Grassmannian of the form."""
-    if form.n != p.n:
-        raise SizeMismatchError("form dimension does not match the vector")
-    P = cocircuit_matrix(p)
-    return P * form.matrix() * P.transpose()
+        return self._plucker
 
 
 # ---------------------------------------------------------------------------

@@ -264,9 +264,18 @@ def plucker_relations(k: int, n: int) -> tuple[Polynomial, ...]:
     )
 
 
-def orthogonality_relations(k: int, n: int, form: QuadraticForm) -> list[Polynomial]:
+@lru_cache(maxsize=None)
+def orthogonality_relations(k: int, n: int, form: QuadraticForm) -> tuple[Polynomial, ...]:
     """One quadric per unordered pair of (k-1)-subsets from the cocircuit
-    pairing: sum over l, m of Omega_{lm} eps(I,l) eps(J,m) p_{Il} p_{Jm}."""
+    pairing: sum over l, m of Omega_{lm} eps(I,l) eps(J,m) p_{Il} p_{Jm}.
+
+    The quadric of (I, J) is the (I, J) entry of P Omega P^T, where row I of
+    the cocircuit matrix P holds eps(I, l) p_{Il}; identically zero entries
+    are left out.  Cached: callers share the quadrics and must not change
+    them.
+    """
+    if not 1 <= k <= n:
+        raise InputError("need 1 <= k <= n")
     if form.n != n:
         raise SizeMismatchError("form dimension mismatch")
     omega = form.matrix()
@@ -289,7 +298,13 @@ def orthogonality_relations(k: int, n: int, form: QuadraticForm) -> list[Polynom
                     poly.add_term(_mono(Il, Jm), w * sl * sm)
             if not poly.is_zero():
                 out.append(poly)
-    return out
+    return tuple(out)
+
+
+def is_isotropic(p: PluckerVector, form: QuadraticForm) -> bool:
+    """Does p lie on the isotropic Grassmannian of the form?  Exact: every
+    orthogonality quadric vanishes at p, i.e. P Omega P^T = 0."""
+    return not any(g.evaluate(p) for g in orthogonality_relations(p.k, p.n, form))
 
 
 def normalize_bracket(Jp, n: int):
@@ -563,14 +578,22 @@ class Degree2Span:
         return {g_: c for g_, c in out.items() if c}
 
 
-@lru_cache(maxsize=None)
-def _relation_span(k: int, n: int, track: bool) -> Degree2Span:
+def relation_span(k: int, n: int, form: QuadraticForm | None = None,
+                  track: bool = False) -> Degree2Span:
+    """A new span of the shuffle quadrics, then the orthogonality quadrics
+    of the form (standard by default); generator ids follow that order."""
+    if form is None:
+        form = QuadraticForm.standard(n)
     span = Degree2Span(k, n, track=track)
-    for poly in plucker_relations(k, n):
-        span.add(poly)
-    for poly in orthogonality_relations(k, n, QuadraticForm.standard(n)):
+    for poly in plucker_relations(k, n) + orthogonality_relations(k, n, form):
         span.add(poly)
     return span
+
+
+@lru_cache(maxsize=None)
+def _relation_span(k: int, n: int, form: QuadraticForm, track: bool) -> Degree2Span:
+    """relation_span, built once per key; callers only read it."""
+    return relation_span(k, n, form, track)
 
 
 class MembershipResult:
@@ -596,14 +619,7 @@ def degree2_membership(f: Polynomial, k: int, n: int,
     """
     if form is None:
         form = QuadraticForm.standard(n)
-    if form.label != "standard":
-        span = Degree2Span(k, n, track=coords)
-        for poly in plucker_relations(k, n):
-            span.add(poly)
-        for poly in orthogonality_relations(k, n, form):
-            span.add(poly)
-    else:
-        span = _relation_span(k, n, coords)
+    span = _relation_span(k, n, form, coords)
     residual, used = span.reduce(f)
     if residual.is_zero():
         return MembershipResult(True, coordinates=span.coordinates(used) if coords else None)
@@ -644,11 +660,7 @@ def groebner_degree2_check(k: int, n: int,
     }
     monomial_count = binom(binom(n, k) + 1, 2)
     standard = count_standard_monomials(k, n, 2)
-    span = Degree2Span(k, n)
-    for poly in plucker_relations(k, n):
-        span.add(poly)
-    for poly in orthogonality_relations(k, n, QuadraticForm.standard(n)):
-        span.add(poly)
+    span = relation_span(k, n)  # a fresh one: the straightening laws join it
     rank_generators = span.rank
     for _, _, poly in mus:
         span.add(poly)

@@ -177,27 +177,21 @@ def quadric_residual(p: PluckerVector) -> Fraction:
 # Canonical form numerics (pluses-first chart)
 # ---------------------------------------------------------------------------
 
-def canonical_coeff(xs, p: int):
+def canonical_coeff(us, p: int):
     """Coefficient of the canonical form in the chart x_1 = 1.
 
-    xs lists projective coordinates already permuted so the p plus-signature
-    coordinates come first; the form's denominator vanishes on the chart
-    divisors, so zero entries raise PoleError.
+    us maps j to the chart coordinate u_j = x_j / x_1 for 2 <= j <= n, the
+    p plus-signature coordinates first; the coefficient is
+    (1 + u_2^2 + ... + u_p^2) / (u_2 ... u_{n-1} u_n^2).  Exact on
+    Fractions; on floats the operations run in this fixed order.  The
+    denominator vanishes on the chart divisors, so a zero coordinate raises
+    PoleError.
     """
-    n = len(xs)
-    if not 2 <= p <= n - 1:
-        raise InputError("need a mixed-signature point")
-    xs = [Fraction(x) if isinstance(x, int) else x for x in xs]
-    if xs[0] == 0:
-        raise PoleError("chart requires x_1 != 0")
-    us = [x / xs[0] for x in xs]
-    if any(u == 0 for u in us[1:]):
+    if any(u == 0 for u in us.values()):
         raise PoleError("canonical coefficient has a pole at zero coordinates")
-    num = 1 + sum(us[j] * us[j] for j in range(1, p))
-    den = us[n - 1] * us[n - 1]
-    for j in range(1, n - 1):
-        den = den * us[j]
-    return num / den
+    n = max(us)
+    num = 1 + sum(us[j] ** 2 for j in range(2, p + 1))
+    return num / (_prod(us, range(2, n)) * us[n] ** 2)
 
 
 def residue_check(n: int, i: int, seed: int = 0, trials: int = 20,
@@ -233,7 +227,7 @@ def residue_check(n: int, i: int, seed: int = 0, trials: int = 20,
 
             us[n] = t
             us[2] = solve_u2(t)
-            observed = us[n] ** 2 * _coeff_from_chart(us, p) / us[2]
+            observed = us[n] ** 2 * canonical_coeff(us, p) / us[2]
             us[n] = 0.0
             us[2] = solve_u2(0.0)
             target = (1 + sum(us[j] ** 2 for j in range(2, p + 1))) / (
@@ -253,7 +247,7 @@ def residue_check(n: int, i: int, seed: int = 0, trials: int = 20,
                 return math.sqrt(rhs)
 
             us[n] = solve_un()
-            observed = t * _coeff_from_chart(us, p)
+            observed = t * canonical_coeff(us, p)
             us[i] = 0.0
             us[n] = solve_un()
             target = (1 + sum(us[j] ** 2 for j in range(2, p + 1))) / (
@@ -265,16 +259,10 @@ def residue_check(n: int, i: int, seed: int = 0, trials: int = 20,
 
 
 def _prod(us, idxs):
-    out = 1.0
+    out = 1
     for j in idxs:
         out *= us[j]
     return out
-
-
-def _coeff_from_chart(us, p: int):
-    n = max(us)
-    num = 1.0 + sum(us[j] ** 2 for j in range(2, p + 1))
-    return num / (_prod(us, range(2, n)) * us[n] ** 2)
 
 
 def interior_points(n: int, seed: int, count: int):

@@ -13,12 +13,8 @@ from itertools import permutations
 
 from .errors import AmbiguityError, InputError, NotAPointError
 from .exact_core import ksubsets
-from .forms_points import (
-    PluckerVector,
-    QuadraticForm,
-    component_of,
-    orthogonality_residual,
-)
+from .forms_points import PluckerVector, QuadraticForm, component_of
+from .ideal_gens import is_isotropic
 
 
 # ---------------------------------------------------------------------------
@@ -32,7 +28,7 @@ def phi_map(q: PluckerVector) -> PluckerVector:
         raise InputError("phi_map expects a point with n = 2k")
     if component_of(q) != "standard":
         raise NotAPointError("phi_map is defined on the standard component")
-    if not orthogonality_residual(q, QuadraticForm.alternating(q.n)).is_zero():
+    if not is_isotropic(q, QuadraticForm.alternating(q.n)):
         raise NotAPointError("input does not satisfy the orthogonality relations")
     k = q.k - 1
     n = q.n - 1

@@ -138,29 +138,52 @@ def test_csv_format(capsys):
     assert len(lines) == 16  # header + 15 records
 
 
-# sha256 of the `ogrlab sample` output of the Fraction / GaussianRational
-# kernel that the integer-cleared one replaced
-SAMPLE_DIGESTS = {
-    "--k 2 --n 6 --seed 0":
+# sha256 of whole-command outputs; the sample digests are those of the
+# Fraction / GaussianRational kernel that the integer-cleared one replaced,
+# the others those of the P Omega P^T residual that quadric evaluation
+# replaced
+OUTPUT_DIGESTS = {
+    "sample --k 2 --n 6 --seed 0":
         "bd594b73c03a73eef5a92d32b50945bc12f7fb9e0dd2936e5577833f6b155818",
-    "--k 2 --n 6 --seed 11":
+    "sample --k 2 --n 6 --seed 11":
         "f0c51a4ccebda8af405bf5e1d50bc03ce7dade0b216c2240977cf6ee6437559a",
-    "--k 3 --n 7 --seed 4":
+    "sample --k 3 --n 7 --seed 4":
         "915760c75167e74cd24c6b90d8a267e038b61919186e7fdd4676867c976d58bf",
-    "--k 2 --n 6 --form standard --field gaussian --seed 3":
+    "sample --k 2 --n 6 --form standard --field gaussian --seed 3":
         "606ae1a44844fc8ede1c276f0adb7a49aa6c632888dad36d7afc75753567675d",
-    "--k 3 --n 7 --form standard --field gaussian --seed 7":
+    "sample --k 3 --n 7 --form standard --field gaussian --seed 7":
         "acaa08d7c914503e7d97b22219fa1266af4f18c3313a5064112c9d12305b1c6c",
-    "--k 3 --n 6 --form hyperbolic --field gaussian --seed 2":
+    "sample --k 3 --n 6 --form hyperbolic --field gaussian --seed 2":
         "99773930a96bf649ffe059fe2f59e58a90904c904062c7f1a91cc4e9628eb08d",
+    "phi-map --k 2 --seed 1":
+        "e52c2fd47cecb341f1029a62b9a2e5d66b3529dc85e336f5d37409a50d7be2b5",
+    "phi-map --k 3 --seed 2":
+        "34cf1513860eb6578370c44b4cc9661ff1a3dd384c222b8522455b4420bdf3d1",
+    "groebner-check --k 3 --n 7":
+        "740b299b4277a1f03506e1865fe3ab5433e69a02c637431715007ce96d1b9145",
+    "equations --k 2 --n 5 --form standard":
+        "a8e389549448e1aec4d3e14051b5844ee045e35e452b245feccbf9f20290023d",
+    "ogr1 canonical --n 5":
+        "4edbe96b06f2a90ff34f0f89ce16bdafbb4dc450506fc46374172369f15ae37a",
 }
 
 
-@pytest.mark.parametrize("flags", sorted(SAMPLE_DIGESTS))
-def test_sample_output_unchanged(flags, capsys):
-    code, out = run_cli(["sample", *flags.split()], capsys)
+def assert_output_unchanged(command, capsys):
+    code, out = run_cli(command.split(), capsys)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == SAMPLE_DIGESTS[flags]
+    assert hashlib.sha256(out.encode()).hexdigest() == OUTPUT_DIGESTS[command]
+
+
+@pytest.mark.parametrize("flags", sorted(
+    c.removeprefix("sample ") for c in OUTPUT_DIGESTS if c.startswith("sample ")))
+def test_sample_output_unchanged(flags, capsys):
+    assert_output_unchanged("sample " + flags, capsys)
+
+
+@pytest.mark.parametrize("command", sorted(
+    c for c in OUTPUT_DIGESTS if not c.startswith("sample ")))
+def test_command_output_unchanged(command, capsys):
+    assert_output_unchanged(command, capsys)
 
 
 def test_closed_pipe_exits_quietly():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from ogrlab.errors import DegenerateInputError, NoSolutionError
+from ogrlab.errors import DegenerateInputError
 from ogrlab.exact_core import (
     GaussianRational,
     I_UNIT,
@@ -88,22 +88,6 @@ def test_nullspace_sum_row():
     assert len(basis) == 1
     v = basis[0]
     assert v[0] + v[1] == 0 and any(x != 0 for x in v)
-
-
-def test_solve_and_back_substitute():
-    rng = random.Random(5)
-    for _ in range(20):
-        A = rand_matrix(rng, 3, 3)
-        if A.rank() < 3:
-            continue
-        x = [Fraction(rng.randint(-5, 5)) for _ in range(3)]
-        b = [sum(A[i, j] * x[j] for j in range(3)) for i in range(3)]
-        assert A.solve(b) == x
-
-
-def test_solve_inconsistent():
-    with pytest.raises(NoSolutionError):
-        Mat([[1, 1], [1, 1]]).solve([0, 1])
 
 
 def test_nullspace_annihilated():

@@ -7,24 +7,28 @@ from ogrlab.errors import InputError, SizeMismatchError
 from ogrlab.exact_core import (
     GaussianRational,
     Mat,
+    eps,
+    ksubsets,
     rand_matrix,
     rand_rational,
     subset_complement,
 )
 from ogrlab.forms_points import PluckerVector, QuadraticForm, sample_isotropic
 from ogrlab.ideal_gens import (
-    Degree2Span,
     Polynomial,
     TermOrder,
     _mono,
+    _relation_span,
     all_straightening_lambda,
     all_straightening_mu,
     degree2_membership,
     degree2_monomials,
     groebner_degree2_check,
+    is_isotropic,
     normalize_bracket,
     orthogonality_relations,
     plucker_relations,
+    relation_span,
     straightening_lambda,
     straightening_mu,
     straightening_mu_canonical,
@@ -177,6 +181,52 @@ def test_orthogonality_vanishes_on_samples(k, n):
         assert all(g.evaluate(p) == 0 for g in rels)
 
 
+def cocircuit_reference(p, form):
+    """Entries of P Omega P^T by (I, J), in Fraction / GaussianRational
+    arithmetic: row I of the cocircuit matrix P holds eps(I, l) p_{I + l}."""
+    subs = ksubsets(p.n, p.k - 1)
+    P = Mat([[eps(I, l) * p.get(tuple(sorted(I + (l,)))) for l in range(1, p.n + 1)]
+             for I in subs])
+    R = P * form.matrix() * P.transpose()
+    return {(I, J): R[a, b] for a, I in enumerate(subs) for b, J in enumerate(subs)}
+
+
+def test_orthogonality_quadrics_are_cocircuit_entries():
+    rng = random.Random(2024)
+    for k, n in [(1, 4), (2, 5), (3, 6)]:
+        forms = [QuadraticForm.standard(n), QuadraticForm.alternating(n),
+                 QuadraticForm.hyperbolic(n), QuadraticForm.signed_subset([2], n)]
+        subs = ksubsets(n, k - 1)
+        pairs = [(I, J) for a, I in enumerate(subs) for J in subs[a:]]
+        for form in forms:
+            rels = orthogonality_relations(k, n, form)
+            # at independent random coordinates, exactly the identically
+            # zero entries vanish: they are the pairs without a quadric
+            generic = PluckerVector(k, n, {
+                I: rng.randint(1, 10 ** 6) for I in ksubsets(n, k)})
+            ref = cocircuit_reference(generic, form)
+            kept = [pair for pair in pairs if ref[pair] != 0]
+            assert len(kept) == len(rels)
+            skipped = [pair for pair in pairs if ref[pair] == 0]
+            for gaussian in (False, True):
+                p = random_point(rng, k, n, gaussian)
+                ref = cocircuit_reference(p, form)
+                for pair, g in zip(kept, rels):
+                    assert g.evaluate(p) == ref[pair]
+                assert all(ref[pair] == 0 for pair in skipped)
+                assert any(ref.values()) and not is_isotropic(p, form)
+            for seed in range(3):
+                q = sample_isotropic(k, n, form, seed, field="gaussian").plucker()
+                assert not any(cocircuit_reference(q, form).values())
+                assert is_isotropic(q, form)
+
+
+def test_is_isotropic_size_mismatch():
+    p = sample_isotropic(2, 5, QuadraticForm.alternating(5), 0).plucker()
+    with pytest.raises(SizeMismatchError):
+        is_isotropic(p, QuadraticForm.alternating(6))
+
+
 def test_normalize_bracket():
     assert normalize_bracket((1, 3, 5, 6), 6) == (-1, (2, 4))
     assert normalize_bracket((1, 2, 5, 6), 6) == (1, (3, 4))
@@ -292,12 +342,34 @@ def test_membership_at_3_7_without_coordinates():
         assert degree2_membership(poly, 3, 7, coords=False)
 
 
+def test_membership_coordinates_for_nonstandard_form():
+    alt = QuadraticForm.alternating(5)
+    gens = plucker_relations(2, 5) + orthogonality_relations(2, 5, alt)
+    f = gens[7].scale(3) - gens[2] + gens[-1]
+    res = degree2_membership(f, 2, 5, form=alt)
+    assert res
+    total = Polynomial(2, 5)
+    for i, c in res.coordinates.items():
+        total = total + gens[i].scale(c)
+    assert total == f
+    assert not degree2_membership(f, 2, 5)
+
+
+def test_relation_span_is_fresh_and_cached_span_unchanged():
+    assert relation_span(2, 6) is not relation_span(2, 6)
+    std = QuadraticForm.standard(6)
+    f = straightening_lambda((1, 2), (1, 3, 5, 6), 6)
+    assert degree2_membership(f, 2, 6)
+    cached = _relation_span(2, 6, std, True)
+    rows, rank = [dict(r) for r in cached.rows], cached.rank
+    assert groebner_degree2_check(2, 6)["ok"]
+    assert degree2_membership(f, 2, 6)
+    assert _relation_span(2, 6, std, True) is cached
+    assert cached.rank == rank and cached.rows == rows
+
+
 def test_span_rank_against_counts():
-    span = Degree2Span(2, 6)
-    for g in plucker_relations(2, 6):
-        span.add(g)
-    for g in orthogonality_relations(2, 6, QuadraticForm.standard(6)):
-        span.add(g)
+    span = relation_span(2, 6)
     assert span.rank == 36
     assert len(degree2_monomials(2, 6)) == 120
 
@@ -320,9 +392,5 @@ def test_rank_splits_into_pair_families(k, n):
     from ogrlab.posets import incomparable_pairs
 
     yy, mixed = incomparable_pairs(k, n)
-    span = Degree2Span(k, n)
-    for g in plucker_relations(k, n):
-        span.add(g)
-    for g in orthogonality_relations(k, n, QuadraticForm.standard(n)):
-        span.add(g)
+    span = relation_span(k, n)
     assert span.rank == len(yy) + len(mixed)

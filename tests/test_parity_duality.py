@@ -6,10 +6,9 @@ from ogrlab.forms_points import (
     PluckerVector,
     QuadraticForm,
     is_totally_nonnegative,
-    orthogonality_residual,
     sample_isotropic_component,
 )
-from ogrlab.ideal_gens import plucker_relations
+from ogrlab.ideal_gens import is_isotropic, plucker_relations
 from ogrlab.parity_duality import (
     admissible_bijection_check,
     all_matchings,
@@ -135,7 +134,7 @@ def test_phi_map_small_case_relation():
 def test_phi_map_samples_land_on_target(seed):
     q = sample_isotropic_component(3, seed=seed, component="standard").plucker()
     p = phi_map(q)
-    assert orthogonality_residual(p, QuadraticForm.alternating(5)).is_zero()
+    assert is_isotropic(p, QuadraticForm.alternating(5))
     assert all(g.evaluate(p) == 0 for g in plucker_relations(2, 5))
     assert phi_inverse(p).eq_projective(q)
 
@@ -150,7 +149,7 @@ def test_phi_preserves_nonnegativity():
     assert is_totally_nonnegative(p5)
     q6 = phi_inverse(p5)
     assert is_totally_nonnegative(q6)
-    assert orthogonality_residual(q6, QuadraticForm.alternating(6)).is_zero()
+    assert is_isotropic(q6, QuadraticForm.alternating(6))
     assert is_totally_nonnegative(phi_map(q6))
 
 
