@@ -9,7 +9,7 @@ from ogrlab.errors import (
     NotAPointError,
     UnsupportedFormError,
 )
-from ogrlab.exact_core import GaussianRational, Mat, rand_matrix
+from ogrlab.exact_core import GaussianRational, Mat, eps, ksubsets, rand_matrix
 from ogrlab.forms_points import (
     PluckerVector,
     QuadraticForm,
@@ -39,6 +39,34 @@ def test_subspace_rank_from_minors():
     for rows in ([[1, 2, 0], [2, 4, 0]], [[0, 0], [0, 0]], [[1, 0], [0, 1], [1, 1]]):
         with pytest.raises(DegenerateInputError, match="rank"):
             Subspace(Mat(rows))
+
+
+def cocircuit_matrix(p):
+    """Cocircuit matrix P of p: row I (a (k-1)-subset, colex order) holds
+    eps(I, l) p_{I + l} in column l."""
+    return Mat([[eps(I, l) * p.get(tuple(sorted(I + (l,)))) for l in range(1, p.n + 1)]
+                for I in ksubsets(p.n, p.k - 1)])
+
+
+def test_cocircuit_coordinate_subspace():
+    p = PluckerVector.from_matrix(Mat([[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]]))
+    P = cocircuit_matrix(p)
+    for i in range(P.nrows):
+        nonzero = [x for x in P.row(i) if x != 0]
+        assert len(nonzero) <= 1
+
+
+def test_cocircuit_signed_row():
+    sub = sample_isotropic(2, 5, QuadraticForm.alternating(5), 3)
+    p = sub.plucker()
+    P = cocircuit_matrix(p)
+    # row of I = {2} in colex order of 1-subsets is index 1
+    row = P.row(1)
+    assert row[0] == -p.get((1, 2))
+    assert row[1] == 0
+    assert row[2] == p.get((2, 3))
+    assert row[3] == p.get((2, 4))
+    assert row[4] == p.get((2, 5))
 
 
 def test_residual_zero_iff_isotropic():
