@@ -207,8 +207,10 @@ def residue_check(n: int, i: int, seed: int = 0, trials: int = 20,
     p = (n + 1) // 2
     if not 2 <= i <= n:
         raise InputError("divisor index must be in [2, n]")
-    if i == n and p < 2:
-        raise InputError("double-pole check needs at least two plus signs")
+    if i == n and (p < 2 or p + 1 >= n):
+        raise InputError(
+            "double-pole check needs at least two plus signs and a minus "
+            "coordinate before u_n")
     rng = random.Random(seed)
     worst = 0.0
     for _ in range(trials):

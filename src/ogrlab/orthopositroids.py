@@ -106,24 +106,33 @@ def necklace_of(dp: DecoratedPermutation) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def _require_desk_scale(k: int, n: int) -> None:
+    """Bases are bitmasks over the C(n, k) colex ranks and the pair table
+    grows like C(n, k - 1)^2 * n; refuse sizes where that is not small."""
+    if 0 <= k <= n and binom(n, k) > 70:
+        raise InputError("positroids are desk-scale: C(n, k) <= 70")
+
+
+@lru_cache(maxsize=None)
+def _gale_upset(I, a: int, k: int, n: int) -> int:
+    """Bitmask over the colex ranks of ksubsets(n, k) of the B with I <= B
+    in the Gale order of the cyclic order starting at a."""
+    low = sorted((x - a) % n for x in I)
+    mask = 0
+    for r, B in enumerate(ksubsets(n, k)):
+        if all(i <= b for i, b in zip(low, sorted((x - a) % n for x in B))):
+            mask |= 1 << r
+    return mask
+
+
 def bases_from_necklace(necklace, k: int, n: int) -> frozenset:
     """Oh's rule: B is a basis iff I_a is below B in every cyclic Gale order."""
-    gale = []
-    for a in range(1, n + 1):
-        ranks = [(x - a) % n for x in range(n + 1)]
-        Ia = sorted(necklace[a - 1], key=lambda x: ranks[x])
-        gale.append((ranks, [ranks[x] for x in Ia]))
-    out = []
-    for B in ksubsets(n, k):
-        good = True
-        for ranks, ia_ranks in gale:
-            b_ranks = sorted(ranks[x] for x in B)
-            if any(ir > br for ir, br in zip(ia_ranks, b_ranks)):
-                good = False
-                break
-        if good:
-            out.append(B)
-    return frozenset(out)
+    _require_desk_scale(k, n)
+    subs = ksubsets(n, k)
+    mask = (1 << len(subs)) - 1
+    for a, Ia in enumerate(necklace, 1):
+        mask &= _gale_upset(tuple(Ia), a, k, n)
+    return frozenset(B for r, B in enumerate(subs) if mask >> r & 1)
 
 
 def dperm_from_necklace(necklace, n: int) -> DecoratedPermutation:
@@ -216,8 +225,9 @@ def enumerate_decorated_permutations(k: int, n: int) -> list[DecoratedPermutatio
 @lru_cache(maxsize=None)
 def enumerate_positroids(k: int, n: int) -> tuple[Positroid, ...]:
     """One positroid per decorated permutation of the given type."""
-    if binom(n, k) > 70:
-        raise InputError("enumeration is desk-scale: C(n, k) <= 70")
+    if n > 10:
+        raise InputError("enumeration scans all n! permutations: n <= 10")
+    _require_desk_scale(k, n)
     out = tuple(
         Positroid.from_dperm(dp) for dp in enumerate_decorated_permutations(k, n)
     )
@@ -228,23 +238,55 @@ def enumerate_positroids(k: int, n: int) -> tuple[Positroid, ...]:
 # The orthopositroid test
 # ---------------------------------------------------------------------------
 
-def a_sets(bases, I, J, n: int):
-    """Extension sets of a pair of (k-1)-subsets, split by the alternating
+def _extensions(I, J, n: int):
+    """(l, I+l, J+l, sign) for each l outside I and J, with the alternating
     sign (-1)^(l-1) eps(I,l) eps(J,l); l meeting I or J is excluded since
     its bracket vanishes."""
+    for l in range(1, n + 1):
+        if l in I or l in J:
+            continue
+        yield (l, tuple(sorted(I + (l,))), tuple(sorted(J + (l,))),
+               (-1) ** (l - 1) * eps(I, l) * eps(J, l))
+
+
+def a_sets(bases, I, J, n: int):
+    """Extension sets of a pair of (k-1)-subsets, split by sign: the l whose
+    two extensions I+l and J+l are both bases."""
     I, J = tuple(I), tuple(J)
     if len(I) != len(J):
         raise SizeMismatchError("need equal-size subsets")
     plus, minus = [], []
-    for l in range(1, n + 1):
-        if l in I or l in J:
-            continue
-        BI = tuple(sorted(I + (l,)))
-        BJ = tuple(sorted(J + (l,)))
+    for l, BI, BJ, s in _extensions(I, J, n):
         if BI in bases and BJ in bases:
-            s = (-1) ** (l - 1) * eps(I, l) * eps(J, l)
             (plus if s > 0 else minus).append(l)
     return tuple(plus), tuple(minus)
+
+
+@lru_cache(maxsize=None)
+def _pair_table(k: int, n: int) -> tuple:
+    """(I, J, plus, minus) for each pair I <= J of (k-1)-subsets in ksubsets
+    order; each side lists (l, mask) with the colex-rank bits of I+l and J+l,
+    so l is in the extension set of a bases mask m iff m & mask == mask."""
+    rank = {B: r for r, B in enumerate(ksubsets(n, k))}
+    subs = ksubsets(n, k - 1)
+    table = []
+    for a, I in enumerate(subs):
+        for J in subs[a:]:
+            plus, minus = [], []
+            for l, BI, BJ, s in _extensions(I, J, n):
+                (plus if s > 0 else minus).append((l, 1 << rank[BI] | 1 << rank[BJ]))
+            table.append((I, J, tuple(plus), tuple(minus)))
+    return tuple(table)
+
+
+def _meets(mask: int, side) -> bool:
+    """Whether some l on this side of a pair table entry has both of its
+    extensions in the bases mask (an explicit loop: any() over a generator
+    costs several times more in this, the innermost loop)."""
+    for _, m in side:
+        if mask & m == m:
+            return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -264,13 +306,16 @@ def is_orthopositroid(positroid_or_bases, k: int | None = None,
         if k is None or n is None:
             raise InputError("k and n are required with a raw bases set")
         bases = frozenset(tuple(sorted(b)) for b in positroid_or_bases)
+    _require_desk_scale(k, n)
+    mask = 0
+    for r, B in enumerate(ksubsets(n, k)):
+        if B in bases:
+            mask |= 1 << r
     failures = []
-    subs = ksubsets(n, k - 1)
-    for a, I in enumerate(subs):
-        for J in subs[a:]:
-            plus, minus = a_sets(bases, I, J, n)
-            if bool(plus) != bool(minus):
-                failures.append((I, J, plus, minus))
+    for I, J, plus, minus in _pair_table(k, n):
+        if _meets(mask, plus) != _meets(mask, minus):
+            failures.append((I, J, tuple(l for l, m in plus if mask & m == m),
+                             tuple(l for l, m in minus if mask & m == m)))
     return OrthoReport(verdict=not failures, failures=tuple(failures))
 
 
@@ -825,12 +870,3 @@ def gluing_check() -> dict:
         v for key, v in report.items() if isinstance(v, bool)
     )
     return report
-
-
-# ---------------------------------------------------------------------------
-# Symmetry helper
-# ---------------------------------------------------------------------------
-
-def relabel_bases(bases, mapping) -> frozenset:
-    """Image of a bases set under a ground-set relabeling."""
-    return frozenset(tuple(sorted(mapping[x] for x in B)) for B in bases)

@@ -119,6 +119,21 @@ def test_input_error_exit_2(capsys):
     assert "input error" in capsys.readouterr().err
 
 
+TOP_CELL_15_30 = ",".join(str((i + 14) % 30 + 1) for i in range(1, 31))
+
+
+@pytest.mark.parametrize("command", [
+    "orthopositroids enumerate --k 1 --n 12",
+    "orthopositroids enumerate --k 1 --n 30",
+    "orthopositroids test --k 15 --n 30 --perm " + TOP_CELL_15_30,
+    "ogr1 canonical --n 3",
+])
+def test_refused_up_front(command, capsys):
+    assert main(command.split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "Traceback" not in err
+
+
 def test_byte_determinism(capsys):
     args = ["sample", "--k", "2", "--n", "6", "--seed", "11"]
     _, first = run_cli(args, capsys)
@@ -140,8 +155,9 @@ def test_csv_format(capsys):
 
 # sha256 of whole-command outputs; the sample digests are those of the
 # Fraction / GaussianRational kernel that the integer-cleared one replaced,
-# the others those of the P Omega P^T residual that quadric evaluation
-# replaced
+# the orthopositroids ones those of the per-pair a_sets loop and the
+# sorted-rank Gale rule that the compiled bitmask tables replaced, the
+# others those of the P Omega P^T residual that quadric evaluation replaced
 OUTPUT_DIGESTS = {
     "sample --k 2 --n 6 --seed 0":
         "bd594b73c03a73eef5a92d32b50945bc12f7fb9e0dd2936e5577833f6b155818",
@@ -165,6 +181,14 @@ OUTPUT_DIGESTS = {
         "a8e389549448e1aec4d3e14051b5844ee045e35e452b245feccbf9f20290023d",
     "ogr1 canonical --n 5":
         "4edbe96b06f2a90ff34f0f89ce16bdafbb4dc450506fc46374172369f15ae37a",
+    "orthopositroids enumerate --k 2 --n 6":
+        "c03b50f9028e83039e4f391e0cc0e3ee717c2e6a461383c39d5191dc0e74b759",
+    "orthopositroids enumerate --k 3 --n 6":
+        "89ee95cab198d14be0ed1adb4232b8d3a71eafff91a6ff82814b193327c4c74f",
+    "orthopositroids test --k 2 --n 5 --bases 12,14,25,45":
+        "0f007c8c44d63571708edc6f7b4ddde8b0791194d5694bf9c0c91d473f2fe5e4",
+    "orthopositroids test --k 3 --n 7 --perm 4,1,6,5,7,2,3":
+        "9d964268ce71bcacae98a3be6636efd77c6a4d17e461823fac3a7ce58f4d19ab",
 }
 
 

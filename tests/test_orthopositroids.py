@@ -1,10 +1,12 @@
+import math
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
 from ogrlab.errors import InputError
-from ogrlab.exact_core import Mat
+from ogrlab.exact_core import Mat, ksubsets
 from ogrlab.forms_points import (
     PluckerVector,
     QuadraticForm,
@@ -13,8 +15,10 @@ from ogrlab.forms_points import (
 from ogrlab.ideal_gens import is_isotropic
 from ogrlab.orthopositroids import (
     DecoratedPermutation,
+    OrthoReport,
     Positroid,
     a_sets,
+    bases_from_necklace,
     bridge_decomposition,
     bridge_matrix,
     cell_dim_in_ogr_numeric,
@@ -28,7 +32,6 @@ from ogrlab.orthopositroids import (
     m_tau,
     necklace_of,
     printed_e1,
-    relabel_bases,
     sample_cell_point,
     tau_solution,
     top_cell_dperm,
@@ -38,6 +41,41 @@ ALT6 = QuadraticForm.alternating(6)
 
 M1 = frozenset([(1, 2), (1, 4), (2, 5), (4, 5)])
 M2 = frozenset([(1, 2), (1, 3), (2, 4), (3, 4)])
+
+COMPILED_SIZES = [(1, 4), (2, 5), (2, 6), (3, 6)]
+
+
+def relabel_bases(bases, mapping) -> frozenset:
+    """Image of a bases set under a ground-set relabeling."""
+    return frozenset(tuple(sorted(mapping[x] for x in B)) for B in bases)
+
+
+def reference_report(bases, k, n) -> OrthoReport:
+    """The pair test as a loop over a_sets for every pair I <= J."""
+    failures = []
+    subs = ksubsets(n, k - 1)
+    for a, I in enumerate(subs):
+        for J in subs[a:]:
+            plus, minus = a_sets(bases, I, J, n)
+            if bool(plus) != bool(minus):
+                failures.append((I, J, plus, minus))
+    return OrthoReport(verdict=not failures, failures=tuple(failures))
+
+
+def reference_bases_from_necklace(necklace, k, n) -> frozenset:
+    """Oh's rule by sorting the ranks of every k-subset in every cyclic order."""
+    gale = []
+    for a in range(1, n + 1):
+        ranks = [(x - a) % n for x in range(n + 1)]
+        ia = sorted(necklace[a - 1], key=lambda x: ranks[x])
+        gale.append((ranks, [ranks[x] for x in ia]))
+    return frozenset(
+        B for B in ksubsets(n, k)
+        if all(
+            all(ir <= br for ir, br in zip(ia_ranks, sorted(ranks[x] for x in B)))
+            for ranks, ia_ranks in gale
+        )
+    )
 
 
 def test_decorated_permutation_type():
@@ -85,6 +123,56 @@ def test_a_sets_first_family_one_sided():
 
 def test_a_sets_empty_both_sides():
     assert a_sets(M2, (5,), (5,), 5) == ((), ())
+
+
+@pytest.mark.parametrize("k,n", COMPILED_SIZES)
+def test_compiled_pair_test_matches_a_sets_loop(k, n):
+    failing = 0
+    for pos in enumerate_positroids(k, n):
+        want = reference_report(pos.bases, k, n)
+        assert is_orthopositroid(pos) == want
+        assert is_orthopositroid(pos.bases, k, n) == want
+        failing += not want.verdict
+    assert failing  # the failure lists, order included, were compared
+
+
+@pytest.mark.parametrize("k,n", COMPILED_SIZES)
+def test_gale_upsets_match_sorted_rank_rule(k, n):
+    for pos in enumerate_positroids(k, n):
+        assert bases_from_necklace(pos.necklace, k, n) == \
+            reference_bases_from_necklace(pos.necklace, k, n)
+
+
+def test_raw_bases_ignore_non_subsets_and_k_zero_passes():
+    extra = M2 | {(1, 9), (2, 3, 4)}
+    assert is_orthopositroid(extra, 2, 5) == is_orthopositroid(M2, 2, 5)
+    assert is_orthopositroid([()], 0, 4) == OrthoReport(True, ())
+
+
+def test_size_guard_precedes_work():
+    # (4, 9) is past the guard, C(9, 4) = 126, yet small enough to finish
+    # quickly if the guard were missing
+    with pytest.raises(InputError):
+        enumerate_positroids(1, 11)
+    with pytest.raises(InputError):
+        enumerate_positroids(4, 9)
+    with pytest.raises(InputError):
+        is_orthopositroid([(1, 2, 3, 4)], 4, 9)
+    with pytest.raises(InputError):
+        bases_from_necklace(necklace_of(top_cell_dperm(4, 9)), 4, 9)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_orthopositroids_at_n_2k_are_the_matchings(k):
+    n = 2 * k
+    cells = enumerate_orthopositroids(k, n)
+    fpf_involutions = {
+        w for w in permutations(range(1, n + 1))
+        if all(w[i] != i + 1 and w[w[i] - 1] == i + 1 for i in range(n))
+    }
+    assert len(cells) == math.prod(range(1, n, 2))
+    assert {p.dperm.word for p in cells} == fpf_involutions
+    assert not any(p.dperm.coloops for p in cells)
 
 
 def test_example_verdicts():
