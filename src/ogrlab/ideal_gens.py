@@ -192,6 +192,9 @@ class TermOrder:
     Monomials of equal degree compare at the poset-*largest* variable where
     their exponents differ; whichever has fewer of it is larger.  This makes
     the incomparable product the leading monomial of each straightening law.
+    Equivalently, the larger monomial has the higher degree or else the
+    lexicographically smaller list of factor ranks sorted in descending
+    order.
     """
 
     def __init__(self, k: int, n: int, tie_break: str = "colex"):
@@ -203,31 +206,14 @@ class TermOrder:
             e.subset: i for i, e in enumerate(ext) if e.kind == "Y"
         }
 
-    def greater(self, m1, m2) -> bool:
-        """True when monomial m1 is strictly larger than m2."""
-        if m1 == m2:
-            return False
-        if len(m1) != len(m2):
-            return len(m1) > len(m2)
-        exp1, exp2 = {}, {}
-        for f in m1:
-            exp1[f] = exp1.get(f, 0) + 1
-        for f in m2:
-            exp2[f] = exp2.get(f, 0) + 1
-        decisive = max(
-            (f for f in set(exp1) | set(exp2) if exp1.get(f, 0) != exp2.get(f, 0)),
-            key=lambda f: self.rank[f],
-        )
-        return exp1.get(decisive, 0) < exp2.get(decisive, 0)
-
     def leading_monomial(self, poly: Polynomial):
         if poly.is_zero():
             raise InputError("zero polynomial has no leading monomial")
-        best = None
-        for m in poly.terms:
-            if best is None or self.greater(m, best):
-                best = m
-        return best
+        rank = self.rank
+        return min(
+            poly.terms,
+            key=lambda m: (-len(m), sorted((rank[f] for f in m), reverse=True)),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +411,13 @@ def straightening_mu_canonical(I, J, n: int) -> tuple[tuple, tuple, Polynomial]:
     return J, I, cand
 
 
-def all_straightening_mu(k: int, n: int) -> list[tuple[tuple, tuple, Polynomial]]:
-    out = []
-    for I, J in young_incomparable_pairs(k, n):
-        out.append(straightening_mu_canonical(I, J, n))
-    return out
+@lru_cache(maxsize=None)
+def all_straightening_mu(k: int, n: int) -> tuple[tuple[tuple, tuple, Polynomial], ...]:
+    """straightening_mu_canonical of each incomparable Young pair.  Cached:
+    callers share the quadrics and must not change them."""
+    return tuple(
+        straightening_mu_canonical(I, J, n) for I, J in young_incomparable_pairs(k, n)
+    )
 
 
 def all_mixed_incomparable(k: int, n: int):
@@ -443,11 +431,14 @@ def all_mixed_incomparable(k: int, n: int):
     return out
 
 
-def all_straightening_lambda(k: int, n: int) -> list[tuple[tuple, tuple, Polynomial]]:
-    return [
+@lru_cache(maxsize=None)
+def all_straightening_lambda(k: int, n: int) -> tuple[tuple[tuple, tuple, Polynomial], ...]:
+    """straightening_lambda of each mixed incomparable pair.  Cached:
+    callers share the quadrics and must not change them."""
+    return tuple(
         (I, Jp, straightening_lambda(I, Jp, n))
         for I, Jp in all_mixed_incomparable(k, n)
-    ]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -466,28 +457,36 @@ def degree2_monomials(k: int, n: int):
 class Degree2Span:
     """Row space of quadrics over the degree-2 monomial basis, exact.
 
-    Rows are reduced integer vectors; with track=True each stored row also
-    carries its expression in the original generators so membership queries
-    can return coordinates.
+    Rows are reduced integer vectors over the indices of `monomials`; with
+    track=True each stored row also carries its expression in the original
+    generators so membership queries can return coordinates.
     """
 
     def __init__(self, k: int, n: int, track: bool = False):
         self.k = k
         self.n = n
         self.track = track
-        self.index = {m: i for i, m in enumerate(degree2_monomials(k, n))}
+        self.monomials = degree2_monomials(k, n)
+        self.index = {m: i for i, m in enumerate(self.monomials)}
         self.pivot_row = {}
         self.rows = []
         self.combos = []
         self.gen_count = 0
 
     def _to_int_vec(self, poly: Polynomial):
+        """(vec, denom): vec maps monomial index to denom times the
+        coefficient, an integer, in the order of poly.terms."""
+        if (poly.k, poly.n) != (self.k, self.n):
+            raise SizeMismatchError("polynomial type does not match span type")
         denom = 1
         for c in poly.terms.values():
             denom = denom * c.denominator // gcd(denom, c.denominator)
         vec = {}
         for m, c in poly.terms.items():
-            vec[self.index[m]] = int(c * denom)
+            i = self.index.get(m)
+            if i is None:
+                raise InputError(f"{m} is not a degree-2 monomial of the span")
+            vec[i] = c.numerator * (denom // c.denominator)
         return vec, denom
 
     @staticmethod
@@ -502,9 +501,9 @@ class Degree2Span:
 
     def add(self, poly: Polynomial) -> bool:
         """Reduce a generator into the span; returns True when rank grew."""
+        vec, denom = self._to_int_vec(poly)
         gen_id = self.gen_count
         self.gen_count += 1
-        vec, denom = self._to_int_vec(poly)
         combo = {gen_id: Fraction(denom)} if self.track else None
         while vec:
             lead = max(vec)
@@ -548,23 +547,32 @@ class Degree2Span:
         the rational multiple subtracted; residual is zero iff poly lies in
         the span.
         """
-        vec = {self.index[m]: Fraction(c) for m, c in poly.terms.items()}
+        vec, denom = self._to_int_vec(poly)  # poly is vec / denom throughout
         used = {}
         while vec:
             lead = max(vec)
             r = self.pivot_row.get(lead)
             if r is None:
                 break
-            c = vec[lead] / self.rows[r][lead]
-            used[r] = used.get(r, Fraction(0)) + c
-            for i, v in self.rows[r].items():
-                nv = vec.get(i, Fraction(0)) - c * v
+            row = self.rows[r]
+            a, b = vec[lead], row[lead]
+            used[r] = Fraction(a, denom * b)  # each pivot is met once: leads fall
+            g = gcd(a, b)
+            ca, cb = b // g, a // g
+            if ca != 1:
+                for i in vec:
+                    vec[i] *= ca
+                denom *= ca
+            for i, v in row.items():
+                nv = vec.get(i, 0) - cb * v
                 if nv:
                     vec[i] = nv
                 else:
                     vec.pop(i, None)
-        inv = {i: m for m, i in self.index.items()}
-        residual = Polynomial(self.k, self.n, {inv[i]: c for i, c in vec.items()})
+        residual = Polynomial(
+            self.k, self.n,
+            {self.monomials[i]: Fraction(v, denom) for i, v in vec.items()},
+        )
         return residual, used
 
     def coordinates(self, used) -> dict[int, Fraction]:
@@ -617,6 +625,8 @@ def degree2_membership(f: Polynomial, k: int, n: int,
     (shuffle relations first, then orthogonality); on failure returns the
     nonzero residual after reduction.
     """
+    if (f.k, f.n) != (k, n):
+        raise SizeMismatchError("polynomial type does not match (k, n)")
     if form is None:
         form = QuadraticForm.standard(n)
     span = _relation_span(k, n, form, coords)

@@ -289,6 +289,24 @@ def _meets(mask: int, side) -> bool:
     return False
 
 
+def _bases_mask(bases, k: int, n: int) -> int:
+    """The bitmask over the colex ranks of ksubsets(n, k) of a bases set."""
+    _require_desk_scale(k, n)
+    mask = 0
+    for r, B in enumerate(ksubsets(n, k)):
+        if B in bases:
+            mask |= 1 << r
+    return mask
+
+
+def _one_sided(mask: int, k: int, n: int):
+    """The pair table entries whose two extension sets in the bases mask are
+    not empty or nonempty together, lazily, so a verdict can stop early."""
+    for entry in _pair_table(k, n):
+        if _meets(mask, entry[2]) != _meets(mask, entry[3]):
+            yield entry
+
+
 @dataclass(frozen=True)
 class OrthoReport:
     verdict: bool
@@ -306,23 +324,21 @@ def is_orthopositroid(positroid_or_bases, k: int | None = None,
         if k is None or n is None:
             raise InputError("k and n are required with a raw bases set")
         bases = frozenset(tuple(sorted(b)) for b in positroid_or_bases)
-    _require_desk_scale(k, n)
-    mask = 0
-    for r, B in enumerate(ksubsets(n, k)):
-        if B in bases:
-            mask |= 1 << r
-    failures = []
-    for I, J, plus, minus in _pair_table(k, n):
-        if _meets(mask, plus) != _meets(mask, minus):
-            failures.append((I, J, tuple(l for l, m in plus if mask & m == m),
-                             tuple(l for l, m in minus if mask & m == m)))
+    mask = _bases_mask(bases, k, n)
+    # list comprehensions: generator expressions cost more per failure
+    failures = [
+        (I, J, tuple([l for l, m in plus if mask & m == m]),
+         tuple([l for l, m in minus if mask & m == m]))
+        for I, J, plus, minus in _one_sided(mask, k, n)
+    ]
     return OrthoReport(verdict=not failures, failures=tuple(failures))
 
 
 @lru_cache(maxsize=None)
 def enumerate_orthopositroids(k: int, n: int) -> tuple[Positroid, ...]:
     return tuple(
-        p for p in enumerate_positroids(k, n) if is_orthopositroid(p).verdict
+        p for p in enumerate_positroids(k, n)
+        if next(_one_sided(_bases_mask(p.bases, k, n), k, n), None) is None
     )
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
 
 from .errors import InputError, InternalInvariantError, SizeMismatchError
@@ -64,11 +65,14 @@ def p_leq(a: PosetElement, b: PosetElement, k: int, n: int) -> bool:
             raise InputError(f"bad poset element kind {e.kind!r}")
         if len(e.subset) != want or any(x < 1 or x > n for x in e.subset):
             raise InputError(f"element {e} does not live in the ({k},{n}) poset")
+    return _leq(a, b, k)
+
+
+def _leq(a: PosetElement, b: PosetElement, k: int) -> bool:
+    """p_leq on elements already known to live in the poset."""
     if a.kind == b.kind:
         return young_leq(a.subset, b.subset)
-    if a.kind == "coY" and b.kind == "Y":
-        return mixed_leq(a.subset, b.subset, k)
-    return False
+    return a.kind == "coY" and mixed_leq(a.subset, b.subset, k)
 
 
 def elements(k: int, n: int) -> list[PosetElement]:
@@ -272,39 +276,48 @@ def count_standard_monomials(k: int, n: int, ell: int) -> int:
 # Linear extensions (term orders are built on these)
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _strictly_above(k: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """For each index into elements(k, n), the indices of the elements
+    strictly above it.  Cached: callers share it and must not change it."""
+    elems = elements(k, n)
+    return tuple(
+        tuple(i for i, b in enumerate(elems) if i != j and _leq(a, b, k))
+        for j, a in enumerate(elems)
+    )
+
+
 def linear_extension(k: int, n: int, tie_break: str = "colex") -> list[PosetElement]:
     """A linear extension of the glued poset by repeated minimal removal.
 
     tie_break picks among currently-minimal elements: 'colex' and
     'colex_desc' order by the subset key, 'kind_first' exhausts coYoung
     minima before Young ones.  Different ties give genuinely different
-    extensions, which the degree-2 checks exercise.
+    extensions, which the degree-2 checks exercise.  The keys are unique,
+    so each tie_break gives one extension.
     """
     elems = elements(k, n)
-    remaining = set(range(len(elems)))
-    below = {
-        i: {
-            j
-            for j in range(len(elems))
-            if j != i and p_leq(elems[j], elems[i], k, n)
-        }
-        for i in range(len(elems))
-    }
-
-    def key(i):
-        e = elems[i]
-        if tie_break == "colex":
-            return (0, colex_key(e.subset), e.kind)
-        if tie_break == "colex_desc":
-            return (0,) + tuple(-x for x in colex_key(e.subset)) + (e.kind,)
-        if tie_break == "kind_first":
-            return (0 if e.kind == "coY" else 1, colex_key(e.subset))
+    if tie_break == "colex":
+        keys = [(0, colex_key(e.subset), e.kind) for e in elems]
+    elif tie_break == "colex_desc":
+        keys = [(0,) + tuple(-x for x in colex_key(e.subset)) + (e.kind,) for e in elems]
+    elif tie_break == "kind_first":
+        keys = [(0 if e.kind == "coY" else 1, colex_key(e.subset)) for e in elems]
+    else:
         raise InputError(f"unknown tie_break {tie_break!r}")
-
+    above = _strictly_above(k, n)
+    below_left = [0] * len(elems)
+    for ups in above:
+        for i in ups:
+            below_left[i] += 1
+    minimal = {i for i, c in enumerate(below_left) if c == 0}
     out = []
-    while remaining:
-        minimal = [i for i in remaining if not (below[i] & remaining)]
-        pick = min(minimal, key=key)
+    while minimal:
+        pick = min(minimal, key=keys.__getitem__)
+        minimal.remove(pick)
         out.append(elems[pick])
-        remaining.remove(pick)
+        for i in above[pick]:
+            below_left[i] -= 1
+            if not below_left[i]:
+                minimal.add(i)
     return out

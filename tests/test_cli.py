@@ -177,6 +177,12 @@ OUTPUT_DIGESTS = {
         "34cf1513860eb6578370c44b4cc9661ff1a3dd384c222b8522455b4420bdf3d1",
     "groebner-check --k 3 --n 7":
         "740b299b4277a1f03506e1865fe3ab5433e69a02c637431715007ce96d1b9145",
+    "groebner-check --k 3 --n 8":
+        "aacf72242dbe5f52598f7a2cea5ec41fa391eca101b74e227d1a2039a414d338",
+    "straighten --k 3 --n 7":
+        "b5f9ba063b21eaa2df3293e6ce82e640d56824b0259d7d417982ee34ce430b69",
+    "straighten --k 2 --n 6 --family lambda":
+        "7801fa5c131f800f1b0f1f68e408c4b4843cb8856b8bb0a4c696787d2aa16963",
     "equations --k 2 --n 5 --form standard":
         "a8e389549448e1aec4d3e14051b5844ee045e35e452b245feccbf9f20290023d",
     "ogr1 canonical --n 5":

@@ -287,6 +287,38 @@ def test_leading_monomials_at_2_6(tb):
         assert order.leading_monomial(poly) == _mono(I, subset_complement(Jp, 6))
 
 
+def pairwise_greater(rank, m1, m2):
+    """The reverse-lex rule compared pair by pair: the larger monomial has
+    fewer copies of the highest-ranked variable whose exponents differ."""
+    if m1 == m2:
+        return False
+    if len(m1) != len(m2):
+        return len(m1) > len(m2)
+    exp1, exp2 = {}, {}
+    for f in m1:
+        exp1[f] = exp1.get(f, 0) + 1
+    for f in m2:
+        exp2[f] = exp2.get(f, 0) + 1
+    decisive = max(
+        (f for f in set(exp1) | set(exp2) if exp1.get(f, 0) != exp2.get(f, 0)),
+        key=lambda f: rank[f],
+    )
+    return exp1.get(decisive, 0) < exp2.get(decisive, 0)
+
+
+@pytest.mark.parametrize("tb", ["colex", "colex_desc", "kind_first"])
+@pytest.mark.parametrize("k,n", [(2, 6), (3, 7)])
+def test_leading_monomial_matches_pairwise_rule(k, n, tb):
+    order = TermOrder(k, n, tb)
+    laws = all_straightening_mu(k, n) + all_straightening_lambda(k, n)
+    for _, _, poly in laws:
+        best = None
+        for m in poly.terms:
+            if best is None or pairwise_greater(order.rank, m, best):
+                best = m
+        assert order.leading_monomial(poly) == best
+
+
 def test_canonical_orientation_picks_universal_lead():
     # this pair's two orientations give different shuffles; only one has an
     # extension-independent leading term
@@ -366,6 +398,73 @@ def test_relation_span_is_fresh_and_cached_span_unchanged():
     assert degree2_membership(f, 2, 6)
     assert _relation_span(2, 6, std, True) is cached
     assert cached.rank == rank and cached.rows == rows
+
+
+def fraction_reduce(span, poly):
+    """Degree2Span.reduce in Fraction arithmetic, the residual and the row
+    multiples in the order the elimination meets them."""
+    vec = {span.index[m]: Fraction(c) for m, c in poly.terms.items()}
+    used = {}
+    while vec:
+        lead = max(vec)
+        r = span.pivot_row.get(lead)
+        if r is None:
+            break
+        c = vec[lead] / span.rows[r][lead]
+        used[r] = used.get(r, Fraction(0)) + c
+        for i, v in span.rows[r].items():
+            nv = vec.get(i, Fraction(0)) - c * v
+            if nv:
+                vec[i] = nv
+            else:
+                vec.pop(i, None)
+    monomials = degree2_monomials(span.k, span.n)
+    return [(monomials[i], c) for i, c in vec.items()], list(used.items())
+
+
+@pytest.mark.parametrize("k,n", [(2, 6), (3, 7)])
+def test_reduce_matches_fraction_reduction(k, n):
+    span = _relation_span(k, n, QuadraticForm.standard(n), True)
+    laws = [poly for _, _, poly in all_straightening_mu(k, n) + all_straightening_lambda(k, n)]
+    # scaled sums bring denominators; at (3, 7) some also meet the one row whose lead is 2
+    laws += [(a.scale(Fraction(2, 3)) + b.scale(Fraction(-5, 7))) for a, b in zip(laws, laws[1:])]
+    # p12 p34 at (2, 6), p123 p456 at (3, 7)
+    nonmember = Polynomial(k, n, {_mono(tuple(range(1, k + 1)), tuple(range(k + 1, 2 * k + 1))): 1})
+    for poly in laws + [nonmember, nonmember + laws[0], Polynomial(k, n)]:
+        residual, used = span.reduce(poly)
+        assert (list(residual.terms.items()), list(used.items())) == fraction_reduce(span, poly)
+    assert not span.reduce(nonmember)[0].is_zero()
+    assert not degree2_membership(nonmember, k, n)
+
+
+def test_straightening_families_are_cached_tuples():
+    for family in (all_straightening_mu, all_straightening_lambda):
+        laws = family(2, 6)
+        assert isinstance(laws, tuple)
+        assert family(2, 6) is laws
+
+
+def test_span_refuses_other_size():
+    g = plucker_relations(2, 6)[-1]
+    with pytest.raises(SizeMismatchError):
+        degree2_membership(g, 2, 5)
+    span = relation_span(2, 5)
+    for method in (span.add, span.reduce):
+        with pytest.raises(SizeMismatchError):
+            method(g)
+
+
+def test_span_refuses_monomial_outside_degree_2_basis():
+    linear = Polynomial(2, 6, {((1, 2),): 1})
+    unsorted = Polynomial(2, 6, {((3, 4), (1, 2)): 1})
+    span, fresh = relation_span(2, 6), relation_span(2, 6)
+    for poly in (linear, unsorted):
+        with pytest.raises(InputError):
+            degree2_membership(poly, 2, 6)
+        for method in (span.add, span.reduce):
+            with pytest.raises(InputError):
+                method(poly)
+    assert (span.rank, span.gen_count) == (fresh.rank, fresh.gen_count)
 
 
 def test_span_rank_against_counts():

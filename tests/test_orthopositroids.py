@@ -195,6 +195,12 @@ def test_orthopositroid_counts():
     assert len(enumerate_orthopositroids(2, 5)) == 15
 
 
+@pytest.mark.parametrize("k,n", [(2, 5), (2, 6), (3, 6)])
+def test_enumeration_keeps_the_positroids_whose_full_report_passes(k, n):
+    passing = tuple(p for p in enumerate_positroids(k, n) if is_orthopositroid(p).verdict)
+    assert enumerate_orthopositroids(k, n) == passing
+
+
 def test_line_case_orthopositroids_match_cells():
     from ogrlab.ogr1 import cells
 

@@ -4,7 +4,7 @@ import pytest
 
 from ogrlab import weyl
 from ogrlab.errors import InputError
-from ogrlab.exact_core import ksubsets, subset_complement
+from ogrlab.exact_core import colex_key, ksubsets, subset_complement
 from ogrlab.posets import (
     MixedIncomparablePair,
     PosetElement,
@@ -188,6 +188,43 @@ def test_linear_extension_respects_order(tie):
         for b in ext:
             if a != b and p_leq(a, b, k, n):
                 assert pos[a] < pos[b]
+
+
+def minimal_removal_extension(k, n, tie):
+    """The extension by rescanning the remaining elements for minimal ones
+    at every step, as linear_extension did before it cached the relation."""
+    elems = elements(k, n)
+    remaining = set(range(len(elems)))
+    below = {
+        i: {j for j in range(len(elems)) if j != i and p_leq(elems[j], elems[i], k, n)}
+        for i in range(len(elems))
+    }
+
+    def key(i):
+        e = elems[i]
+        if tie == "colex":
+            return (0, colex_key(e.subset), e.kind)
+        if tie == "colex_desc":
+            return (0,) + tuple(-x for x in colex_key(e.subset)) + (e.kind,)
+        return (0 if e.kind == "coY" else 1, colex_key(e.subset))
+
+    out = []
+    while remaining:
+        pick = min((i for i in remaining if not below[i] & remaining), key=key)
+        out.append(elems[pick])
+        remaining.remove(pick)
+    return out
+
+
+@pytest.mark.parametrize("tie", ["colex", "colex_desc", "kind_first"])
+@pytest.mark.parametrize("k,n", [(2, 5), (2, 6), (3, 7), (3, 8)])
+def test_linear_extension_matches_minimal_removal(k, n, tie):
+    assert linear_extension(k, n, tie) == minimal_removal_extension(k, n, tie)
+
+
+def test_linear_extension_rejects_unknown_tie_break():
+    with pytest.raises(InputError):
+        linear_extension(2, 5, "lex")
 
 
 def test_linear_extensions_distinct():
