@@ -2,8 +2,9 @@
 
 Every subcommand prints one JSON document (or CSV/text where it makes
 sense) and returns 0 on success, 1 on verification failure or when the
-reader closes standard output early, 2 on bad input.  Output is
-deterministic for fixed flags and seed.
+reader closes standard output early, 2 on bad input, 3 on an internal
+error (a bug, not a verdict).  Output is deterministic for fixed flags and
+seed.
 """
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import os
 import sys
 
 from . import ideal_gens, ogr1, orthopositroids, parity_duality, weyl
-from .errors import InputError, OgrlabError
+from .errors import InputError, InternalInvariantError, OgrlabError
 from .exact_core import fraction_str
 from .forms_points import (
     QuadraticForm,
@@ -467,6 +468,9 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except InternalInvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     except OgrlabError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1

@@ -10,7 +10,6 @@ estimate of the isotropic slice of each cell.
 """
 from __future__ import annotations
 
-import os
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -26,13 +25,16 @@ from .errors import (
     InternalInvariantError,
     SizeMismatchError,
 )
-from .exact_core import Mat, binom, colex_key, eps, ksubsets, rand_rational
+from .exact_core import (
+    Mat, binom, colex_key, colex_rank, eps, ksubsets, rand_rational,
+)
 from .forms_points import (
     PluckerVector,
     QuadraticForm,
     Subspace,
     is_totally_nonnegative,
 )
+from .ideal_gens import orthogonality_relations
 
 
 # ---------------------------------------------------------------------------
@@ -435,105 +437,82 @@ def sample_cell_point(positroid: Positroid, seed: int = 0) -> Subspace:
 # Numeric dimension of the isotropic slice of a cell
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _bridge_table(k: int, n: int, a: int, b: int):
+    """Plucker action of the column operation x_b += x_a: p_I += sigma *
+    p_{I-b+a} for every k-subset I (colex rank) with b in I and a not in I,
+    where sigma is (-1)^(number of c in I strictly between a and b)."""
+    lo, hi = min(a, b), max(a, b)
+    subs = ksubsets(n, k)
+    tgt = [r for r, I in enumerate(subs) if b in I and a not in I]
+    src = [colex_rank(sorted(set(subs[r]) - {b} | {a})) for r in tgt]
+    sigma = [(-1) ** sum(lo < c < hi for c in subs[r]) for r in tgt]
+    return (np.array(tgt, dtype=int), np.array(src, dtype=int),
+            np.array(sigma, dtype=float))
+
+
+@lru_cache(maxsize=None)
+def _quadric_terms(k: int, n: int, form: QuadraticForm):
+    """orthogonality_relations(k, n, form) in float COO form: the term
+    coef * p_a * p_b of quadric number row as (row, a, b, coef), with a and
+    b colex ranks."""
+    terms = [
+        (row, colex_rank(I), colex_rank(J), float(c))
+        for row, poly in enumerate(orthogonality_relations(k, n, form))
+        for (I, J), c in poly.terms.items()
+    ]
+    return tuple(np.array(col) for col in zip(*terms))
+
+
 class _ResidualModel:
     """Float residual/Jacobian of the orthogonality equations on a cell.
 
-    Parameters are the bridge values; the residual collects the upper
-    triangle of P Omega P^T built from the minors of the swept matrix.
+    Works in Plucker space.  A bridge x_b += t x_a is linear on Plucker
+    coordinates, so the coordinate vector of the terminal coloops is pushed
+    through the bridges (and dp/dt alongside it for the Jacobian); the
+    residual is the orthogonality quadrics evaluated at the result.
     """
 
     def __init__(self, decomp: BridgeDecomposition, form: QuadraticForm):
-        self.k, self.n = decomp.k, decomp.n
-        if form.diag is None:
-            raise InputError("numeric model expects a diagonal form")
-        self.diag = np.array(form.diag, dtype=float)
-        self.base = np.zeros((self.k, self.n))
-        for r, c in enumerate(decomp.coloops):
-            self.base[r, c - 1] = 1.0
-        # application order is the reverse of decomposition order
-        self.ops = [
-            (a - 1, b - 1, sign, t_index)
-            for t_index, (a, b, sign) in reversed(list(enumerate(decomp.bridges)))
-        ]
+        k, n = decomp.k, decomp.n
         self.d = decomp.dim
-        subs_k = ksubsets(self.n, self.k)
-        self.minor_cols = np.array([[c - 1 for c in I] for I in subs_k])
-        index = {I: i for i, I in enumerate(subs_k)}
-        rows = ksubsets(self.n, self.k - 1)
-        sc_row, sc_col, sc_sign, sc_idx = [], [], [], []
-        for r, I in enumerate(rows):
-            for l in range(1, self.n + 1):
-                if l in I:
-                    continue
-                sc_row.append(r)
-                sc_col.append(l - 1)
-                sc_sign.append(eps(I, l))
-                sc_idx.append(index[tuple(sorted(I + (l,)))])
-        self.n_rows = len(rows)
-        self.sc_row = np.array(sc_row)
-        self.sc_col = np.array(sc_col)
-        self.sc_sign = np.array(sc_sign, dtype=float)
-        self.sc_idx = np.array(sc_idx)
-        self.iu = np.triu_indices(self.n_rows)
+        self.start = np.zeros(binom(n, k))
+        self.start[colex_rank(decomp.coloops)] = 1.0
+        # application order is the reverse of decomposition order
+        self.ops = []
+        for ti in reversed(range(self.d)):
+            a, b, sign = decomp.bridges[ti]
+            tgt, src, sigma = _bridge_table(k, n, a, b)
+            self.ops.append((ti, tgt, src, sign * sigma))
+        self.row, self.ra, self.rb, self.coef = _quadric_terms(k, n, form)
+        self.n_quadrics = int(self.row[-1]) + 1
+        # gradient entry (row, a) gains coef * p_b, and entry (row, b) coef * p_a
+        flat = self.row * len(self.start)
+        self.grad_index = np.concatenate([flat + self.ra, flat + self.rb])
+        self.grad_partner = np.concatenate([self.rb, self.ra])
+        self.grad_coef = np.tile(self.coef, 2)
 
-    def matrix(self, t):
-        X = self.base.copy()
-        for a, b, sign, ti in self.ops:
-            X[:, b] += sign * t[ti] * X[:, a]
-        return X
-
-    def _stages(self, t):
-        """Partial products before/after each operation, for derivatives."""
-        prefixes = [self.base.copy()]
-        X = self.base.copy()
-        for a, b, sign, ti in self.ops:
-            X = X.copy()
-            X[:, b] += sign * t[ti] * X[:, a]
-            prefixes.append(X)
-        suffixes = [np.eye(self.n)]
-        for a, b, sign, ti in reversed(self.ops):
-            S = suffixes[0].copy()
-            S[a, :] += sign * t[ti] * S[b, :]
-            suffixes.insert(0, S)
-        return prefixes, suffixes
-
-    def minors(self, X):
-        stacked = np.transpose(X[:, self.minor_cols], (1, 0, 2))
-        return np.linalg.det(stacked)
-
-    def _minor_derivative(self, X, dX):
-        base = np.transpose(X[:, self.minor_cols], (1, 0, 2))
-        delta = np.transpose(dX[:, self.minor_cols], (1, 0, 2))
-        total = np.zeros(len(self.minor_cols))
-        for r in range(self.k):
-            mod = base.copy()
-            mod[:, r, :] = delta[:, r, :]
-            total += np.linalg.det(mod)
-        return total
-
-    def _pmatrix(self, p):
-        P = np.zeros((self.n_rows, self.n))
-        P[self.sc_row, self.sc_col] = self.sc_sign * p[self.sc_idx]
-        return P
+    def plucker(self, t):
+        p = self.start.copy()
+        for ti, tgt, src, c in self.ops:
+            p[tgt] += t[ti] * c * p[src]
+        return p
 
     def residual(self, t):
-        X = self.matrix(t)
-        P = self._pmatrix(self.minors(X))
-        M = (P * self.diag) @ P.T
-        return M[self.iu]
+        p = self.plucker(t)
+        return np.bincount(self.row, self.coef * p[self.ra] * p[self.rb],
+                           minlength=self.n_quadrics)
 
     def jacobian(self, t):
-        X = self.matrix(t)
-        P = self._pmatrix(self.minors(X))
-        PD = P * self.diag
-        prefixes, suffixes = self._stages(t)
-        J = np.zeros((len(self.iu[0]), self.d))
-        for step, (a, b, sign, ti) in enumerate(self.ops):
-            dX = sign * np.outer(prefixes[step][:, a], suffixes[step + 1][b, :])
-            dP = self._pmatrix(self._minor_derivative(X, dX))
-            dM = (dP * self.diag) @ P.T + PD @ dP.T
-            J[:, ti] += dM[self.iu]
-        return J
+        p = self.start.copy()
+        dp = np.zeros((len(p), self.d))
+        for ti, tgt, src, c in self.ops:
+            dp[tgt] += (t[ti] * c)[:, None] * dp[src]
+            dp[tgt, ti] += c * p[src]
+            p[tgt] += t[ti] * c * p[src]
+        grad = np.bincount(self.grad_index, self.grad_coef * p[self.grad_partner],
+                           minlength=self.n_quadrics * len(p))
+        return grad.reshape(self.n_quadrics, len(p)) @ dp
 
 
 @dataclass
@@ -591,7 +570,7 @@ def cell_dim_in_ogr_numeric(positroid: Positroid, form: QuadraticForm | None = N
         best_res = ssq if best_res is None else min(best_res, ssq)
         if ssq >= tol_sq:
             continue
-        p = model.minors(model.matrix(sol.x))
+        p = model.plucker(sol.x)
         scale = np.abs(p).max()
         basis_vals = [
             abs(p[i])
@@ -619,35 +598,26 @@ def cell_dim_in_ogr_numeric(positroid: Positroid, form: QuadraticForm | None = N
 
 def dims_report(k: int = 2, n: int = 6, tol: float = 1e-8,
                 cutoff: float = 1e-4, seed: int = 0, starts: int = 32,
-                retry_starts: int = 128, workers: int | None = None) -> dict:
+                retry_starts: int = 128, workers: int = 1) -> dict:
     """Dimension histogram over all orthopositroids of the given type.
 
     Cells that fail to converge at the base start count are re-run with
-    retry_starts starts; remaining failures are reported, not hidden.
-    Seeds are derived from the cell index, so the worker count (default:
-    the OGRLAB_THREADS environment variable, else 1) never changes results.
+    retry_starts starts; remaining failures are reported, not hidden.  The
+    sweep is sequential and each cell's starts are seeded by its index;
+    workers is kept for callers that pass 1 and must be 1.
     """
-    if workers is None:
-        workers = max(1, int(os.environ.get("OGRLAB_THREADS", "1")))
+    if workers != 1:
+        raise InputError("the dimension sweep is sequential: workers must be 1")
     cells = sorted(enumerate_orthopositroids(k, n), key=lambda p: p.sort_key())
-
-    def solve(idx_pos):
-        idx, pos = idx_pos
+    results = []
+    for idx, pos in enumerate(cells):
         res = cell_dim_in_ogr_numeric(pos, tol=tol, cutoff=cutoff,
                                       seed=seed + idx, starts=starts)
         if res.failed:
             res = cell_dim_in_ogr_numeric(pos, tol=tol, cutoff=cutoff,
                                           seed=seed + 100_000 + idx,
                                           starts=retry_starts)
-        return res
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(solve, enumerate(cells)))
-    else:
-        results = [solve(item) for item in enumerate(cells)]
+        results.append(res)
     failures = [res.positroid for res in results if res.failed]
     hist = Counter(res.dim for res in results if not res.failed)
     return {

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import ogrlab
-from ogrlab import acceptance
+from ogrlab import acceptance, cli
 from ogrlab.cli import main
+from ogrlab.errors import InternalInvariantError
 
 
 def run_cli(argv, capsys):
@@ -119,6 +120,16 @@ def test_input_error_exit_2(capsys):
     assert "input error" in capsys.readouterr().err
 
 
+def test_internal_error_exit_3(monkeypatch, capsys):
+    def broken(args, out):
+        raise InternalInvariantError("invariant broken")
+
+    monkeypatch.setattr(cli, "_cmd_degree", broken)
+    assert main(["degree", "--k", "2", "--n", "6"]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: invariant broken\n"
+
+
 TOP_CELL_15_30 = ",".join(str((i + 14) % 30 + 1) for i in range(1, 31))
 
 
@@ -187,6 +198,12 @@ OUTPUT_DIGESTS = {
         "a8e389549448e1aec4d3e14051b5844ee045e35e452b245feccbf9f20290023d",
     "ogr1 canonical --n 5":
         "4edbe96b06f2a90ff34f0f89ce16bdafbb4dc450506fc46374172369f15ae37a",
+    "orthopositroids dims --k 2 --n 5":
+        "043e6341817f525243d5335835040498b85d04c9ec3eb3e9d861e22bc3f7f00b",
+    "orthopositroids dims --k 2 --n 6":
+        "00492ede47dc3f5d2df1bae2ffadbfe007da69ab85546a7e09aa1b171a834969",
+    "orthopositroids enumerate --k 2 --n 5 --dims":
+        "dfa1a602cc37a44b52e80ea8801492636b31ca0298472a954944a21dff06d863",
     "orthopositroids enumerate --k 2 --n 6":
         "c03b50f9028e83039e4f391e0cc0e3ee717c2e6a461383c39d5191dc0e74b759",
     "orthopositroids enumerate --k 3 --n 6":
@@ -230,6 +247,15 @@ def test_closed_pipe_exits_quietly():
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(ogrlab.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "ogrlab", "selftest", "--help"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("usage: ogrlab selftest")
 
 
 @pytest.fixture

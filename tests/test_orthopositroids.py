@@ -3,10 +3,11 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from ogrlab.errors import InputError
-from ogrlab.exact_core import Mat, ksubsets
+from ogrlab.exact_core import Mat, eps, ksubsets
 from ogrlab.forms_points import (
     PluckerVector,
     QuadraticForm,
@@ -21,7 +22,9 @@ from ogrlab.orthopositroids import (
     bases_from_necklace,
     bridge_decomposition,
     bridge_matrix,
+    _ResidualModel,
     cell_dim_in_ogr_numeric,
+    dims_report,
     dperm_from_necklace,
     edge_e,
     enumerate_orthopositroids,
@@ -271,6 +274,109 @@ def test_cell_dim_square_family():
     pos = Positroid.from_bases(tau_bases, 2, 6)
     res = cell_dim_in_ogr_numeric(pos, seed=4)
     assert res.dim == 2
+
+
+def swept_matrix(decomp, t):
+    """The coordinate rows of the coloops swept through the bridges.
+    Complex parameters are allowed, for complex-step derivatives."""
+    X = np.zeros((decomp.k, decomp.n), dtype=complex)
+    for r, c in enumerate(decomp.coloops):
+        X[r, c - 1] = 1
+    for (a, b, sign), v in reversed(list(zip(decomp.bridges, t))):
+        X[:, b - 1] += sign * v * X[:, a - 1]
+    return X
+
+
+def determinant_residual(X, form):
+    """The upper triangle of P Omega P^T by the determinant route: every
+    maximal minor of X, and the cocircuit matrix P holding eps(I, l) p_{Il}."""
+    k, n = X.shape
+    subs = ksubsets(n, k)
+    minors = np.linalg.det(np.stack([X[:, [c - 1 for c in I]] for I in subs]))
+    p = dict(zip(subs, minors))
+    rows = ksubsets(n, k - 1)
+    P = np.zeros((len(rows), n), dtype=X.dtype)
+    for r, I in enumerate(rows):
+        for l in range(1, n + 1):
+            if l not in I:
+                P[r, l - 1] = eps(I, l) * p[tuple(sorted(I + (l,)))]
+    M = (P * np.array(form.diag)) @ P.T
+    return M[np.triu_indices(len(rows))]
+
+
+def model_cells():
+    """Every orthopositroid of (2,5) and (3,6), every 10th of (2,6), (3,7)."""
+    for k, n, step in [(2, 5, 1), (3, 6, 1), (2, 6, 10), (3, 7, 10)]:
+        yield from enumerate_orthopositroids(k, n)[::step]
+
+
+def test_residual_model_matches_determinant_route():
+    rng = np.random.default_rng(5)
+    h = 1e-30
+    kept = {}
+    for pos in model_cells():
+        k, n = pos.k, pos.n
+        form = QuadraticForm.alternating(n)
+        if (k, n) not in kept:
+            # the identically zero entries vanish at two generic points
+            generic = [determinant_residual(rng.normal(size=(k, n)), form).real
+                       for _ in range(2)]
+            kept[k, n] = generic[0] != 0
+            assert np.array_equal(kept[k, n], generic[1] != 0)
+        keep = kept[k, n]
+        decomp = bridge_decomposition(pos.dperm)
+        model = _ResidualModel(decomp, form)
+        d = decomp.dim
+        for t in np.exp(rng.uniform(np.log(0.3), np.log(3.0), (2, d))):
+            ref = determinant_residual(swept_matrix(decomp, t), form).real
+            r = model.residual(t)
+            assert r.shape == (keep.sum(),)
+            assert not ref[~keep].any()
+            scale = max(1.0, np.abs(ref).max())
+            assert np.abs(r - ref[keep]).max() <= 1e-10 * scale
+            # complex step: first derivatives of the reference, exact in float
+            J_ref = np.zeros((len(ref), d))
+            for j in range(d):
+                X = swept_matrix(decomp, t + 1j * h * np.eye(d)[j])
+                J_ref[:, j] = determinant_residual(X, form).imag / h
+            J = model.jacobian(t)
+            assert J.shape == (keep.sum(), d)
+            assert np.abs(J - J_ref[keep]).max() <= 1e-10 * max(1.0, np.abs(J_ref).max())
+
+
+def test_residual_model_jacobian_central_difference():
+    rng = np.random.default_rng(9)
+    h = 1e-6
+    for pos in enumerate_orthopositroids(3, 7)[::25]:
+        model = _ResidualModel(bridge_decomposition(pos.dperm),
+                               QuadraticForm.alternating(7))
+        t = np.exp(rng.uniform(np.log(0.3), np.log(3.0), model.d))
+        step = h * np.eye(model.d)
+        fd = np.stack([(model.residual(t + e) - model.residual(t - e)) / (2 * h)
+                       for e in step], axis=1)
+        J = model.jacobian(t)
+        assert np.abs(J - fd).max() <= 1e-6 * max(1.0, np.abs(J).max())
+
+
+def chord_crossings(word) -> int:
+    """Crossing pairs among the chords (i, w(i)) of an involution."""
+    chords = [(i, w) for i, w in enumerate(word, start=1) if i < w]
+    return sum(1 for (a, b) in chords for (c, e) in chords if a < c < b < e)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_cell_dims_at_n_2k_equal_crossing_numbers(k):
+    rep = dims_report(k, 2 * k)
+    assert rep["resolved"] == rep["total"]
+    for res in rep["results"]:
+        word = res.positroid.dperm.word
+        assert all(word[w - 1] == i != w for i, w in enumerate(word, start=1))
+        assert res.dim == chord_crossings(word)
+
+
+def test_dims_report_is_sequential():
+    with pytest.raises(InputError):
+        dims_report(2, 4, workers=2)
 
 
 def test_m_sigma_isotropic_and_nonnegative():
