@@ -33,13 +33,5 @@ class PoleError(InputError):
     """Evaluation of a rational form at one of its poles."""
 
 
-class AmbiguityError(OgrlabError):
-    """A construction the theory asserts to be unique admitted several candidates."""
-
-    def __init__(self, message, candidates):
-        super().__init__(f"{message}: {candidates!r}")
-        self.candidates = candidates
-
-
 class InternalInvariantError(OgrlabError):
     """Internal consistency violated; indicates a bug, not bad input."""

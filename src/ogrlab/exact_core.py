@@ -156,6 +156,12 @@ def colex_rank(subset) -> int:
     return sum(binom(s - 1, i + 1) for i, s in enumerate(subset))
 
 
+@lru_cache(maxsize=None)
+def colex_ranks(n: int, k: int) -> dict[tuple[int, ...], int]:
+    """The colex rank of each k-subset of {1..n}, keyed by its sorted tuple."""
+    return {I: r for r, I in enumerate(ksubsets(n, k))}
+
+
 def colex_unrank(rank: int, k: int) -> tuple[int, ...]:
     """Inverse of colex_rank for fixed k."""
     out = []

@@ -28,6 +28,7 @@ from .exact_core import (
     I_UNIT,
     Mat,
     clear_denominators,
+    colex_ranks,
     fraction_str,
     ksubsets,
     minors,
@@ -117,24 +118,29 @@ class PluckerVector:
     def cleared(self):
         """The coordinates over one common denominator, computed once.
 
-        Returns (D, re, im, gaussian).  re and im map each subset to the
-        integer real and imaginary parts of D times its coordinate; the key
-        None maps to D itself, the value of the constant 1, so a monomial of
-        lower degree can be padded with it.  im is None when no coordinate
-        is a GaussianRational, and gaussian is the set of subsets whose
-        coordinate is one.
+        Returns (D, re, im, gaussian).  re and im are lists over the colex
+        ranks of the k-subsets, holding the integer real and imaginary parts
+        of D times each coordinate; one more slot, at rank C(n, k), holds
+        D itself, the value of the constant 1, so a monomial of lower degree
+        can be padded with it.  im is None when no coordinate is a
+        GaussianRational, and gaussian is the set of ranks whose coordinate
+        is one.
         """
         if self._cleared is None:
+            rank = colex_ranks(self.n, self.k)
             D, nums = clear_denominators(self.coords.values())
-            re = {None: D}
-            im = {None: 0}
+            re = [0] * len(rank) + [D]
+            im = [0] * len(re)
             gaussian = set()
             for I, v in zip(self.coords, nums):
+                if I not in rank:
+                    raise InputError(f"{I} is not a sorted {self.k}-subset of [1, {self.n}]")
+                r = rank[I]
                 if isinstance(v, GaussianInteger):
-                    re[I], im[I] = v.re, v.im
-                    gaussian.add(I)
+                    re[r], im[r] = v.re, v.im
+                    gaussian.add(r)
                 else:
-                    re[I], im[I] = v, 0
+                    re[r] = v
             self._cleared = (D, re, im if gaussian else None, frozenset(gaussian))
         return self._cleared
 

@@ -20,6 +20,7 @@ from .exact_core import (
     binom,
     clear_denominators,
     colex_key,
+    colex_ranks,
     ksubsets,
     sort_sign,
     subset_complement,
@@ -45,24 +46,36 @@ def _mono(*subsets):
 class Polynomial:
     """Sparse polynomial in Plucker variables with rational coefficients.
 
-    Change the terms only through add_term, which drops the integer form
-    that evaluate compiles on first use.
+    Change the terms only through add_term, which drops the cached integer
+    form that `cleared` builds and every consumer reads.
     """
 
-    __slots__ = ("k", "n", "terms", "_compiled")
+    __slots__ = ("k", "n", "terms", "_cleared")
 
     def __init__(self, k: int, n: int, terms: dict | None = None):
         self.k = k
         self.n = n
         self.terms = {}
-        self._compiled = None
+        self._cleared = None
         if terms:
             for m, c in terms.items():
                 if c:
                     self.terms[m] = Fraction(c)
 
+    @classmethod
+    def _from_ranks(cls, k: int, n: int, ints: dict) -> "Polynomial":
+        """Wrap integer coefficients keyed by sorted tuples of colex ranks,
+        all of one degree; zero coefficients are dropped.  The integer form
+        is the input itself."""
+        subs = ksubsets(n, k)
+        ints = {m: c for m, c in ints.items() if c}
+        poly = cls(k, n)
+        poly.terms = {tuple(subs[r] for r in m): Fraction(c) for m, c in ints.items()}
+        poly._cleared = (1, list(ints.values()), list(ints))
+        return poly
+
     def add_term(self, monomial, coeff):
-        self._compiled = None
+        self._cleared = None
         c = self.terms.get(monomial, Fraction(0)) + coeff
         if c:
             self.terms[monomial] = c
@@ -95,18 +108,27 @@ class Polynomial:
             and self.terms == other.terms
         )
 
-    def _compile(self):
-        """(L, degree, coefficients, monomials): L times each coefficient is
-        an integer, and every monomial is padded with None (the constant 1
-        of PluckerVector.cleared) up to the top degree."""
-        L, coeffs = clear_denominators(self.terms.values())
-        if any(not isinstance(c, int) for c in coeffs):
-            raise InputError("polynomial coefficients must be rational")
-        degree = max(map(len, self.terms), default=0)
-        monos = self.terms.keys()
-        if any(len(m) < degree for m in monos):
-            monos = [tuple(m) + (None,) * (degree - len(m)) for m in monos]
-        return L, degree, coeffs, monos
+    def cleared(self):
+        """The integer form, computed once: (L, coeffs, ranks).
+
+        L is the least common denominator of the coefficients and coeffs
+        lists L times each of them, in the order of terms.  ranks lists each
+        monomial as the colex ranks of its factors, padded up to the top
+        degree with C(n, k), the constant slot of PluckerVector.cleared.
+        """
+        if self._cleared is None:
+            L, coeffs = clear_denominators(self.terms.values())
+            if any(not isinstance(c, int) for c in coeffs):
+                raise InputError("polynomial coefficients must be rational")
+            rank = colex_ranks(self.n, self.k)
+            degree = max(map(len, self.terms), default=0)
+            pad = (len(rank),)
+            try:
+                ranks = [tuple(rank[f] for f in m) + pad * (degree - len(m)) for m in self.terms]
+            except KeyError as e:
+                raise InputError(f"{e.args[0]} is not a sorted {self.k}-subset of [1, {self.n}]") from None
+            self._cleared = (L, coeffs, ranks)
+        return self._cleared
 
     def evaluate(self, p: PluckerVector):
         """Exact value at a point: a GaussianRational when a variable of the
@@ -117,34 +139,25 @@ class Polynomial:
         """
         if (p.k, p.n) != (self.k, self.n):
             raise SizeMismatchError("vector type does not match polynomial type")
-        if self._compiled is None:
-            self._compiled = self._compile()
-        L, degree, coeffs, monos = self._compiled
+        L, coeffs, ranks = self.cleared()
         D, re, im, gaussian = p.cleared()
-        den = L * D ** degree
-        if im is None or gaussian.isdisjoint(f for m in monos for f in m):
+        den = L * D ** (len(ranks[0]) if ranks else 0)
+        if im is None or gaussian.isdisjoint(r for m in ranks for r in m):
             total = 0
-            for c, m in zip(coeffs, monos):
-                for f in m:
-                    c *= re.get(f, 0)
+            for c, m in zip(coeffs, ranks):
+                for r in m:
+                    c *= re[r]
                 total += c
             return Fraction(total, den)
         total_re = total_im = 0
-        for c, m in zip(coeffs, monos):
+        for c, m in zip(coeffs, ranks):
             vr, vi = c, 0
-            for f in m:
-                xr, xi = re.get(f, 0), im.get(f, 0)
+            for r in m:
+                xr, xi = re[r], im[r]
                 vr, vi = vr * xr - vi * xi, vr * xi + vi * xr
             total_re += vr
             total_im += vi
         return GaussianRational(Fraction(total_re, den), Fraction(total_im, den))
-
-    def normalized(self) -> "Polynomial":
-        """Scale so the colex-least monomial has coefficient 1 (for dedup)."""
-        if not self.terms:
-            return self
-        least = min(self.terms, key=lambda m: tuple(colex_key(f) for f in m))
-        return self.scale(1 / self.terms[least])
 
     def sorted_terms(self):
         return sorted(
@@ -220,34 +233,46 @@ class TermOrder:
 # Generator families
 # ---------------------------------------------------------------------------
 
+def _rank_pair(a: int, b: int) -> tuple[int, int]:
+    """The degree-2 monomial of two colex ranks, factors in colex order."""
+    return (a, b) if a <= b else (b, a)
+
+
 @lru_cache(maxsize=None)
 def plucker_relations(k: int, n: int) -> tuple[Polynomial, ...]:
-    """Three-term shuffle quadrics of the Grassmannian, deduplicated.
+    """Three-term shuffle quadrics of the Grassmannian, one per relation.
 
-    One candidate per (I, J) with |I| = k-1, |J| = k+1; proportional and
-    vanishing candidates collapse, e.g. to the single classical relation at
-    (2,4) and five at (2,5).
+    The shuffle of (I, J), |I| = k-1 and |J| = k+1, is the sum over t of
+    (-1)^t p_{I+j_t} p_{J-j_t}.  It vanishes when I lies in J, and it
+    repeats another up to sign when |I - J| = 1 and min(I ^ J) is in J, so
+    only the other pairs are built, e.g. the single classical relation at
+    (2,4) and five at (2,5).  Each is signed so that its colex-least
+    monomial has coefficient +1, and they are sorted by the list of their
+    monomials in colex order, each monomial compared as a tuple of subsets.
     """
     if not 1 <= k <= n:
         raise InputError("need 1 <= k <= n")
-    seen = {}
+    rank = colex_ranks(n, k)
+    rels = []
     for I in ksubsets(n, k - 1):
         for J in ksubsets(n, k + 1):
-            poly = Polynomial(k, n)
-            for t, jt in enumerate(J):
-                rest = J[:t] + J[t + 1:]
-                first, s1 = sort_sign(I + (jt,))
-                if s1 == 0:
-                    continue
-                poly.add_term(_mono(first, rest), Fraction((-1) ** t * s1))
-            if poly.is_zero():
+            only_i = set(I).difference(J)
+            if not only_i or (
+                len(only_i) == 1 and min(set(J).difference(I)) < min(only_i)
+            ):
                 continue
-            norm = poly.normalized()
-            key = tuple(norm.sorted_terms())
-            seen.setdefault(key, norm)
-    return tuple(
-        seen[key] for key in sorted(seen, key=lambda terms: [n for n, _ in terms])
-    )
+            terms = {}
+            for t, jt in enumerate(J):
+                first, s1 = sort_sign(I + (jt,))
+                if s1:
+                    m = _rank_pair(rank[first], rank[J[:t] + J[t + 1:]])
+                    terms[m] = (-1) ** t * s1
+            if terms[min(terms)] < 0:
+                terms = {m: -c for m, c in terms.items()}
+            rels.append(terms)
+    subs = ksubsets(n, k)
+    rels.sort(key=lambda terms: [(subs[a], subs[b]) for a, b in sorted(terms)])
+    return tuple(Polynomial._from_ranks(k, n, terms) for terms in rels)
 
 
 @lru_cache(maxsize=None)
@@ -265,23 +290,23 @@ def orthogonality_relations(k: int, n: int, form: QuadraticForm) -> tuple[Polyno
     if form.n != n:
         raise SizeMismatchError("form dimension mismatch")
     omega = form.matrix()
+    entries = [(l, m, int(omega[l - 1, m - 1])) for l in range(1, n + 1)
+               for m in range(1, n + 1) if omega[l - 1, m - 1]]
+    rank = colex_ranks(n, k)
+    ext = []  # per (k-1)-subset I: l -> (colex rank of I+l, eps(I, l)) for l not in I
+    for I in ksubsets(n, k - 1):
+        signed = {l: sort_sign(I + (l,)) for l in range(1, n + 1)}
+        ext.append({l: (rank[Il], s) for l, (Il, s) in signed.items() if s})
     out = []
-    subs = ksubsets(n, k - 1)
-    for a, I in enumerate(subs):
-        for J in subs[a:]:
-            poly = Polynomial(k, n)
-            for l in range(1, n + 1):
-                Il, sl = sort_sign(I + (l,))
-                if sl == 0:
-                    continue
-                for m in range(1, n + 1):
-                    w = omega[l - 1, m - 1]
-                    if w == 0:
-                        continue
-                    Jm, sm = sort_sign(J + (m,))
-                    if sm == 0:
-                        continue
-                    poly.add_term(_mono(Il, Jm), w * sl * sm)
+    for a, ext_i in enumerate(ext):
+        for ext_j in ext[a:]:
+            terms = {}
+            for l, m, w in entries:
+                if l in ext_i and m in ext_j:
+                    (ri, si), (rj, sj) = ext_i[l], ext_j[m]
+                    mono = _rank_pair(ri, rj)
+                    terms[mono] = terms.get(mono, 0) + w * si * sj
+            poly = Polynomial._from_ranks(k, n, terms)
             if not poly.is_zero():
                 out.append(poly)
     return tuple(out)
@@ -305,6 +330,33 @@ def _block_sign(positions):
     return (-1) ** sum(q - t for t, q in enumerate(positions))
 
 
+def _snake_shuffle(I, J, l: int, n: int, coyoung: bool) -> Polynomial:
+    """Shuffle the snake i_1..i_l, j_l.. over two sorted blocks: the first
+    block completed by I[l:], the second headed by J[:l-1].  A coYoung
+    bracket is rewritten through normalize_bracket."""
+    k = len(I)
+    seq = I[:l] + J[l - 1:]
+    rank = colex_ranks(n, k)
+    if I not in rank or J not in colex_ranks(n, len(J)):
+        raise InputError(f"{I} and {J} must be sorted subsets of [1, {n}]")
+    terms = {}
+    for chosen in combinations(range(len(seq)), l):
+        A = [seq[q] for q in chosen]
+        B = [seq[q] for q in range(len(seq)) if q not in chosen]
+        first, s1 = sort_sign(tuple(A) + I[l:])
+        if s1 == 0:
+            continue
+        second, s2 = sort_sign(J[: l - 1] + tuple(B))
+        if s2 == 0:
+            continue
+        if coyoung:
+            s3, second = normalize_bracket(second, n)
+            s2 *= s3
+        m = _rank_pair(rank[first], rank[second])
+        terms[m] = terms.get(m, 0) + _block_sign(chosen) * s1 * s2
+    return Polynomial._from_ranks(k, n, terms)
+
+
 def straightening_mu(I, J, n: int, ell: int | None = None) -> Polynomial:
     """Straightening quadric for an incomparable Young pair.
 
@@ -322,19 +374,7 @@ def straightening_mu(I, J, n: int, ell: int | None = None) -> Polynomial:
         raise InternalInvariantError("incomparable pair without snake")
     if ell is not None and ell != l:
         raise InputError(f"stated snake index {ell} but minimal is {l}")
-    seq = I[:l] + J[l - 1:]
-    poly = Polynomial(k, n)
-    for chosen in combinations(range(len(seq)), l):
-        A = [seq[q] for q in chosen]
-        B = [seq[q] for q in range(len(seq)) if q not in chosen]
-        first, s1 = sort_sign(tuple(A) + I[l:])
-        if s1 == 0:
-            continue
-        second, s2 = sort_sign(J[: l - 1] + tuple(B))
-        if s2 == 0:
-            continue
-        poly.add_term(_mono(first, second), Fraction(_block_sign(chosen) * s1 * s2))
-    return poly
+    return _snake_shuffle(I, J, l, n, coyoung=False)
 
 
 def straightening_lambda(I, Jp, n: int, ell: int | None = None) -> Polynomial:
@@ -355,22 +395,7 @@ def straightening_lambda(I, Jp, n: int, ell: int | None = None) -> Polynomial:
         raise InternalInvariantError("incomparable mixed pair without snake")
     if ell is not None and ell != l:
         raise InputError(f"stated snake index {ell} but minimal is {l}")
-    seq = I[:l] + Jp[l - 1:]
-    poly = Polynomial(k, n)
-    for chosen in combinations(range(len(seq)), l):
-        A = [seq[q] for q in chosen]
-        B = [seq[q] for q in range(len(seq)) if q not in chosen]
-        first, s1 = sort_sign(tuple(A) + I[l:])
-        if s1 == 0:
-            continue
-        second, s2 = sort_sign(Jp[: l - 1] + tuple(B))
-        if s2 == 0:
-            continue
-        s3, variable = normalize_bracket(second, n)
-        poly.add_term(
-            _mono(first, variable), Fraction(_block_sign(chosen) * s1 * s2 * s3)
-        )
-    return poly
+    return _snake_shuffle(I, Jp, l, n, coyoung=True)
 
 
 def leading_term_universal(poly: Polynomial, m0) -> bool:
@@ -467,27 +492,26 @@ class Degree2Span:
         self.n = n
         self.track = track
         self.monomials = degree2_monomials(k, n)
-        self.index = {m: i for i, m in enumerate(self.monomials)}
         self.pivot_row = {}
         self.rows = []
         self.combos = []
         self.gen_count = 0
 
-    def _to_int_vec(self, poly: Polynomial):
-        """(vec, denom): vec maps monomial index to denom times the
-        coefficient, an integer, in the order of poly.terms."""
+    def _vector(self, poly: Polynomial):
+        """(vec, L) from poly.cleared(): vec maps monomial index to L times
+        the coefficient, in the order of poly.terms.  The monomial of colex
+        ranks a <= b has index a*N - a*(a-1)/2 + b - a, N = C(n, k)."""
         if (poly.k, poly.n) != (self.k, self.n):
             raise SizeMismatchError("polynomial type does not match span type")
-        denom = 1
-        for c in poly.terms.values():
-            denom = denom * c.denominator // gcd(denom, c.denominator)
+        L, coeffs, ranks = poly.cleared()
+        N = binom(self.n, self.k)
         vec = {}
-        for m, c in poly.terms.items():
-            i = self.index.get(m)
-            if i is None:
-                raise InputError(f"{m} is not a degree-2 monomial of the span")
-            vec[i] = c.numerator * (denom // c.denominator)
-        return vec, denom
+        for mono, c, m in zip(poly.terms, coeffs, ranks):
+            if len(m) != 2 or not m[0] <= m[1] < N:
+                raise InputError(f"{mono} is not a degree-2 monomial of the span")
+            a, b = m
+            vec[a * N - a * (a - 1) // 2 + b - a] = c
+        return vec, L
 
     @staticmethod
     def _normalize(vec):
@@ -501,7 +525,7 @@ class Degree2Span:
 
     def add(self, poly: Polynomial) -> bool:
         """Reduce a generator into the span; returns True when rank grew."""
-        vec, denom = self._to_int_vec(poly)
+        vec, denom = self._vector(poly)
         gen_id = self.gen_count
         self.gen_count += 1
         combo = {gen_id: Fraction(denom)} if self.track else None
@@ -547,7 +571,7 @@ class Degree2Span:
         the rational multiple subtracted; residual is zero iff poly lies in
         the span.
         """
-        vec, denom = self._to_int_vec(poly)  # poly is vec / denom throughout
+        vec, denom = self._vector(poly)  # poly is vec / denom throughout
         used = {}
         while vec:
             lead = max(vec)

@@ -46,6 +46,8 @@ def cells(n: int) -> list[Cell1]:
     """All (2^p - 1)(2^q - 1) cells, p odd coordinates and q even ones."""
     if n < 2:
         raise InputError("need n >= 2")
+    if n > 12:
+        raise InputError("cells are listed at desk scale: n <= 12 (3969 of them)")
     odds = tuple(range(1, n + 1, 2))
     evens = tuple(range(2, n + 1, 2))
     return [

@@ -26,7 +26,7 @@ from .errors import (
     SizeMismatchError,
 )
 from .exact_core import (
-    Mat, binom, colex_key, colex_rank, eps, ksubsets, rand_rational,
+    Mat, binom, colex_key, colex_rank, colex_ranks, eps, ksubsets, rand_rational,
 )
 from .forms_points import (
     PluckerVector,
@@ -269,7 +269,7 @@ def _pair_table(k: int, n: int) -> tuple:
     """(I, J, plus, minus) for each pair I <= J of (k-1)-subsets in ksubsets
     order; each side lists (l, mask) with the colex-rank bits of I+l and J+l,
     so l is in the extension set of a bases mask m iff m & mask == mask."""
-    rank = {B: r for r, B in enumerate(ksubsets(n, k))}
+    rank = colex_ranks(n, k)
     subs = ksubsets(n, k - 1)
     table = []
     for a, I in enumerate(subs):
@@ -453,13 +453,14 @@ def _bridge_table(k: int, n: int, a: int, b: int):
 
 @lru_cache(maxsize=None)
 def _quadric_terms(k: int, n: int, form: QuadraticForm):
-    """orthogonality_relations(k, n, form) in float COO form: the term
-    coef * p_a * p_b of quadric number row as (row, a, b, coef), with a and
-    b colex ranks."""
+    """orthogonality_relations(k, n, form) in float COO form, read off their
+    integer forms: the term coef * p_a * p_b of quadric number row as
+    (row, a, b, coef), with a and b colex ranks."""
     terms = [
-        (row, colex_rank(I), colex_rank(J), float(c))
+        (row, a, b, c / L)
         for row, poly in enumerate(orthogonality_relations(k, n, form))
-        for (I, J), c in poly.terms.items()
+        for L, coeffs, ranks in [poly.cleared()]
+        for c, (a, b) in zip(coeffs, ranks)
     ]
     return tuple(np.array(col) for col in zip(*terms))
 

@@ -9,9 +9,7 @@ cycle.
 """
 from __future__ import annotations
 
-from itertools import permutations
-
-from .errors import AmbiguityError, InputError, NotAPointError
+from .errors import InputError, NotAPointError
 from .exact_core import ksubsets
 from .forms_points import PluckerVector, QuadraticForm, component_of
 from .ideal_gens import is_isotropic
@@ -81,6 +79,8 @@ def all_matchings(m: int) -> list[frozenset]:
     """All perfect matchings of [1, m] (m even), each a frozenset of chords."""
     if m % 2:
         raise InputError("perfect matchings need an even ground set")
+    if m > 12:
+        raise InputError("matchings are listed at desk scale: m <= 12 (10395 of them)")
 
     def rec(items):
         if not items:
@@ -153,30 +153,14 @@ def crossing_family(matching, m: int):
     return family
 
 
-def cycles_with_excedances(support, exc: int) -> list[dict]:
-    """All single cycles on the support with the given excedance count."""
-    support = sorted(support)
-    if len(support) == 1:
-        return [{support[0]: support[0]}] if exc == 0 else []
-    out = []
-    head = support[0]
-    for rest in permutations(support[1:]):
-        seq = [head] + list(rest)
-        mapping = {seq[i]: seq[(i + 1) % len(seq)] for i in range(len(seq))}
-        if sum(1 for i, v in mapping.items() if v > i) == exc:
-            out.append(mapping)
-    return out
-
-
 def rotation_cycle(support, r: int) -> dict:
     """The cycle sending the t-th smallest support element to the
-    (t + r - 1)-th; it has exactly r excedances on 2r - 1 elements and is
-    the cycle the coordinate restriction produces."""
+    (t + r - 1)-th; for r >= 2 it has exactly r excedances on 2r - 1
+    elements (r = 1 gives the fixed point) and is the cycle the coordinate
+    restriction produces."""
     support = sorted(support)
     if len(support) != 2 * r - 1:
         raise InputError("support size must be 2r - 1")
-    if r == 1:
-        return {support[0]: support[0]}
     size = len(support)
     return {support[t]: support[(t + r - 1) % size] for t in range(size)}
 
@@ -199,29 +183,13 @@ def matching_to_permutation(matching, k: int):
     family = crossing_family(chords, m)
     r = len(family)
     support = sorted(v for c in family for v in c if v != m)
-    perm = {i: i for i in range(1, m)}
-    plus_fixed = set()
-    if r == 1:
-        plus_fixed.add(support[0])
-    else:
-        cycle = rotation_cycle(support, r)
-        candidates = cycles_with_excedances(support, r)
-        if cycle not in candidates:
-            raise AmbiguityError(
-                f"rotation cycle on {support} does not have {r} excedances",
-                candidates,
-            )
-        perm.update(cycle)
+    perm = rotation_cycle(support, r)
     for c in chords:
-        if c in family:
-            continue
-        a, b = c
-        perm[a], perm[b] = b, a
-    for i in range(1, m):
-        if perm[i] == i and i not in plus_fixed:
-            plus_fixed.add(i)
+        if c not in family:
+            a, b = c
+            perm[a], perm[b] = b, a
     word = tuple(perm[i] for i in range(1, m))
-    return word, frozenset(plus_fixed)
+    return word, frozenset(i for i in range(1, m) if perm[i] == i)
 
 
 def matching_to_permutation_via_contraction(matching, k: int):

@@ -138,6 +138,9 @@ TOP_CELL_15_30 = ",".join(str((i + 14) % 30 + 1) for i in range(1, 31))
     "orthopositroids enumerate --k 1 --n 30",
     "orthopositroids test --k 15 --n 30 --perm " + TOP_CELL_15_30,
     "ogr1 canonical --n 3",
+    "ogr1 cells --n 13",
+    "ogr1 cells --n 30",
+    "matchings map --k 6",
 ])
 def test_refused_up_front(command, capsys):
     assert main(command.split()) == 2
@@ -194,8 +197,14 @@ OUTPUT_DIGESTS = {
         "b5f9ba063b21eaa2df3293e6ce82e640d56824b0259d7d417982ee34ce430b69",
     "straighten --k 2 --n 6 --family lambda":
         "7801fa5c131f800f1b0f1f68e408c4b4843cb8856b8bb0a4c696787d2aa16963",
+    "straighten --k 3 --n 8":
+        "f2eb96eb589ee3a0e7d0d8d62eb85bb98e91406e0caad71c3907463e36cc4b93",
     "equations --k 2 --n 5 --form standard":
         "a8e389549448e1aec4d3e14051b5844ee045e35e452b245feccbf9f20290023d",
+    "equations --k 3 --n 7 --form standard":
+        "4b58ecfb2520c9742106ba638e9d09f1d4fb77e81ebb30eda3a3b2abad5b7076",
+    "equations --k 2 --n 6 --form hyperbolic":
+        "0b3cb1f9a06b34c27e8b7a73cc3a3ea2c327bed355b658c1d76b3e10be1a2397",
     "ogr1 canonical --n 5":
         "4edbe96b06f2a90ff34f0f89ce16bdafbb4dc450506fc46374172369f15ae37a",
     "orthopositroids dims --k 2 --n 5":

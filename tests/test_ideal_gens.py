@@ -11,6 +11,7 @@ from ogrlab.exact_core import (
     ksubsets,
     rand_matrix,
     rand_rational,
+    sort_sign,
     subset_complement,
 )
 from ogrlab.forms_points import PluckerVector, QuadraticForm, sample_isotropic
@@ -72,8 +73,9 @@ def test_evaluate_matches_reference_sum(k, n, gaussian):
     polys = list(plucker_relations(k, n))
     polys += orthogonality_relations(k, n, QuadraticForm.standard(n))
     polys += [poly for _, _, poly in all_straightening_lambda(k, n)]
-    # normalized() of these sums divides by 2 or 3: coefficients with denominators
-    polys += [(a.scale(2) + b.scale(3)).normalized() for a, b in zip(polys[::5], polys[1::5])]
+    # scaled by 1/6, these sums have coefficients with denominators
+    polys += [(a.scale(2) + b.scale(3)).scale(Fraction(1, 6))
+              for a, b in zip(polys[::5], polys[1::5])]
     assert any(c.denominator > 1 for poly in polys for c in poly.terms.values())
     nonzero = 0
     for _ in range(3):
@@ -132,6 +134,63 @@ def test_plucker_relations_projective_space():
 
 def test_plucker_relations_count_2_5():
     assert len(plucker_relations(2, 5)) == 5
+
+
+def deduplicated_candidates(k, n):
+    """The shuffle of every (I, J), scaled so its colex-least monomial has
+    coefficient 1; vanishing and repeated ones dropped, sorted by the list
+    of their monomials in colex order."""
+    seen = {}
+    for I in ksubsets(n, k - 1):
+        for J in ksubsets(n, k + 1):
+            poly = Polynomial(k, n)
+            for t, jt in enumerate(J):
+                first, s1 = sort_sign(I + (jt,))
+                if s1:
+                    poly.add_term(_mono(first, J[:t] + J[t + 1:]), (-1) ** t * s1)
+            if poly.is_zero():
+                continue
+            terms = poly.sorted_terms()
+            norm = poly.scale(1 / terms[0][1])
+            seen.setdefault(tuple(norm.sorted_terms()), norm)
+    return tuple(seen[key] for key in sorted(seen, key=lambda terms: [m for m, _ in terms]))
+
+
+@pytest.mark.parametrize("k,n", [(2, 4), (2, 5), (3, 6), (3, 7), (4, 8)])
+def test_plucker_relations_match_deduplicated_candidates(k, n):
+    rels = plucker_relations(k, n)
+    expected = deduplicated_candidates(k, n)
+    assert rels == expected
+    assert [list(p.terms.items()) for p in rels] == [list(p.terms.items()) for p in expected]
+
+
+def test_cleared_reproduces_terms():
+    k, n = 3, 7
+    subs = ksubsets(n, k)
+    gens = list(plucker_relations(k, n))
+    for form in (QuadraticForm.standard(n), QuadraticForm.hyperbolic(n)):
+        gens += orthogonality_relations(k, n, form)
+    gens += [poly for _, _, poly in all_straightening_mu(k, n) + all_straightening_lambda(k, n)]
+    for poly in gens:
+        L, coeffs, ranks = poly.cleared()
+        read = [(tuple(subs[r] for r in m), Fraction(c, L)) for c, m in zip(coeffs, ranks)]
+        assert read == list(poly.terms.items())
+        assert Polynomial(k, n, poly.terms).cleared() == (L, coeffs, ranks)
+
+
+@pytest.mark.parametrize("factor", [(2, 1), (1, 1), (1, 7), (0, 1), (1, 2, 3)])
+def test_factor_outside_the_k_subsets_is_refused(factor):
+    poly = Polynomial(2, 6, {_mono((1, 2), (3, 4)): 1, (factor, (5, 6)): 2})
+    p = PluckerVector(2, 6, {(1, 2): 1, (2, 1): 3, (5, 6): 1})
+    with pytest.raises(InputError):
+        p.cleared()
+    p = PluckerVector(2, 6, {(1, 2): 1, (5, 6): 1})
+    with pytest.raises(InputError):
+        poly.evaluate(p)
+    span = relation_span(2, 6)
+    with pytest.raises(InputError):
+        span.add(poly)
+    assert span.gen_count == relation_span(2, 6).gen_count
 
 
 @pytest.mark.parametrize("k,n", [(2, 4), (2, 5), (3, 6)])
@@ -251,6 +310,13 @@ def test_straightening_lambda_example_expansion():
         _mono((1, 6), (4, 6)): Fraction(1),
     })
     assert f == expected
+
+
+def test_straightening_refuses_subsets_outside_range():
+    with pytest.raises(InputError):
+        straightening_lambda((1, 2), (1, 3, 5, 9), 6)
+    with pytest.raises(InputError):
+        straightening_mu((2, 5), (1, 9), 6)
 
 
 def test_straightening_lambda_snake_validation():
@@ -403,7 +469,8 @@ def test_relation_span_is_fresh_and_cached_span_unchanged():
 def fraction_reduce(span, poly):
     """Degree2Span.reduce in Fraction arithmetic, the residual and the row
     multiples in the order the elimination meets them."""
-    vec = {span.index[m]: Fraction(c) for m, c in poly.terms.items()}
+    index = {m: i for i, m in enumerate(span.monomials)}
+    vec = {index[m]: Fraction(c) for m, c in poly.terms.items()}
     used = {}
     while vec:
         lead = max(vec)

@@ -14,6 +14,7 @@ from ogrlab.forms_points import (
     is_totally_nonnegative,
 )
 from ogrlab.ideal_gens import is_isotropic
+from ogrlab.parity_duality import all_matchings, matching_to_permutation_via_contraction
 from ogrlab.orthopositroids import (
     DecoratedPermutation,
     OrthoReport,
@@ -176,6 +177,23 @@ def test_orthopositroids_at_n_2k_are_the_matchings(k):
     assert len(cells) == math.prod(range(1, n, 2))
     assert {p.dperm.word for p in cells} == fpf_involutions
     assert not any(p.dperm.coloops for p in cells)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_orthopositroids_at_n_2k_plus_1_are_the_contracted_matchings(k):
+    # the isomorphism OG+(k, 2k+1) = OG+(k+1, 2k+2) on cells: (word, loops)
+    # of each orthopositroid against the contraction images of the matchings
+    cells = enumerate_orthopositroids(k, 2 * k + 1)
+    read = {
+        (p.dperm.word, frozenset(p.dperm.fixed_points()) - p.dperm.coloops)
+        for p in cells
+    }
+    images = {
+        matching_to_permutation_via_contraction(mt, k)
+        for mt in all_matchings(2 * k + 2)
+    }
+    assert len(read) == len(cells) == math.prod(range(1, 2 * k + 2, 2))
+    assert read == images
 
 
 def test_example_verdicts():

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from ogrlab.errors import InputError, NotAPointError
@@ -14,7 +16,6 @@ from ogrlab.parity_duality import (
     all_matchings,
     crossing,
     crossing_family,
-    cycles_with_excedances,
     matching_to_permutation,
     matching_to_permutation_via_contraction,
     phi_inverse,
@@ -47,12 +48,33 @@ def test_matching_examples_k1():
     assert word == (2, 1, 3) and plus == frozenset({3})
 
 
+def cycles_with_excedances(support, exc: int) -> list[dict]:
+    """All single cycles on the support with the given excedance count."""
+    support = sorted(support)
+    if len(support) == 1:
+        return [{support[0]: support[0]}] if exc == 0 else []
+    out = []
+    head = support[0]
+    for rest in permutations(support[1:]):
+        seq = [head] + list(rest)
+        mapping = {seq[i]: seq[(i + 1) % len(seq)] for i in range(len(seq))}
+        if sum(1 for i, v in mapping.items() if v > i) == exc:
+            out.append(mapping)
+    return out
+
+
 def test_rotation_cycle_excedances():
-    for r in (2, 3, 4):
-        support = list(range(1, 2 * r))
-        cyc = rotation_cycle(support, r)
-        assert sum(1 for i, v in cyc.items() if v > i) == r
-        assert cyc in cycles_with_excedances(support, r)
+    for r in range(1, 8):
+        for support in (list(range(1, 2 * r)), [3 * t + 2 for t in range(2 * r - 1)]):
+            cyc = rotation_cycle(support, r)
+            # one cycle through the whole support
+            orbit = [support[0]]
+            while cyc[orbit[-1]] != support[0]:
+                orbit.append(cyc[orbit[-1]])
+            assert sorted(orbit) == support and sorted(cyc) == support
+            assert sum(1 for i, v in cyc.items() if v > i) == (r if r > 1 else 0)
+            if r <= 4:
+                assert cyc in cycles_with_excedances(support, r if r > 1 else 0)
 
 
 def test_cycle_multiplicity_for_r3():
