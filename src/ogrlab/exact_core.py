@@ -162,20 +162,6 @@ def colex_ranks(n: int, k: int) -> dict[tuple[int, ...], int]:
     return {I: r for r, I in enumerate(ksubsets(n, k))}
 
 
-def colex_unrank(rank: int, k: int) -> tuple[int, ...]:
-    """Inverse of colex_rank for fixed k."""
-    out = []
-    r = rank
-    for i in range(k, 0, -1):
-        s = i
-        while binom(s, i) <= r:
-            s += 1
-        out.append(s)
-        r -= binom(s - 1, i)
-    out.reverse()
-    return tuple(out)
-
-
 def subset_complement(subset, n: int) -> tuple[int, ...]:
     inside = set(subset)
     return tuple(x for x in range(1, n + 1) if x not in inside)

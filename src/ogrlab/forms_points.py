@@ -419,14 +419,6 @@ def component_of(p: PluckerVector) -> str:
     return "standard" if sign == 1 else "twisted"
 
 
-def swap_component(p: PluckerVector) -> PluckerVector:
-    """Image under the reflection negating the first coordinate; exchanges
-    the standard and twisted components."""
-    return PluckerVector(
-        p.k, p.n, {I: (-v if 1 in I else v) for I, v in p.coords.items()}
-    )
-
-
 def is_totally_nonnegative(p: PluckerVector) -> bool:
     """All coordinates >= 0 or all <= 0 (non-real coordinates fail)."""
     vals = list(p.coords.values())

@@ -26,7 +26,7 @@ from .errors import (
     SizeMismatchError,
 )
 from .exact_core import (
-    Mat, binom, colex_key, colex_rank, colex_ranks, eps, ksubsets, rand_rational,
+    Mat, binom, colex_key, colex_rank, eps, ksubsets, rand_rational,
 )
 from .forms_points import (
     PluckerVector,
@@ -87,30 +87,25 @@ class DecoratedPermutation:
 
 
 def necklace_of(dp: DecoratedPermutation) -> tuple[tuple[int, ...], ...]:
-    """Grassmann necklace: I_a collects values that wrap when read from a,
-    plus all coloops."""
-    n = dp.n
+    """Grassmann necklace: I_1 holds the anti-exceedance values and the
+    coloops, and I_{a+1} = (I_a - {a}) + {pi(a)} when a is in I_a, else I_a
+    (the recurrence dperm_from_necklace inverts)."""
     k = dp.type_k()
+    entry = {v for i, v in enumerate(dp.word, 1) if v < i} | dp.coloops
     out = []
-    for a in range(1, n + 1):
-        def rank(x):
-            return (x - a) % n
-
-        entries = {
-            dp.word[i - 1]
-            for i in range(1, n + 1)
-            if rank(dp.word[i - 1]) < rank(i)
-        }
-        entries |= dp.coloops
-        if len(entries) != k:
+    for a, v in enumerate(dp.word, 1):
+        if len(entry) != k:
             raise InternalInvariantError("necklace entry of wrong size")
-        out.append(tuple(sorted(entries)))
+        out.append(tuple(sorted(entry)))
+        if a in entry:
+            entry.remove(a)
+            entry.add(v)
     return tuple(out)
 
 
 def _require_desk_scale(k: int, n: int) -> None:
-    """Bases are bitmasks over the C(n, k) colex ranks and the pair table
-    grows like C(n, k - 1)^2 * n; refuse sizes where that is not small."""
+    """Oh's rule ANDs bitmasks over the C(n, k) colex ranks and the pair
+    table grows like C(n, k - 1)^2; refuse sizes where that is not small."""
     if 0 <= k <= n and binom(n, k) > 70:
         raise InputError("positroids are desk-scale: C(n, k) <= 70")
 
@@ -265,48 +260,68 @@ def a_sets(bases, I, J, n: int):
 
 
 @lru_cache(maxsize=None)
+def _facets(k: int, n: int) -> dict:
+    """For each k-subset B, the pair (colex rank of B - b, 1 << b) for each
+    b in B: B is the extension of the (k-1)-subset B - b by b."""
+    return {
+        B: tuple((colex_rank(B[:i] + B[i + 1:]), 1 << b) for i, b in enumerate(B))
+        for B in ksubsets(n, k)
+    }
+
+
+def _extension_masks(bases, k: int, n: int) -> list[int]:
+    """ext[r] has bit l exactly when I + l is a basis, for the (k-1)-subset I
+    of colex rank r; members of bases that are not k-subsets are ignored."""
+    _require_desk_scale(k, n)
+    facets = _facets(k, n)
+    ext = [0] * len(ksubsets(n, k - 1))
+    for B in bases:
+        for r, bit in facets.get(B, ()):
+            ext[r] |= bit
+    return ext
+
+
+@lru_cache(maxsize=None)
 def _pair_table(k: int, n: int) -> tuple:
-    """(I, J, plus, minus) for each pair I <= J of (k-1)-subsets in ksubsets
-    order; each side lists (l, mask) with the colex-rank bits of I+l and J+l,
-    so l is in the extension set of a bases mask m iff m & mask == mask."""
-    rank = colex_ranks(n, k)
+    """(a, b, I, J, plus, minus) for each pair I <= J of (k-1)-subsets in
+    ksubsets order: a and b are the colex ranks of I and J, plus and minus
+    the bitmasks of the l of each sign in _extensions(I, J, n)."""
     subs = ksubsets(n, k - 1)
     table = []
     for a, I in enumerate(subs):
-        for J in subs[a:]:
-            plus, minus = [], []
-            for l, BI, BJ, s in _extensions(I, J, n):
-                (plus if s > 0 else minus).append((l, 1 << rank[BI] | 1 << rank[BJ]))
-            table.append((I, J, tuple(plus), tuple(minus)))
+        for b in range(a, len(subs)):
+            J = subs[b]
+            plus = minus = 0
+            for l, _, _, s in _extensions(I, J, n):
+                if s > 0:
+                    plus |= 1 << l
+                else:
+                    minus |= 1 << l
+            table.append((a, b, I, J, plus, minus))
     return tuple(table)
 
 
-def _meets(mask: int, side) -> bool:
-    """Whether some l on this side of a pair table entry has both of its
-    extensions in the bases mask (an explicit loop: any() over a generator
-    costs several times more in this, the innermost loop)."""
-    for _, m in side:
-        if mask & m == m:
-            return True
-    return False
+def _one_sided(ext, k: int, n: int):
+    """(I, J, plus bits, minus bits) of the extension sets of each pair whose
+    two sides are not empty or nonempty together, given the extension masks
+    of a bases set; lazily, so a verdict can stop early."""
+    for a, b, I, J, plus, minus in _pair_table(k, n):
+        e = ext[a] & ext[b]
+        if (e & plus == 0) != (e & minus == 0):
+            yield I, J, e & plus, e & minus
 
 
-def _bases_mask(bases, k: int, n: int) -> int:
-    """The bitmask over the colex ranks of ksubsets(n, k) of a bases set."""
-    _require_desk_scale(k, n)
-    mask = 0
-    for r, B in enumerate(ksubsets(n, k)):
-        if B in bases:
-            mask |= 1 << r
-    return mask
+class _Ascending(dict):
+    """The failure decoding table: the ascending tuple of the set bits of
+    each mask, filled on demand, since the size guard leaves n unbounded at
+    k = 1 (C(70, 1) <= 70) and every mask below 2^(n+1) cannot be listed."""
+
+    def __missing__(self, mask: int) -> tuple[int, ...]:
+        bits = self[mask] = tuple(l for l in range(mask.bit_length()) if mask >> l & 1)
+        return bits
 
 
-def _one_sided(mask: int, k: int, n: int):
-    """The pair table entries whose two extension sets in the bases mask are
-    not empty or nonempty together, lazily, so a verdict can stop early."""
-    for entry in _pair_table(k, n):
-        if _meets(mask, entry[2]) != _meets(mask, entry[3]):
-            yield entry
+_ASCENDING = _Ascending()
 
 
 @dataclass(frozen=True)
@@ -326,12 +341,9 @@ def is_orthopositroid(positroid_or_bases, k: int | None = None,
         if k is None or n is None:
             raise InputError("k and n are required with a raw bases set")
         bases = frozenset(tuple(sorted(b)) for b in positroid_or_bases)
-    mask = _bases_mask(bases, k, n)
-    # list comprehensions: generator expressions cost more per failure
     failures = [
-        (I, J, tuple([l for l, m in plus if mask & m == m]),
-         tuple([l for l, m in minus if mask & m == m]))
-        for I, J, plus, minus in _one_sided(mask, k, n)
+        (I, J, _ASCENDING[plus], _ASCENDING[minus])
+        for I, J, plus, minus in _one_sided(_extension_masks(bases, k, n), k, n)
     ]
     return OrthoReport(verdict=not failures, failures=tuple(failures))
 
@@ -340,7 +352,7 @@ def is_orthopositroid(positroid_or_bases, k: int | None = None,
 def enumerate_orthopositroids(k: int, n: int) -> tuple[Positroid, ...]:
     return tuple(
         p for p in enumerate_positroids(k, n)
-        if next(_one_sided(_bases_mask(p.bases, k, n), k, n), None) is None
+        if next(_one_sided(_extension_masks(p.bases, k, n), k, n), None) is None
     )
 
 
@@ -609,6 +621,10 @@ def dims_report(k: int = 2, n: int = 6, tol: float = 1e-8,
     """
     if workers != 1:
         raise InputError("the dimension sweep is sequential: workers must be 1")
+    # (3,7), the largest size admitted, sweeps its 105 cells in about 47 s
+    if not 0 <= k <= n <= 2 * k + 2 or binom(n, k) > 35:
+        raise InputError("the dimension sweep is desk-scale: "
+                         "0 <= k <= n <= 2k + 2 and C(n, k) <= 35")
     cells = sorted(enumerate_orthopositroids(k, n), key=lambda p: p.sort_key())
     results = []
     for idx, pos in enumerate(cells):

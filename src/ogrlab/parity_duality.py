@@ -104,32 +104,6 @@ def validate_matching(matching, m: int) -> list[tuple[int, int]]:
     return sorted(chords)
 
 
-def max_crossing_cliques(anchor, chords):
-    """All maximum pairwise-crossing families containing the anchor chord.
-
-    Diagnostic: such maximum cliques need not be unique, which is why the
-    collapse uses the sequential family instead."""
-    partners = [c for c in chords if c != anchor and crossing(c, anchor)]
-    best_size = 1
-    best = [[anchor]]
-    for mask in range(1, 1 << len(partners)):
-        group = [partners[i] for i in range(len(partners)) if mask >> i & 1]
-        ok = all(
-            crossing(group[i], group[j])
-            for i in range(len(group))
-            for j in range(i + 1, len(group))
-        )
-        if not ok:
-            continue
-        size = len(group) + 1
-        if size > best_size:
-            best_size = size
-            best = [[anchor] + group]
-        elif size == best_size:
-            best.append([anchor] + group)
-    return best
-
-
 def crossing_family(matching, m: int):
     """The sequential pairwise-crossing family through the chord at vertex m.
 

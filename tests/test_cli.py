@@ -141,6 +141,12 @@ TOP_CELL_15_30 = ",".join(str((i + 14) % 30 + 1) for i in range(1, 31))
     "ogr1 cells --n 13",
     "ogr1 cells --n 30",
     "matchings map --k 6",
+    "hodge-check --k 2 --n 5 --count -3",
+    "hodge-check --k 2 --n 5 --count 10001",
+    "orthopositroids dims --k 2 --n 9",
+    "orthopositroids dims --k 2 --n 7",
+    "orthopositroids dims --k 4 --n 8",
+    "orthopositroids enumerate --k 2 --n 9 --dims",
 ])
 def test_refused_up_front(command, capsys):
     assert main(command.split()) == 2

@@ -10,8 +10,8 @@ from ogrlab.exact_core import (
     I_UNIT,
     Mat,
     clear_denominators,
+    binom,
     colex_rank,
-    colex_unrank,
     eps,
     fraction_str,
     ksubsets,
@@ -20,6 +20,20 @@ from ogrlab.exact_core import (
     rand_rational,
     sort_sign,
 )
+
+
+def colex_unrank(rank: int, k: int) -> tuple[int, ...]:
+    """Inverse of colex_rank for fixed k: the reference for its round trip."""
+    out = []
+    r = rank
+    for i in range(k, 0, -1):
+        s = i
+        while binom(s, i) <= r:
+            s += 1
+        out.append(s)
+        r -= binom(s - 1, i)
+    out.reverse()
+    return tuple(out)
 
 
 def cofactor_det(rows):

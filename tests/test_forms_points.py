@@ -21,7 +21,6 @@ from ogrlab.forms_points import (
     is_totally_nonnegative,
     sample_isotropic,
     sample_isotropic_component,
-    swap_component,
 )
 from ogrlab.ideal_gens import is_isotropic
 
@@ -154,6 +153,14 @@ def test_complementary_ratio_sign_values():
         evens = tuple(range(2, 2 * k + 1, 2))
         assert complementary_ratio_sign(k, evens) == 1
     assert complementary_ratio_sign(2, (1,)) == -1
+
+
+def swap_component(p: PluckerVector) -> PluckerVector:
+    """Image under the reflection negating the first coordinate; exchanges
+    the standard and twisted components."""
+    return PluckerVector(
+        p.k, p.n, {I: (-v if 1 in I else v) for I, v in p.coords.items()}
+    )
 
 
 def test_component_detection_and_swap():

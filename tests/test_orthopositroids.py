@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -28,6 +29,7 @@ from ogrlab.orthopositroids import (
     dims_report,
     dperm_from_necklace,
     edge_e,
+    enumerate_decorated_permutations,
     enumerate_orthopositroids,
     enumerate_positroids,
     gluing_check,
@@ -48,22 +50,62 @@ M2 = frozenset([(1, 2), (1, 3), (2, 4), (3, 4)])
 
 COMPILED_SIZES = [(1, 4), (2, 5), (2, 6), (3, 6)]
 
+# the pair test is checked on every positroid of these sizes, and on every
+# PAIR_TEST_STRIDE-th one of (3,7), which keeps that case under a second
+PAIR_TEST_SIZES = COMPILED_SIZES + [(1, 7), (3, 7)]
+PAIR_TEST_STRIDE = {(3, 7): 7}
+
 
 def relabel_bases(bases, mapping) -> frozenset:
     """Image of a bases set under a ground-set relabeling."""
     return frozenset(tuple(sorted(mapping[x] for x in B)) for B in bases)
 
 
-def reference_report(bases, k, n) -> OrthoReport:
-    """The pair test as a loop over a_sets for every pair I <= J."""
-    failures = []
+@lru_cache(maxsize=None)
+def signed_extensions(k, n) -> tuple:
+    """(I, J, plus, minus) for each pair I <= J of (k-1)-subsets, with plus
+    and minus the a_sets of the uniform matroid: every l outside I and J,
+    split by sign."""
+    every = frozenset(ksubsets(n, k))
     subs = ksubsets(n, k - 1)
-    for a, I in enumerate(subs):
-        for J in subs[a:]:
-            plus, minus = a_sets(bases, I, J, n)
-            if bool(plus) != bool(minus):
-                failures.append((I, J, plus, minus))
+    return tuple(
+        (I, J) + a_sets(every, I, J, n)
+        for a, I in enumerate(subs) for J in subs[a:]
+    )
+
+
+def reference_report(bases, k, n) -> OrthoReport:
+    """The pair test as a loop over the a_sets of every pair I <= J: the l
+    of each sign whose extensions I+l and J+l are both bases."""
+    def both_bases(I, J, side):
+        return tuple(
+            l for l in side
+            if tuple(sorted(I + (l,))) in bases and tuple(sorted(J + (l,))) in bases
+        )
+
+    failures = []
+    for I, J, every_plus, every_minus in signed_extensions(k, n):
+        plus, minus = both_bases(I, J, every_plus), both_bases(I, J, every_minus)
+        if bool(plus) != bool(minus):
+            failures.append((I, J, plus, minus))
     return OrthoReport(verdict=not failures, failures=tuple(failures))
+
+
+def reference_necklace(dp) -> tuple:
+    """The Grassmann necklace by its definition: I_a holds the values that
+    come before their position in the cyclic order starting at a, and the
+    coloops."""
+    n = dp.n
+    out = []
+    for a in range(1, n + 1):
+        def rank(x):
+            return (x - a) % n
+
+        entries = {
+            dp.word[i - 1] for i in range(1, n + 1) if rank(dp.word[i - 1]) < rank(i)
+        }
+        out.append(tuple(sorted(entries | dp.coloops)))
+    return tuple(out)
 
 
 def reference_bases_from_necklace(necklace, k, n) -> frozenset:
@@ -101,6 +143,16 @@ def test_necklace_of_top_cell():
     assert necklace_of(dp) == ((1, 2), (2, 3), (3, 4), (1, 4))
 
 
+@pytest.mark.parametrize("k,n", [(0, 3), (1, 1), (1, 4), (2, 5), (2, 6), (3, 6), (3, 7)])
+def test_necklace_recurrence_matches_definition(k, n):
+    dperms = enumerate_decorated_permutations(k, n)
+    for dp in dperms:
+        assert necklace_of(dp) == reference_necklace(dp)
+    # loops and coloops were both covered
+    assert any(set(dp.fixed_points()) - dp.coloops for dp in dperms) == (k < n)
+    assert any(dp.coloops for dp in dperms) == (k > 0)
+
+
 def test_oh_rule_round_trip_through_bases():
     pos = Positroid.from_bases(M2, 2, 5)
     assert pos.dperm.word == (4, 3, 2, 1, 5)
@@ -129,10 +181,10 @@ def test_a_sets_empty_both_sides():
     assert a_sets(M2, (5,), (5,), 5) == ((), ())
 
 
-@pytest.mark.parametrize("k,n", COMPILED_SIZES)
+@pytest.mark.parametrize("k,n", PAIR_TEST_SIZES)
 def test_compiled_pair_test_matches_a_sets_loop(k, n):
     failing = 0
-    for pos in enumerate_positroids(k, n):
+    for pos in enumerate_positroids(k, n)[::PAIR_TEST_STRIDE.get((k, n), 1)]:
         want = reference_report(pos.bases, k, n)
         assert is_orthopositroid(pos) == want
         assert is_orthopositroid(pos.bases, k, n) == want

@@ -175,9 +175,30 @@ def test_phi_preserves_nonnegativity():
     assert is_totally_nonnegative(phi_map(q6))
 
 
-def test_maximum_cliques_can_be_ambiguous():
-    from ogrlab.parity_duality import max_crossing_cliques
+def max_crossing_cliques(anchor, chords):
+    """All maximum pairwise-crossing families containing the anchor chord."""
+    partners = [c for c in chords if c != anchor and crossing(c, anchor)]
+    best_size = 1
+    best = [[anchor]]
+    for mask in range(1, 1 << len(partners)):
+        group = [partners[i] for i in range(len(partners)) if mask >> i & 1]
+        ok = all(
+            crossing(group[i], group[j])
+            for i in range(len(group))
+            for j in range(i + 1, len(group))
+        )
+        if not ok:
+            continue
+        size = len(group) + 1
+        if size > best_size:
+            best_size = size
+            best = [[anchor] + group]
+        elif size == best_size:
+            best.append([anchor] + group)
+    return best
 
+
+def test_maximum_cliques_can_be_ambiguous():
     chords = [(1, 5), (2, 4), (3, 6)]
     cliques = max_crossing_cliques((3, 6), chords)
     assert len(cliques) == 2  # the reason the sequential family is used
