@@ -111,19 +111,22 @@ def _cmd_equations(args, out) -> int:
 
 
 def _cmd_straighten(args, out) -> int:
+    # the coYoung family first: it refuses n < 2k, before the Young one is built
+    lams = (ideal_gens.all_straightening_lambda(args.k, args.n)
+            if args.family in ("lambda", "both") else ())
+    mus = (ideal_gens.all_straightening_mu(args.k, args.n)
+           if args.family in ("mu", "both") else ())
     records = []
-    if args.family in ("mu", "both"):
-        for I, J, poly in ideal_gens.all_straightening_mu(args.k, args.n):
-            records.append({
-                "family": "mu", "young": list(I), "young2": list(J),
-                **_poly_payload(poly),
-            })
-    if args.family in ("lambda", "both"):
-        for I, Jp, poly in ideal_gens.all_straightening_lambda(args.k, args.n):
-            records.append({
-                "family": "lambda", "young": list(I), "coyoung": list(Jp),
-                **_poly_payload(poly),
-            })
+    for I, J, poly in mus:
+        records.append({
+            "family": "mu", "young": list(I), "young2": list(J),
+            **_poly_payload(poly),
+        })
+    for I, Jp, poly in lams:
+        records.append({
+            "family": "lambda", "young": list(I), "coyoung": list(Jp),
+            **_poly_payload(poly),
+        })
     _emit({"k": args.k, "n": args.n, "count": len(records), "laws": records},
           args.format, out)
     return 0

@@ -162,6 +162,17 @@ def colex_ranks(n: int, k: int) -> dict[tuple[int, ...], int]:
     return {I: r for r, I in enumerate(ksubsets(n, k))}
 
 
+def subset_mask(entries) -> int:
+    """Bitmask of a set of integers: the sum of 1 << x over its entries x."""
+    return sum(1 << x for x in entries)
+
+
+@lru_cache(maxsize=None)
+def colex_mask_ranks(n: int, k: int) -> dict[int, int]:
+    """The colex rank of each k-subset of {1..n}, keyed by its subset_mask."""
+    return {subset_mask(I): r for r, I in enumerate(ksubsets(n, k))}
+
+
 def subset_complement(subset, n: int) -> tuple[int, ...]:
     inside = set(subset)
     return tuple(x for x in range(1, n + 1) if x not in inside)

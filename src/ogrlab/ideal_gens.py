@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InputError, InternalInvariantError, SizeMismatchError
 from .exact_core import (
@@ -20,20 +20,22 @@ from .exact_core import (
     binom,
     clear_denominators,
     colex_key,
+    colex_mask_ranks,
     colex_ranks,
     ksubsets,
     sort_sign,
     subset_complement,
+    subset_mask,
 )
 from .forms_points import PluckerVector, QuadraticForm
 from .posets import (
+    count_standard_monomials,
     linear_extension,
     mixed_leq,
     snake_index,
+    standard_pairs,
     young_incomparable_pairs,
-    young_leq,
-    is_standard_monomial,
-    count_standard_monomials,
+    young_upsets,
 )
 from . import weyl
 
@@ -206,8 +208,13 @@ class TermOrder:
     their exponents differ; whichever has fewer of it is larger.  This makes
     the incomparable product the leading monomial of each straightening law.
     Equivalently, the larger monomial has the higher degree or else the
-    lexicographically smaller list of factor ranks sorted in descending
+    lexicographically smaller list of factor positions sorted in descending
     order.
+
+    position lists the extension position of each colex rank, and one more
+    entry above all of them for the constant slot C(n, k) that pads the
+    lower-degree monomials of Polynomial.cleared: a padded monomial then
+    loses to every monomial of higher degree.
     """
 
     def __init__(self, k: int, n: int, tie_break: str = "colex"):
@@ -215,18 +222,20 @@ class TermOrder:
         self.n = n
         self.tie_break = tie_break
         ext = linear_extension(k, n, tie_break)
-        self.rank = {
-            e.subset: i for i, e in enumerate(ext) if e.kind == "Y"
-        }
+        rank = colex_ranks(n, k)
+        self.position = [len(ext)] * (len(rank) + 1)
+        for i, e in enumerate(ext):
+            if e.kind == "Y":
+                self.position[rank[e.subset]] = i
 
     def leading_monomial(self, poly: Polynomial):
         if poly.is_zero():
             raise InputError("zero polynomial has no leading monomial")
-        rank = self.rank
+        position = self.position
         return min(
-            poly.terms,
-            key=lambda m: (-len(m), sorted((rank[f] for f in m), reverse=True)),
-        )
+            zip(poly.cleared()[2], poly.terms),
+            key=lambda rm: sorted([position[r] for r in rm[0]], reverse=True),
+        )[1]
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +245,23 @@ class TermOrder:
 def _rank_pair(a: int, b: int) -> tuple[int, int]:
     """The degree-2 monomial of two colex ranks, factors in colex order."""
     return (a, b) if a <= b else (b, a)
+
+
+# The degree-2 layer holds C(n, k)(C(n, k) + 1)/2 monomials and builds
+# C(n, k - 1)^2 / 2 orthogonality quadrics; both counts stay below about
+# 22,000 when C(n, k) and C(n, k - 1) are at most 210, as at (4, 10).
+SPAN_MAX_SUBSETS = 210
+
+
+def _require_span_scale(k: int, n: int) -> None:
+    """Refuse, before any work, a (k, n) the degree-2 layer does not build."""
+    if not 1 <= k <= n:
+        raise InputError("need 1 <= k <= n")
+    if max(binom(n, k), binom(n, k - 1)) > SPAN_MAX_SUBSETS:
+        raise InputError(
+            f"C(n, k) and C(n, k-1) must be at most {SPAN_MAX_SUBSETS} "
+            f"for the degree-2 quadrics, got {binom(n, k)} and {binom(n, k - 1)}"
+        )
 
 
 @lru_cache(maxsize=None)
@@ -249,24 +275,26 @@ def plucker_relations(k: int, n: int) -> tuple[Polynomial, ...]:
     (2,4) and five at (2,5).  Each is signed so that its colex-least
     monomial has coefficient +1, and they are sorted by the list of their
     monomials in colex order, each monomial compared as a tuple of subsets.
+
+    On bitmasks: p_{I+j_t} p_{J-j_t} has sign (-1)^(t + #{i in I : i > j_t}).
     """
-    if not 1 <= k <= n:
-        raise InputError("need 1 <= k <= n")
-    rank = colex_ranks(n, k)
+    _require_span_scale(k, n)
+    rank = colex_mask_ranks(n, k)
+    bigs = [(subset_mask(J), [(t, jt, 1 << jt) for t, jt in enumerate(J)])
+            for J in ksubsets(n, k + 1)]
     rels = []
-    for I in ksubsets(n, k - 1):
-        for J in ksubsets(n, k + 1):
-            only_i = set(I).difference(J)
+    for mi in map(subset_mask, ksubsets(n, k - 1)):
+        for mj, bits in bigs:
+            only_i, only_j = mi & ~mj, mj & ~mi
             if not only_i or (
-                len(only_i) == 1 and min(set(J).difference(I)) < min(only_i)
+                only_i & (only_i - 1) == 0 and only_j & -only_j < only_i
             ):
                 continue
             terms = {}
-            for t, jt in enumerate(J):
-                first, s1 = sort_sign(I + (jt,))
-                if s1:
-                    m = _rank_pair(rank[first], rank[J[:t] + J[t + 1:]])
-                    terms[m] = (-1) ** t * s1
+            for t, jt, bit in bits:
+                if not mi & bit:
+                    m = _rank_pair(rank[mi | bit], rank[mj ^ bit])
+                    terms[m] = -1 if (t + (mi >> jt).bit_count()) & 1 else 1
             if terms[min(terms)] < 0:
                 terms = {m: -c for m, c in terms.items()}
             rels.append(terms)
@@ -318,42 +346,63 @@ def is_isotropic(p: PluckerVector, form: QuadraticForm) -> bool:
     return not any(g.evaluate(p) for g in orthogonality_relations(p.k, p.n, form))
 
 
-def normalize_bracket(Jp, n: int):
-    """Rewrite a sorted (n-k)-subset bracket as a signed k-subset variable:
-    sign (-1)^(sum of entries) times the complement."""
-    Jp = tuple(Jp)
-    return (-1) ** sum(Jp), subset_complement(Jp, n)
-
-
 def _block_sign(positions):
     """Sign of moving the chosen positions (sorted, 0-based) to the front."""
     return (-1) ** sum(q - t for t, q in enumerate(positions))
 
 
+@lru_cache(maxsize=None)
+def _shuffle_table(length: int, l: int) -> tuple:
+    """(chosen, rest, sign) for each l-subset of the positions 0..length-1,
+    in combinations order: the chosen positions, the others, and the sign
+    of moving the chosen ones to the front."""
+    return tuple(
+        (chosen, tuple(q for q in range(length) if q not in chosen), _block_sign(chosen))
+        for chosen in combinations(range(length), l)
+    )
+
+
+def _sort_bits(bits, mask: int = 0):
+    """Sort the word whose entries have the bits `bits`, followed by the
+    entries of `mask` in increasing order, in one right-to-left pass:
+    (mask of the word, its inversion count), or None on a repeated entry."""
+    inversions = 0
+    for b in reversed(bits):
+        if mask & b:
+            return None
+        inversions += (mask & (b - 1)).bit_count()
+        mask |= b
+    return mask, inversions
+
+
 def _snake_shuffle(I, J, l: int, n: int, coyoung: bool) -> Polynomial:
     """Shuffle the snake i_1..i_l, j_l.. over two sorted blocks: the first
     block completed by I[l:], the second headed by J[:l-1].  A coYoung
-    bracket is rewritten through normalize_bracket."""
+    bracket [K] is the variable (-1)^(sum of K) p_{complement of K}; the
+    sum has the parity of the number of odd entries of K."""
     k = len(I)
-    seq = I[:l] + J[l - 1:]
-    rank = colex_ranks(n, k)
-    if I not in rank or J not in colex_ranks(n, len(J)):
+    if I not in colex_ranks(n, k) or J not in colex_ranks(n, len(J)):
         raise InputError(f"{I} and {J} must be sorted subsets of [1, {n}]")
+    rank = colex_mask_ranks(n, k)
+    snake = [1 << x for x in I[:l] + J[l - 1:]]
+    tail = subset_mask(I[l:])
+    head = [1 << x for x in J[:l - 1]]
+    full = (1 << n + 1) - 2  # the mask of [1, n]
+    odd = subset_mask(range(1, n + 1, 2)) if coyoung else 0
     terms = {}
-    for chosen in combinations(range(len(seq)), l):
-        A = [seq[q] for q in chosen]
-        B = [seq[q] for q in range(len(seq)) if q not in chosen]
-        first, s1 = sort_sign(tuple(A) + I[l:])
-        if s1 == 0:
+    for chosen, rest, sign in _shuffle_table(len(snake), l):
+        first = _sort_bits([snake[q] for q in chosen], tail)
+        if first is None:
             continue
-        second, s2 = sort_sign(J[: l - 1] + tuple(B))
-        if s2 == 0:
+        second = _sort_bits(head + [snake[q] for q in rest])
+        if second is None:
             continue
+        (m1, inv1), (m2, inv2) = first, second
         if coyoung:
-            s3, second = normalize_bracket(second, n)
-            s2 *= s3
-        m = _rank_pair(rank[first], rank[second])
-        terms[m] = terms.get(m, 0) + _block_sign(chosen) * s1 * s2
+            inv2 += (m2 & odd).bit_count()
+            m2 ^= full
+        m = _rank_pair(rank[m1], rank[m2])
+        terms[m] = terms.get(m, 0) + (-sign if (inv1 + inv2) & 1 else sign)
     return Polynomial._from_ranks(k, n, terms)
 
 
@@ -367,7 +416,12 @@ def straightening_mu(I, J, n: int, ell: int | None = None) -> Polynomial:
     k = len(I)
     if len(J) != k:
         raise SizeMismatchError("need equal-size subsets")
-    if young_leq(I, J) or young_leq(J, I):
+    rank = colex_ranks(n, k)
+    if I not in rank or J not in rank:
+        raise InputError(f"{I} and {J} must be sorted subsets of [1, {n}]")
+    a, b = rank[I], rank[J]
+    up = young_upsets(k, n)
+    if up[a] >> b & 1 or up[b] >> a & 1:
         raise InputError("pair is comparable; nothing to straighten")
     l = snake_index(I, J)
     if l is None:
@@ -381,8 +435,9 @@ def straightening_lambda(I, Jp, n: int, ell: int | None = None) -> Polynomial:
     """Straightening quadric for a Young/coYoung incomparable pair.
 
     Same two-block shuffle with the coYoung bracket; terms whose bracket
-    acquires a repeated index vanish, the rest are rewritten through
-    normalize_bracket.  The leading monomial is p_I p_{complement of J'}.
+    acquires a repeated index vanish, the rest are rewritten as signed
+    variables, [K] = (-1)^(sum of K) p_{complement of K}.  The leading
+    monomial is p_I p_{complement of J'}.
     """
     I, Jp = tuple(I), tuple(Jp)
     k = len(I)
@@ -403,15 +458,18 @@ def leading_term_universal(poly: Polynomial, m0) -> bool:
 
     Holds iff in each other term, every variable missing from that term is
     strictly below some variable missing from m0; then the deciding variable
-    always sits on the other term's side.
+    always sits on the other term's side.  Read on colex ranks and the
+    Young up-sets.
     """
-    for m in poly.terms:
+    rank = colex_ranks(poly.n, poly.k)
+    up = young_upsets(poly.k, poly.n)
+    m0 = tuple(rank[f] for f in m0)
+    for m in poly.cleared()[2]:
         if m == m0:
             continue
-        only0 = [v for v in m0 if v not in m]
-        only1 = [v for v in m if v not in m0]
-        for u in only0:
-            if not any(u != w and young_leq(u, w) for w in only1):
+        above = subset_mask(v for v in m if v not in m0)
+        for u in m0:
+            if u not in m and not up[u] & above & ~(1 << u):
                 return False
     return True
 
@@ -440,6 +498,7 @@ def straightening_mu_canonical(I, J, n: int) -> tuple[tuple, tuple, Polynomial]:
 def all_straightening_mu(k: int, n: int) -> tuple[tuple[tuple, tuple, Polynomial], ...]:
     """straightening_mu_canonical of each incomparable Young pair.  Cached:
     callers share the quadrics and must not change them."""
+    _require_span_scale(k, n)
     return tuple(
         straightening_mu_canonical(I, J, n) for I, J in young_incomparable_pairs(k, n)
     )
@@ -460,6 +519,9 @@ def all_mixed_incomparable(k: int, n: int):
 def all_straightening_lambda(k: int, n: int) -> tuple[tuple[tuple, tuple, Polynomial], ...]:
     """straightening_lambda of each mixed incomparable pair.  Cached:
     callers share the quadrics and must not change them."""
+    _require_span_scale(k, n)
+    if n < 2 * k:
+        raise InputError("the coYoung family needs n >= 2k")
     return tuple(
         (I, Jp, straightening_lambda(I, Jp, n))
         for I, Jp in all_mixed_incomparable(k, n)
@@ -470,13 +532,13 @@ def all_straightening_lambda(k: int, n: int) -> tuple[tuple[tuple, tuple, Polyno
 # Degree-2 span: sparse exact row reduction over the monomial basis
 # ---------------------------------------------------------------------------
 
-def degree2_monomials(k: int, n: int):
+@lru_cache(maxsize=None)
+def degree2_monomials(k: int, n: int) -> tuple:
+    """The degree-2 monomials (A, B), A before or equal to B in colex order,
+    in the order of the index a*N - a*(a-1)/2 + b - a of their colex ranks
+    a <= b, N = C(n, k).  Cached: callers share it."""
     subs = ksubsets(n, k)
-    out = []
-    for i, A in enumerate(subs):
-        for B in subs[i:]:
-            out.append(_mono(A, B))
-    return out
+    return tuple((A, B) for i, A in enumerate(subs) for B in subs[i:])
 
 
 class Degree2Span:
@@ -484,7 +546,8 @@ class Degree2Span:
 
     Rows are reduced integer vectors over the indices of `monomials`; with
     track=True each stored row also carries its expression in the original
-    generators so membership queries can return coordinates.
+    generators, as integer coefficients over one positive denominator, so
+    membership queries can return coordinates.
     """
 
     def __init__(self, k: int, n: int, track: bool = False):
@@ -494,7 +557,7 @@ class Degree2Span:
         self.monomials = degree2_monomials(k, n)
         self.pivot_row = {}
         self.rows = []
-        self.combos = []
+        self.combos = []  # per row: (generator id -> integer, denominator)
         self.gen_count = 0
 
     def _vector(self, poly: Polynomial):
@@ -523,41 +586,59 @@ class Degree2Span:
             g = -g
         return {i: v // g for i, v in vec.items()}, g
 
+    def _eliminate(self, vec):
+        """Reduce vec in place, top entry first, while a stored row has the
+        same lead.  Each step replaces vec by ca*vec - cb*row and yields
+        (row id, lead of vec, lead of the row, ca, cb)."""
+        while vec:
+            lead = max(vec)
+            r = self.pivot_row.get(lead)
+            if r is None:
+                return
+            row = self.rows[r]
+            a, b = vec[lead], row[lead]
+            g = gcd(a, b)
+            ca, cb = b // g, a // g
+            if ca != 1:
+                for i in vec:
+                    vec[i] *= ca
+            for i, v in row.items():
+                nv = vec.get(i, 0) - cb * v
+                if nv:
+                    vec[i] = nv
+                else:
+                    vec.pop(i, None)
+            yield r, a, b, ca, cb
+
     def add(self, poly: Polynomial) -> bool:
         """Reduce a generator into the span; returns True when rank grew."""
         vec, denom = self._vector(poly)
         gen_id = self.gen_count
         self.gen_count += 1
-        combo = {gen_id: Fraction(denom)} if self.track else None
-        while vec:
-            lead = max(vec)
-            r = self.pivot_row.get(lead)
-            if r is None:
-                break
-            ov = self.rows[r]
-            a, b = vec[lead], ov[lead]
-            g = gcd(a, b)
-            ca, cb = b // g, a // g
-            new = {}
-            for i, v in vec.items():
-                new[i] = ca * v
-            for i, v in ov.items():
-                new[i] = new.get(i, 0) - cb * v
-                if new[i] == 0:
-                    del new[i]
-            vec = new
+        combo, cden = {gen_id: denom}, 1  # vec is the sum of combo[g]/cden times generator g
+        for r, _, _, ca, cb in self._eliminate(vec):
             if self.track:
-                combo = {g_: ca * c for g_, c in combo.items()}
-                for g_, c in self.combos[r].items():
-                    combo[g_] = combo.get(g_, Fraction(0)) - cb * c
+                row, rden = self.combos[r]
+                den = lcm(cden, rden)
+                sa, sb = ca * (den // cden), cb * (den // rden)
+                for g_ in combo:
+                    combo[g_] *= sa
+                for g_, c in row.items():
+                    combo[g_] = combo.get(g_, 0) - sb * c
+                cden = den
         if not vec:
             return False
         vec, scale = self._normalize(vec)
         if self.track:
-            combo = {g_: c / scale for g_, c in combo.items() if c}
+            cden *= scale
+            g = gcd(cden, *combo.values())
+            if cden < 0:
+                g = -g
+            self.combos.append(({g_: c // g for g_, c in combo.items() if c}, cden // g))
+        else:
+            self.combos.append(None)
         self.pivot_row[max(vec)] = len(self.rows)
         self.rows.append(vec)
-        self.combos.append(combo)
         return True
 
     @property
@@ -573,26 +654,9 @@ class Degree2Span:
         """
         vec, denom = self._vector(poly)  # poly is vec / denom throughout
         used = {}
-        while vec:
-            lead = max(vec)
-            r = self.pivot_row.get(lead)
-            if r is None:
-                break
-            row = self.rows[r]
-            a, b = vec[lead], row[lead]
+        for r, a, b, ca, _ in self._eliminate(vec):
             used[r] = Fraction(a, denom * b)  # each pivot is met once: leads fall
-            g = gcd(a, b)
-            ca, cb = b // g, a // g
-            if ca != 1:
-                for i in vec:
-                    vec[i] *= ca
-                denom *= ca
-            for i, v in row.items():
-                nv = vec.get(i, 0) - cb * v
-                if nv:
-                    vec[i] = nv
-                else:
-                    vec.pop(i, None)
+            denom *= ca
         residual = Polynomial(
             self.k, self.n,
             {self.monomials[i]: Fraction(v, denom) for i, v in vec.items()},
@@ -603,11 +667,14 @@ class Degree2Span:
         """Flatten row multiples to original-generator coordinates."""
         if not self.track:
             raise InputError("span was built without provenance tracking")
-        out = {}
+        den = lcm(*(c.denominator * self.combos[r][1] for r, c in used.items()))
+        out = {}  # integer numerators over den
         for r, c in used.items():
-            for g_, cc in self.combos[r].items():
-                out[g_] = out.get(g_, Fraction(0)) + c * cc
-        return {g_: c for g_, c in out.items() if c}
+            combo, cden = self.combos[r]
+            f = c.numerator * (den // (c.denominator * cden))
+            for g_, cc in combo.items():
+                out[g_] = out.get(g_, 0) + f * cc
+        return {g_: Fraction(c, den) for g_, c in out.items() if c}
 
 
 def relation_span(k: int, n: int, form: QuadraticForm | None = None,
@@ -670,27 +737,25 @@ def groebner_degree2_check(k: int, n: int,
     span matches the monomial count minus the standard count; (c) the
     standard count matches the graded dimension from the root system.
     """
+    _require_span_scale(k, n)
     if n <= 2 * k:
         raise InputError("degree-2 check requires n > 2k")
     mus = all_straightening_mu(k, n)
     lams = all_straightening_lambda(k, n)
+    laws = [(poly, _mono(I, J)) for I, J, poly in mus]
+    laws += [(poly, _mono(I, subset_complement(Jp, n))) for I, Jp, poly in lams]
     claimed = set()
     orders_ok = True
     for tb in tie_breaks:
         order = TermOrder(k, n, tb)
-        for I, J, poly in mus:
+        for poly, stated in laws:
             lm = order.leading_monomial(poly)
-            if lm != _mono(I, J):
-                orders_ok = False
+            orders_ok = orders_ok and lm == stated
             claimed.add(lm)
-        for I, Jp, poly in lams:
-            lm = order.leading_monomial(poly)
-            if lm != _mono(I, subset_complement(Jp, n)):
-                orders_ok = False
-            claimed.add(lm)
+    table = standard_pairs(k, n)
+    ranks = ((a, b) for a in range(len(table)) for b in range(a, len(table)))
     nonstandard = {
-        m for m in degree2_monomials(k, n)
-        if not is_standard_monomial(list(m), k, n)
+        m for m, (a, b) in zip(degree2_monomials(k, n), ranks) if not table[a] >> b & 1
     }
     monomial_count = binom(binom(n, k) + 1, 2)
     standard = count_standard_monomials(k, n, 2)

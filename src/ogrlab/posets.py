@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
 from .errors import InputError, InternalInvariantError, SizeMismatchError
 from .exact_core import binom, colex_key, ksubsets, subset_complement
@@ -99,15 +99,26 @@ def covering_partition_pairs(k: int, n: int) -> list[tuple[PosetElement, PosetEl
     return out
 
 
+@lru_cache(maxsize=None)
+def young_upsets(k: int, n: int) -> tuple[int, ...]:
+    """For each colex rank a of ksubsets(n, k), the bitmask over colex ranks
+    of the J with subs[a] <= J in Young's lattice, subs[a] itself included.
+    Cached: callers share it."""
+    subs = ksubsets(n, k)
+    return tuple(
+        sum(1 << b for b, J in enumerate(subs) if young_leq(I, J)) for I in subs
+    )
+
+
 def young_incomparable_pairs(k: int, n: int) -> list[tuple[tuple, tuple]]:
     """Unordered incomparable pairs in one copy of Young's lattice."""
     subs = ksubsets(n, k)
-    out = []
-    for i, I in enumerate(subs):
-        for J in subs[i + 1:]:
-            if not young_leq(I, J) and not young_leq(J, I):
-                out.append((I, J))
-    return out
+    up = young_upsets(k, n)
+    return [
+        (subs[a], subs[b])
+        for a in range(len(subs)) for b in range(a + 1, len(subs))
+        if not (up[a] >> b & 1 or up[b] >> a & 1)
+    ]
 
 
 def incomparable_pairs(k: int, n: int):
@@ -222,15 +233,12 @@ def pair_bijection_inverse(T1, T2, n: int):
 # Standard monomials
 # ---------------------------------------------------------------------------
 
-def _pair_is_standard(A, B, n: int) -> bool:
+def _pair_is_standard(A, B, cA, cB) -> bool:
+    """Is {A, B} a standard pair?  cA and cB are the complements of A and B."""
     if not (young_leq(A, B) or young_leq(B, A)):
         return False
     k = len(A)
-    if not mixed_leq(subset_complement(B, n), A, k):
-        return False
-    if not mixed_leq(subset_complement(A, n), B, k):
-        return False
-    return True
+    return mixed_leq(cB, A, k) and mixed_leq(cA, B, k)
 
 
 def is_standard_monomial(factors, k: int, n: int) -> bool:
@@ -245,31 +253,45 @@ def is_standard_monomial(factors, k: int, n: int) -> bool:
     for f in fs:
         if len(f) != k or any(x < 1 or x > n for x in f):
             raise InputError(f"factor {f} is not a k-subset of [n]")
+    comps = [subset_complement(f, n) for f in fs]
     for i in range(len(fs)):
         for j in range(i + 1, len(fs)):
-            if not _pair_is_standard(fs[i], fs[j], n):
+            if not _pair_is_standard(fs[i], fs[j], comps[i], comps[j]):
                 return False
     return True
 
 
+@lru_cache(maxsize=None)
+def standard_pairs(k: int, n: int) -> tuple[int, ...]:
+    """For each colex rank a of ksubsets(n, k), the bitmask over colex ranks
+    of the b with {subs[a], subs[b]} a standard pair.  Cached: callers share
+    it."""
+    subs = ksubsets(n, k)
+    comps = [subset_complement(A, n) for A in subs]
+    rows = [0] * len(subs)
+    for a, A in enumerate(subs):
+        for b in range(a, len(subs)):
+            if _pair_is_standard(A, subs[b], comps[a], comps[b]):
+                rows[a] |= 1 << b
+                rows[b] |= 1 << a
+    return tuple(rows)
+
+
 def count_standard_monomials(k: int, n: int, ell: int) -> int:
-    """Count degree-ell standard monomials by direct multiset enumeration."""
+    """Count degree-ell standard monomials: multisets of colex ranks whose
+    members pairwise meet in standard_pairs."""
     if ell < 1:
         raise InputError("degree must be at least 1")
-    subs = ksubsets(n, k)
-    count = 0
-    for combo in combinations_with_replacement(subs, ell):
-        ok = True
-        for i in range(ell):
-            for j in range(i + 1, ell):
-                if not _pair_is_standard(combo[i], combo[j], n):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            count += 1
-    return count
+    table = standard_pairs(k, n)
+
+    def count(allowed, start, left):
+        # multisets of `left` ranks >= start, each in allowed and pairwise standard
+        if left == 1:
+            return (allowed >> start).bit_count()
+        return sum(count(allowed & table[r], r, left - 1)
+                   for r in range(start, len(table)) if allowed >> r & 1)
+
+    return count((1 << len(table)) - 1, 0, ell)
 
 
 # ---------------------------------------------------------------------------

@@ -68,6 +68,8 @@ def _slopes(k: int, n: int) -> list[Fraction]:
     (1 + c*l) to the graded dimension.
     """
     data = _root_data(n)
+    if k < 0:
+        raise InputError(f"k={k} is negative")
     if k > data.m:
         raise InputError(f"k={k} exceeds the rank {data.m} of SO({n})")
     out = []

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ogrlab
 from ogrlab import acceptance, cli
@@ -147,11 +150,66 @@ TOP_CELL_15_30 = ",".join(str((i + 14) % 30 + 1) for i in range(1, 31))
     "orthopositroids dims --k 2 --n 7",
     "orthopositroids dims --k 4 --n 8",
     "orthopositroids enumerate --k 2 --n 9 --dims",
+    "straighten --k 3 --n 3",
+    "straighten --k 2 --n 2",
+    "straighten --k 1 --n 1",
+    "straighten --k 3 --n 5",
+    "straighten --k 3 --n 5 --family lambda",
+    "straighten --k 0 --n 5",
+    "straighten --k 6 --n 5 --family mu",
+    "straighten --k -1 --n 5 --family mu",
+    "straighten --k 5 --n 30",
+    "groebner-check --k 5 --n 30",
+    "groebner-check --k 5 --n 11",
+    "groebner-check --k 0 --n 5",
+    "equations --k 5 --n 30 --form standard",
+    "equations --k 4 --n 11 --form standard",
+    "equations --k 19 --n 21 --form standard",
+    "degree --k -1 --n 5",
 ])
 def test_refused_up_front(command, capsys):
     assert main(command.split()) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "Traceback" not in err
+
+
+FORM_SPECS = ["standard", "alternating", "hyperbolic", "signed:1", "signed:2,5",
+              "signed:", "signed:9", "elliptic"]
+
+
+@st.composite
+def small_commands(draw):
+    """One command line at a small (k, n), including sizes the command
+    refuses, with any form spec."""
+    k, n = draw(st.integers(-1, 7)), draw(st.integers(-1, 7))
+    size = ["--k", str(k), "--n", str(n)]
+    form = ["--form", draw(st.sampled_from(FORM_SPECS))]
+    command = draw(st.sampled_from([
+        "equations", "straighten", "groebner-check", "degree", "sample",
+        "phi-map", "hodge-check", "orthopositroids test"]))
+    if command == "straighten":
+        return [command, *size, "--family", draw(st.sampled_from(["mu", "lambda", "both"]))]
+    if command in ("equations", "sample"):
+        field = ["--field", draw(st.sampled_from(["rational", "gaussian"]))]
+        return [command, *size, *form] + (field if command == "sample" else [])
+    if command == "phi-map":  # the image lives at (k, 2k + 1)
+        return [command, "--k", str(draw(st.integers(-1, 3)))]
+    if command == "hodge-check":
+        return [command, *size, "--count", "3"]
+    if command == "orthopositroids test":
+        perm = draw(st.permutations(range(1, max(n, 0) + 1)))
+        return ["orthopositroids", "test", *size, "--perm", ",".join(map(str, perm))]
+    return [command, *size]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(argv=small_commands())
+def test_small_sizes_complete_or_are_refused(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 def test_byte_determinism(capsys):

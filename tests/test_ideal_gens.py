@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -7,6 +9,7 @@ from ogrlab.errors import InputError, SizeMismatchError
 from ogrlab.exact_core import (
     GaussianRational,
     Mat,
+    colex_ranks,
     eps,
     ksubsets,
     rand_matrix,
@@ -26,7 +29,7 @@ from ogrlab.ideal_gens import (
     degree2_monomials,
     groebner_degree2_check,
     is_isotropic,
-    normalize_bracket,
+    leading_term_universal,
     orthogonality_relations,
     plucker_relations,
     relation_span,
@@ -34,6 +37,7 @@ from ogrlab.ideal_gens import (
     straightening_mu,
     straightening_mu_canonical,
 )
+from ogrlab.posets import snake_index, young_incomparable_pairs, young_leq
 
 
 def plucker_of_random_matrix(rng, k, n):
@@ -286,6 +290,12 @@ def test_is_isotropic_size_mismatch():
         is_isotropic(p, QuadraticForm.alternating(6))
 
 
+def normalize_bracket(Jp, n):
+    """Rewrite a sorted (n-k)-subset bracket as a signed k-subset variable:
+    sign (-1)^(sum of entries) times the complement."""
+    return (-1) ** sum(Jp), subset_complement(Jp, n)
+
+
 def test_normalize_bracket():
     assert normalize_bracket((1, 3, 5, 6), 6) == (-1, (2, 4))
     assert normalize_bracket((1, 2, 5, 6), 6) == (1, (3, 4))
@@ -376,11 +386,31 @@ def pairwise_greater(rank, m1, m2):
 @pytest.mark.parametrize("k,n", [(2, 6), (3, 7)])
 def test_leading_monomial_matches_pairwise_rule(k, n, tb):
     order = TermOrder(k, n, tb)
+    rank = {S: order.position[r] for r, S in enumerate(ksubsets(n, k))}
     laws = all_straightening_mu(k, n) + all_straightening_lambda(k, n)
     for _, _, poly in laws:
         best = None
         for m in poly.terms:
-            if best is None or pairwise_greater(order.rank, m, best):
+            if best is None or pairwise_greater(rank, m, best):
+                best = m
+        assert order.leading_monomial(poly) == best
+
+
+def test_leading_monomial_of_mixed_degrees():
+    # lower-degree terms are padded with the constant slot in cleared():
+    # they must lose to every term of higher degree
+    order = TermOrder(2, 6, "colex")
+    rank = {S: order.position[r] for r, S in enumerate(ksubsets(6, 2))}
+    subs = ksubsets(6, 2)
+    rng = random.Random(6)
+    for _ in range(30):
+        monos = {_mono(*rng.sample(subs, d)) for d in (0, 1, 1, 2, 2, 3) if rng.random() < 0.7}
+        if not monos:
+            continue
+        poly = Polynomial(2, 6, {m: 1 for m in monos})
+        best = None
+        for m in poly.terms:
+            if best is None or pairwise_greater(rank, m, best):
                 best = m
         assert order.leading_monomial(poly) == best
 
@@ -560,3 +590,141 @@ def test_rank_splits_into_pair_families(k, n):
     yy, mixed = incomparable_pairs(k, n)
     span = relation_span(k, n)
     assert span.rank == len(yy) + len(mixed)
+
+
+def sort_sign_shuffle(I, J, l, n, coyoung):
+    """The snake shuffle with a sort_sign call per bracket: inversions counted
+    pair by pair, coYoung brackets rewritten by normalize_bracket."""
+    k = len(I)
+    rank = colex_ranks(n, k)
+    seq = I[:l] + J[l - 1:]
+    terms = {}
+    for chosen in combinations(range(len(seq)), l):
+        A = tuple(seq[q] for q in chosen)
+        B = tuple(seq[q] for q in range(len(seq)) if q not in chosen)
+        first, s1 = sort_sign(A + I[l:])
+        second, s2 = sort_sign(J[:l - 1] + B)
+        if not s1 or not s2:
+            continue
+        if coyoung:
+            s3, second = normalize_bracket(second, n)
+            s2 *= s3
+        a, b = sorted((rank[first], rank[second]))
+        block = (-1) ** sum(q - t for t, q in enumerate(chosen))
+        terms[a, b] = terms.get((a, b), 0) + block * s1 * s2
+    return Polynomial._from_ranks(k, n, terms)
+
+
+@pytest.mark.parametrize("k,n,step", [(2, 5, 1), (2, 6, 1), (3, 7, 1), (3, 8, 1), (4, 9, 3)])
+def test_shuffles_match_sort_sign_reference(k, n, step):
+    # both orientations of the incomparable Young pairs: at (4, 9) the
+    # canonical choice between them still fails for one pair
+    for I, J in young_incomparable_pairs(k, n)[::step]:
+        for A, B in ((I, J), (J, I)):
+            poly = straightening_mu(A, B, n)
+            ref = sort_sign_shuffle(A, B, snake_index(A, B), n, False)
+            assert list(poly.terms.items()) == list(ref.terms.items())
+            assert poly.cleared() == ref.cleared()
+    for I, Jp, poly in all_straightening_lambda(k, n)[::step]:
+        ref = sort_sign_shuffle(I, Jp, snake_index(I, Jp[:k]), n, True)
+        assert list(poly.terms.items()) == list(ref.terms.items())
+        assert poly.cleared() == ref.cleared()
+
+
+def fraction_provenance(span, gens):
+    """The rows and generator combinations that Degree2Span.add builds from
+    gens, each combination kept as a dict of Fractions."""
+    pivot_row, rows, combos = {}, [], []
+    for gen_id, poly in enumerate(gens):
+        vec, denom = span._vector(poly)
+        combo = {gen_id: Fraction(denom)}
+        while vec and max(vec) in pivot_row:
+            r = pivot_row[max(vec)]
+            a, b = vec[max(vec)], rows[r][max(vec)]
+            ca, cb = b // gcd(a, b), a // gcd(a, b)
+            vec = {i: ca * v for i, v in vec.items()}
+            for i, v in rows[r].items():
+                vec[i] = vec.get(i, 0) - cb * v
+                if not vec[i]:
+                    del vec[i]
+            combo = {g: ca * c for g, c in combo.items()}
+            for g, c in combos[r].items():
+                combo[g] = combo.get(g, Fraction(0)) - cb * c
+        if vec:
+            vec, scale = span._normalize(vec)
+            pivot_row[max(vec)] = len(rows)
+            rows.append(vec)
+            combos.append({g: c / scale for g, c in combo.items() if c})
+    return rows, combos
+
+
+@pytest.mark.parametrize("k,n", [(2, 6), (3, 7)])
+def test_coordinates_match_fraction_provenance(k, n):
+    std = QuadraticForm.standard(n)
+    span = _relation_span(k, n, std, True)
+    gens = plucker_relations(k, n) + orthogonality_relations(k, n, std)
+    rows, combos = fraction_provenance(span, gens)
+    assert [list(r.items()) for r in span.rows] == [list(r.items()) for r in rows]
+    laws = [poly for _, _, poly in all_straightening_mu(k, n) + all_straightening_lambda(k, n)]
+    laws += [(a.scale(Fraction(2, 3)) + b.scale(Fraction(-5, 7))) for a, b in zip(laws, laws[1:])]
+    for poly in laws:
+        residual, used = span.reduce(poly)
+        assert residual.is_zero()
+        want = {}
+        for r, c in used.items():
+            for g, cc in combos[r].items():
+                want[g] = want.get(g, Fraction(0)) + c * cc
+        want = [(g, c) for g, c in want.items() if c]
+        assert list(span.coordinates(used).items()) == want
+
+
+@pytest.mark.parametrize("k,n", [(2, 6), (3, 7)])
+def test_coordinates_rebuild_every_law(k, n):
+    std = QuadraticForm.standard(n)
+    gens = plucker_relations(k, n) + orthogonality_relations(k, n, std)
+    for _, _, law in all_straightening_mu(k, n) + all_straightening_lambda(k, n):
+        res = degree2_membership(law, k, n)
+        total = {}
+        for g, c in res.coordinates.items():
+            for m, v in gens[g].terms.items():
+                total[m] = total.get(m, 0) + c * v
+        assert {m: v for m, v in total.items() if v} == law.terms
+
+
+def universal_by_young_leq(poly, m0):
+    """leading_term_universal read pair by pair through young_leq."""
+    for m in poly.terms:
+        if m != m0:
+            only1 = [w for w in m if w not in m0]
+            for u in (v for v in m0 if v not in m):
+                if not any(u != w and young_leq(u, w) for w in only1):
+                    return False
+    return True
+
+
+@pytest.mark.parametrize("k,n", [(1, 4), (2, 6), (3, 7), (4, 9)])
+def test_young_comparisons_match_young_leq(k, n):
+    subs = ksubsets(n, k)
+    pairs = [(I, J) for a, I in enumerate(subs) for J in subs[a + 1:]
+             if not young_leq(I, J) and not young_leq(J, I)]
+    assert young_incomparable_pairs(k, n) == pairs
+    for I, J in pairs[::3]:
+        m0 = _mono(I, J)
+        for A, B in ((I, J), (J, I)):
+            poly = straightening_mu(A, B, n)
+            assert leading_term_universal(poly, m0) == universal_by_young_leq(poly, m0)
+    for I in subs[::4]:
+        for J in subs[::3]:
+            if young_leq(I, J) or young_leq(J, I):
+                with pytest.raises(InputError):
+                    straightening_mu(I, J, n)
+
+
+def test_mixed_pairs_at_n_below_2k_are_refused():
+    for k, n in [(3, 3), (2, 2), (1, 1), (3, 5)]:
+        with pytest.raises(InputError):
+            all_straightening_lambda(k, n)
+    for k, n in [(0, 5), (-1, 5), (6, 5)]:
+        for family in (all_straightening_mu, all_straightening_lambda):
+            with pytest.raises(InputError):
+                family(k, n)

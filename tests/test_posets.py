@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -20,7 +20,9 @@ from ogrlab.posets import (
     pair_bijection_forward,
     pair_bijection_inverse,
     snake_index,
+    standard_pairs,
     young_leq,
+    young_upsets,
 )
 
 
@@ -236,3 +238,37 @@ def test_linear_extensions_distinct():
 def test_standard_count_matches_weyl_at_3_7():
     for ell in (1, 2, 3):
         assert count_standard_monomials(3, 7, ell) == weyl.weyl_dim(3, 7, ell)
+
+
+def standard_by_definition(A, B, n):
+    """A standard pair read straight off the glued poset: Young-comparable,
+    and each factor above the complement of the other."""
+    k = len(A)
+    cA, cB = subset_complement(A, n), subset_complement(B, n)
+    return ((young_leq(A, B) or young_leq(B, A))
+            and all(cB[l] <= A[l] for l in range(k))
+            and all(cA[l] <= B[l] for l in range(k)))
+
+
+@pytest.mark.parametrize("k,n", [(1, 3), (1, 6), (2, 5), (2, 6), (3, 7), (3, 8)])
+def test_standard_pair_table_matches_definition(k, n):
+    subs = ksubsets(n, k)
+    table = standard_pairs(k, n)
+    for a, A in enumerate(subs):
+        for b, B in enumerate(subs):
+            assert bool(table[a] >> b & 1) == standard_by_definition(A, B, n)
+    for ell in (1, 2, 3) if n <= 7 else (1, 2):
+        direct = sum(
+            all(standard_by_definition(A, B, n) for A, B in combinations(combo, 2))
+            for combo in combinations_with_replacement(subs, ell)
+        )
+        assert count_standard_monomials(k, n, ell) == direct
+
+
+@pytest.mark.parametrize("k,n", [(1, 4), (2, 6), (3, 7), (4, 9)])
+def test_young_upsets_match_young_leq(k, n):
+    subs = ksubsets(n, k)
+    up = young_upsets(k, n)
+    for a, A in enumerate(subs):
+        assert [b for b, B in enumerate(subs) if young_leq(A, B)] == [
+            b for b in range(len(subs)) if up[a] >> b & 1]
