@@ -15,7 +15,7 @@ import sys
 
 from . import ideal_gens, ogr1, orthopositroids, parity_duality, weyl
 from .errors import InputError, InternalInvariantError, OgrlabError
-from .exact_core import fraction_str
+from .exact_core import binom, fraction_str
 from .forms_points import (
     QuadraticForm,
     Subspace,
@@ -195,6 +195,24 @@ def _cmd_ogr1_canonical(args, out) -> int:
 # about 0.8 ms per sample at (2,5) and 18 ms at (5,10)
 HODGE_MAX_COUNT = 10_000
 
+# A sample point takes C(n, k) minors and an n x n change of basis, and is
+# checked by up to C(n, k - 1)^2 / 2 orthogonality quadrics; hodge-check
+# takes the C(n, k) minors of order n - k of the complement.  (6,12) has
+# the most k-subsets admitted, C(12, 6).
+POINT_MAX_SUBSETS = 924
+POINT_MAX_N = 24
+
+
+def _require_point_scale(k: int, n: int) -> None:
+    """Refuse, before the first minor or quadric, a (k, n) whose points
+    `sample`, `phi-map` and `hodge-check` do not build."""
+    subsets = max((binom(n, j) for j in (k - 1, k) if 0 <= j <= n), default=0)
+    if n > POINT_MAX_N or subsets > POINT_MAX_SUBSETS:
+        raise InputError(
+            f"points are built for n <= {POINT_MAX_N} with C(n, k) and C(n, k-1) "
+            f"at most {POINT_MAX_SUBSETS}; got n = {n} and {subsets} subsets"
+        )
+
 
 def _cmd_hodge_check(args, out) -> int:
     import random
@@ -203,6 +221,7 @@ def _cmd_hodge_check(args, out) -> int:
 
     if not 0 <= args.count <= HODGE_MAX_COUNT:
         raise InputError(f"--count must lie in [0, {HODGE_MAX_COUNT}]")
+    _require_point_scale(args.k, args.n)
     rng = random.Random(args.seed)
     bad = 0
     for _ in range(args.count):
@@ -216,6 +235,7 @@ def _cmd_hodge_check(args, out) -> int:
 
 
 def _cmd_phi_map(args, out) -> int:
+    _require_point_scale(args.k + 1, 2 * args.k + 2)  # the sampled point
     q = sample_isotropic_component(args.k + 1, seed=args.seed,
                                    component="standard").plucker()
     p = parity_duality.phi_map(q)
@@ -320,6 +340,7 @@ def _cmd_ortho_dims(args, out) -> int:
 
 
 def _cmd_sample(args, out) -> int:
+    _require_point_scale(args.k, args.n)
     form = _parse_form(args.form, args.n)
     sub = sample_isotropic(args.k, args.n, form, args.seed, field=args.field)
     p = sub.plucker()

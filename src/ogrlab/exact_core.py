@@ -11,6 +11,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from operator import mul
 
 from .errors import (
     DegenerateInputError,
@@ -95,6 +96,8 @@ class GaussianRational:
         return GaussianRational(-self.re, -self.im)
 
     def __eq__(self, other):
+        if type(other) is int:  # the common `!= 0` test, first
+            return not self.im and self.re == other
         if isinstance(other, GaussianRational):
             return self.re == other.re and self.im == other.im
         if isinstance(other, (int, Fraction)):
@@ -320,6 +323,33 @@ def _bareiss(m):
     return sign * m[n - 1][n - 1] if n else 1
 
 
+def _cleared_parts(values):
+    """(scale, re, im) of a row or column: scale is the lcm of its
+    denominators and re, im list the integer parts of scale times each
+    entry; im is None when no entry is a GaussianRational."""
+    scale, nums = clear_denominators(values)
+    if not any(isinstance(x, GaussianInteger) for x in nums):
+        return scale, nums, None
+    return (scale, [x.re if isinstance(x, GaussianInteger) else x for x in nums],
+            [x.im if isinstance(x, GaussianInteger) else 0 for x in nums])
+
+
+def _product_entry(row, col):
+    """Entry of a matrix product from the cleared parts of its row and
+    column: summed over Z, or over Z[i] as (re, im) pairs, and divided once.
+    It is a GaussianRational exactly when the row or the column holds one."""
+    rs, rre, rim = row
+    cs, cre, cim = col
+    scale = rs * cs
+    if rim is None and cim is None:
+        return Fraction(sum(map(mul, rre, cre)), scale)
+    zeros = [0] * len(rre)
+    rim, cim = rim or zeros, cim or zeros
+    re = sum(map(mul, rre, cre)) - sum(map(mul, rim, cim))
+    im = sum(map(mul, rre, cim)) + sum(map(mul, rim, cre))
+    return GaussianRational(Fraction(re, scale), Fraction(im, scale))
+
+
 def _unscale(d, scale: int):
     """The exact value d / scale of a kernel result."""
     if isinstance(d, GaussianInteger):
@@ -381,10 +411,11 @@ class Mat:
             return NotImplemented
         if self.ncols != other.nrows:
             raise SizeMismatchError("matrix product shape mismatch")
-        bt = other.transpose().rows
-        return Mat(
-            [[_dot(r, c) for c in bt] for r in self.rows]
-        )
+        left = [_cleared_parts(r) for r in self.rows]
+        right = [_cleared_parts(c) for c in zip(*other.rows)]
+        out = object.__new__(Mat)  # the entries are exact scalars already
+        out.rows = [[_product_entry(r, c) for c in right] for r in left]
+        return out
 
     def __add__(self, other):
         if self.nrows != other.nrows or self.ncols != other.ncols:
@@ -468,16 +499,6 @@ class Mat:
             raise SizeMismatchError("determinant of a non-square matrix")
         scale, cleared = _cleared_rows(self.rows)
         return _unscale(_bareiss(cleared), scale)
-
-
-def _dot(u, v):
-    acc = None
-    for a, b in zip(u, v):
-        t = a * b
-        acc = t if acc is None else acc + t
-    if acc is None:
-        return Fraction(0)
-    return acc
 
 
 def minors(matrix: Mat, k: int) -> dict[tuple[int, ...], object]:

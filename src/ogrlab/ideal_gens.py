@@ -40,6 +40,10 @@ from .posets import (
 from . import weyl
 
 
+# the value of a vanishing evaluation; a Fraction is immutable, so it is shared
+ZERO = Fraction(0)
+
+
 def _mono(*subsets):
     """Canonical degree-d monomial: factors sorted colexicographically."""
     return tuple(sorted((tuple(s) for s in subsets), key=colex_key))
@@ -49,16 +53,18 @@ class Polynomial:
     """Sparse polynomial in Plucker variables with rational coefficients.
 
     Change the terms only through add_term, which drops the cached integer
-    form that `cleared` builds and every consumer reads.
+    form that `cleared` builds and every consumer reads, and the distinct
+    variable ranks that `evaluate` collects from it.
     """
 
-    __slots__ = ("k", "n", "terms", "_cleared")
+    __slots__ = ("k", "n", "terms", "_cleared", "_variables")
 
     def __init__(self, k: int, n: int, terms: dict | None = None):
         self.k = k
         self.n = n
         self.terms = {}
         self._cleared = None
+        self._variables = None
         if terms:
             for m, c in terms.items():
                 if c:
@@ -77,7 +83,7 @@ class Polynomial:
         return poly
 
     def add_term(self, monomial, coeff):
-        self._cleared = None
+        self._cleared = self._variables = None
         c = self.terms.get(monomial, Fraction(0)) + coeff
         if c:
             self.terms[monomial] = c
@@ -137,20 +143,24 @@ class Polynomial:
         polynomial has a GaussianRational coordinate, else a Fraction.
 
         The sum runs in integers (or pairs of them over Z[i]) on the
-        cleared forms of both sides, and is divided once at the end.
+        cleared forms of both sides, and is divided once at the end; a zero
+        sum is the shared ZERO (in both parts over Q(i)), not normalized.
         """
         if (p.k, p.n) != (self.k, self.n):
             raise SizeMismatchError("vector type does not match polynomial type")
         L, coeffs, ranks = self.cleared()
+        if self._variables is None:  # a tuple: a frozenset of 24 ranks takes 2 kB
+            self._variables = tuple({r for m in ranks for r in m})
         D, re, im, gaussian = p.cleared()
-        den = L * D ** (len(ranks[0]) if ranks else 0)
-        if im is None or gaussian.isdisjoint(r for m in ranks for r in m):
+        if im is None or gaussian.isdisjoint(self._variables):
             total = 0
             for c, m in zip(coeffs, ranks):
                 for r in m:
                     c *= re[r]
                 total += c
-            return Fraction(total, den)
+            if not total:
+                return ZERO
+            return Fraction(total, L * D ** len(ranks[0]))
         total_re = total_im = 0
         for c, m in zip(coeffs, ranks):
             vr, vi = c, 0
@@ -159,6 +169,10 @@ class Polynomial:
                 vr, vi = vr * xr - vi * xi, vr * xi + vi * xr
             total_re += vr
             total_im += vi
+        if not (total_re or total_im):
+            # a new object: GaussianRational attributes can be assigned
+            return GaussianRational(ZERO, ZERO)
+        den = L * D ** len(ranks[0])
         return GaussianRational(Fraction(total_re, den), Fraction(total_im, den))
 
     def sorted_terms(self):

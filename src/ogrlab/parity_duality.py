@@ -152,6 +152,8 @@ def matching_to_permutation(matching, k: int):
     that independent route.  Returns (word, plus_fixed) with word the
     one-line permutation of [2k+1] and plus_fixed its fixed points (all
     decorated '+')."""
+    if k < 0:
+        raise InputError("need k >= 0")
     m = 2 * k + 2
     chords = validate_matching(matching, m)
     family = crossing_family(chords, m)

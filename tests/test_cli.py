@@ -144,6 +144,8 @@ TOP_CELL_15_30 = ",".join(str((i + 14) % 30 + 1) for i in range(1, 31))
     "ogr1 cells --n 13",
     "ogr1 cells --n 30",
     "matchings map --k 6",
+    "matchings map --k -1",
+    "matchings map --k -2",
     "hodge-check --k 2 --n 5 --count -3",
     "hodge-check --k 2 --n 5 --count 10001",
     "orthopositroids dims --k 2 --n 9",
@@ -166,6 +168,11 @@ TOP_CELL_15_30 = ",".join(str((i + 14) % 30 + 1) for i in range(1, 31))
     "equations --k 4 --n 11 --form standard",
     "equations --k 19 --n 21 --form standard",
     "degree --k -1 --n 5",
+    "sample --k 6 --n 14 --form alternating",
+    "sample --k 1 --n 25",
+    "phi-map --k 6",
+    "hodge-check --k 10 --n 20 --count 1",
+    "hodge-check --k 1 --n 300 --count 1",
 ])
 def test_refused_up_front(command, capsys):
     assert main(command.split()) == 2
@@ -177,32 +184,61 @@ FORM_SPECS = ["standard", "alternating", "hyperbolic", "signed:1", "signed:2,5",
               "signed:", "signed:9", "elliptic"]
 
 
+# (k, n) past the point guard of sample, phi-map and hodge-check: more than
+# 924 k-subsets, or n above 24
+PAST_POINT_GUARD = st.one_of(st.tuples(st.integers(5, 9), st.integers(14, 20)),
+                             st.tuples(st.integers(-1, 3), st.integers(25, 40)))
+
+
 @st.composite
 def small_commands(draw):
     """One command line at a small (k, n), including sizes the command
-    refuses, with any form spec."""
+    refuses (for sample, phi-map and hodge-check, sizes past the point
+    guard), with any form spec."""
     k, n = draw(st.integers(-1, 7)), draw(st.integers(-1, 7))
-    size = ["--k", str(k), "--n", str(n)]
     form = ["--form", draw(st.sampled_from(FORM_SPECS))]
     command = draw(st.sampled_from([
         "equations", "straighten", "groebner-check", "degree", "sample",
-        "phi-map", "hodge-check", "orthopositroids test"]))
+        "phi-map", "hodge-check", "orthopositroids test", "orthopositroids enumerate",
+        "ogr1 cells", "ogr1 sample", "ogr1 canonical", "matchings map"]))
+    if command in ("sample", "hodge-check") and draw(st.booleans()):
+        k, n = draw(PAST_POINT_GUARD)
+    size = ["--k", str(k), "--n", str(n)]
     if command == "straighten":
         return [command, *size, "--family", draw(st.sampled_from(["mu", "lambda", "both"]))]
     if command in ("equations", "sample"):
         field = ["--field", draw(st.sampled_from(["rational", "gaussian"]))]
         return [command, *size, *form] + (field if command == "sample" else [])
     if command == "phi-map":  # the image lives at (k, 2k + 1)
-        return [command, "--k", str(draw(st.integers(-1, 3)))]
+        k = draw(st.one_of(st.integers(-1, 3), st.integers(6, 12)))
+        return [command, "--k", str(k)]
     if command == "hodge-check":
         return [command, *size, "--count", "3"]
     if command == "orthopositroids test":
         perm = draw(st.permutations(range(1, max(n, 0) + 1)))
         return ["orthopositroids", "test", *size, "--perm", ",".join(map(str, perm))]
+    if command == "orthopositroids enumerate":  # n! permutations, so n <= 6
+        n = min(n, 6)
+        dims = ["--dims"] if n <= 3 and draw(st.booleans()) else []
+        return ["orthopositroids", "enumerate", "--k", str(k), "--n", str(n), *dims]
+    if command == "ogr1 sample":  # supports mostly of the right parity; --flag=value
+        # keeps a value that starts with '-' from reading as a flag
+        supports = [draw(st.lists(st.integers(-1, n + 1).map(parity), max_size=3, unique=True))
+                    for parity in (lambda x: x | 1, lambda x: x & ~1)]
+        params = [draw(st.lists(st.fractions(0, 4, max_denominator=4),
+                                min_size=max(len(s) - 1, 0), max_size=len(s)))
+                  for s in supports]
+        return ["ogr1", "sample", "--n", str(n),
+                *(f"--{flag}={','.join(map(str, v))}"
+                  for flag, v in zip(("A", "B", "params", "params-b"), supports + params))]
+    if command.startswith("ogr1"):
+        return [*command.split(), "--n", str(n)]
+    if command == "matchings map":
+        return ["matchings", "map", "--k", str(min(k, 3))]
     return [command, *size]
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=240, deadline=None, derandomize=True, database=None)
 @given(argv=small_commands())
 def test_small_sizes_complete_or_are_refused(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -231,8 +267,9 @@ def test_csv_format(capsys):
     assert len(lines) == 16  # header + 15 records
 
 
-# sha256 of whole-command outputs; the sample digests are those of the
-# Fraction / GaussianRational kernel that the integer-cleared one replaced,
+# sha256 of whole-command outputs; the sample and phi-map digests are those
+# of the Fraction / GaussianRational kernel and matrix product that the
+# integer-cleared ones replaced,
 # the orthopositroids ones those of the per-pair a_sets loop and the
 # sorted-rank Gale rule that the compiled bitmask tables replaced, the
 # others those of the P Omega P^T residual that quadric evaluation replaced
@@ -249,10 +286,16 @@ OUTPUT_DIGESTS = {
         "acaa08d7c914503e7d97b22219fa1266af4f18c3313a5064112c9d12305b1c6c",
     "sample --k 3 --n 6 --form hyperbolic --field gaussian --seed 2":
         "99773930a96bf649ffe059fe2f59e58a90904c904062c7f1a91cc4e9628eb08d",
+    "sample --k 4 --n 9 --form signed:1,3 --field gaussian --seed 5":
+        "170fed96c36b7107bff1742ea6b77f84d942e5e3989e34df364b3148d849fc73",
+    "sample --k 4 --n 9 --form alternating --seed 5":
+        "52d40b95f017c7852d1aec99df00127a34c0c3a019bc7e3583359ded5b45f96d",
     "phi-map --k 2 --seed 1":
         "e52c2fd47cecb341f1029a62b9a2e5d66b3529dc85e336f5d37409a50d7be2b5",
     "phi-map --k 3 --seed 2":
         "34cf1513860eb6578370c44b4cc9661ff1a3dd384c222b8522455b4420bdf3d1",
+    "phi-map --k 3 --seed 9":
+        "2c51898c4b05f01bc1b35ac446075e2ad7ecf55799a459d34f7e94d0d133a07c",
     "groebner-check --k 3 --n 7":
         "740b299b4277a1f03506e1865fe3ab5433e69a02c637431715007ce96d1b9145",
     "groebner-check --k 3 --n 8":

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from ogrlab.errors import DegenerateInputError
+from ogrlab.errors import DegenerateInputError, SizeMismatchError
 from ogrlab.exact_core import (
     GaussianRational,
     I_UNIT,
@@ -222,3 +222,67 @@ def test_gaussian_rational_field_ops():
 def test_fraction_str():
     assert fraction_str(Fraction(3, 1)) == "3"
     assert fraction_str(Fraction(-3, 4)) == "-3/4"
+
+
+def dot_reference(u, v):
+    """One entry of the product in Fraction / GaussianRational arithmetic,
+    the rule the integer-cleared product replaced: Fraction(0) over an
+    empty inner dimension."""
+    acc = None
+    for a, b in zip(u, v):
+        t = a * b
+        acc = t if acc is None else acc + t
+    return Fraction(0) if acc is None else acc
+
+
+def assert_product_matches_reference(A, B):
+    got = (A * B).rows
+    want = [[dot_reference(r, c) for c in zip(*B.rows)] for r in A.rows]
+    assert [[type(x) for x in r] for r in got] == [[type(x) for x in r] for r in want]
+    assert got == want
+
+
+@pytest.mark.parametrize("left,right", [
+    ("rational", "rational"), ("rational", "gaussian"),
+    ("gaussian", "rational"), ("gaussian", "gaussian"),
+])
+def test_product_matches_dot_reference(left, right):
+    rng = random.Random(len(left) * 10 + len(right))
+    make = {"rational": rand_matrix, "gaussian": rand_gaussian_matrix}
+    for _ in range(30):
+        rows, inner, cols = rng.randint(1, 5), rng.randint(1, 7), rng.randint(1, 5)
+        assert_product_matches_reference(make[left](rng, rows, inner),
+                                         make[right](rng, inner, cols))
+
+
+def test_product_entry_type_follows_real_gaussian_entries():
+    real = GaussianRational(Fraction(1, 2), 0)  # a GaussianRational with im = 0
+    A = Mat([[real, Fraction(1, 3)], [Fraction(2, 7), Fraction(-1, 5)]])
+    B = Mat([[Fraction(3, 4), 1], [Fraction(-1, 6), Fraction(5, 9)]])
+    # the row holding `real` gives GaussianRational entries, the other row not
+    assert [[type(x) for x in r] for r in (A * B).rows] == [
+        [GaussianRational] * 2, [Fraction] * 2]
+    assert_product_matches_reference(A, B)
+    C = Mat([[Fraction(3, 4), real], [Fraction(-1, 6), 4]])
+    # and so does the column holding it
+    assert [[type(x) for x in r] for r in (B * C).rows] == [
+        [Fraction, GaussianRational]] * 2
+    assert_product_matches_reference(B, C)
+    assert_product_matches_reference(A, C)
+
+
+def test_product_of_integer_and_empty_factors():
+    A, B = Mat([[1, 2, -3], [4, 0, 6]]), Mat([[5], [-6], [7]])
+    assert (A * B).rows == [[Fraction(-28)], [Fraction(62)]]
+    assert_product_matches_reference(A, B)
+    assert_product_matches_reference(Mat([]), Mat([]))  # 0 rows
+    assert (Mat([[], []]) * Mat([])).rows == [[], []]  # empty inner dimension
+    with pytest.raises(SizeMismatchError):
+        A * A
+
+
+def test_gaussian_rational_compares_with_int():
+    assert GaussianRational(0, 0) == 0 and not GaussianRational(0, 0) != 0
+    assert GaussianRational(3, 0) == 3 and GaussianRational(3, 0) != 2
+    assert GaussianRational(0, Fraction(1, 2)) != 0
+    assert GaussianRational(Fraction(1, 2), 0) != 0

@@ -19,6 +19,7 @@ from ogrlab.exact_core import (
 )
 from ogrlab.forms_points import PluckerVector, QuadraticForm, sample_isotropic
 from ogrlab.ideal_gens import (
+    ZERO,
     Polynomial,
     TermOrder,
     _mono,
@@ -119,6 +120,43 @@ def test_add_term_after_evaluate_recompiles():
     assert poly.evaluate(p) == reference_value(poly, p) != before
     poly.add_term(_mono((1, 2), (3, 4)), Fraction(-5, 3))
     assert poly.evaluate(p) == before
+
+
+def test_add_term_bringing_in_a_gaussian_variable_switches_the_type():
+    p = PluckerVector(2, 4, {(1, 2): Fraction(2, 3), (1, 3): Fraction(1, 5),
+                             (3, 4): GaussianRational(1, -2)})
+    poly = Polynomial(2, 4, {_mono((1, 2), (1, 3)): Fraction(1)})
+    assert type(poly.evaluate(p)) is Fraction
+    poly.add_term(_mono((1, 2), (3, 4)), Fraction(3))
+    value = poly.evaluate(p)
+    assert type(value) is GaussianRational
+    assert value == reference_value(poly, p) == GaussianRational(Fraction(32, 15), -4)
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (2, 6), (3, 7)])
+def test_criterion_9_values_match_reference_in_value_and_type(k, n):
+    """Every quadric of criterion 9 at its isotropic points, over Q(i) and
+    Q: the value and its type are those of the term-by-term sum.  A zero
+    over Q is the shared ZERO; over Q(i) it is a new object each time."""
+    std, alt = QuadraticForm.standard(n), QuadraticForm.alternating(n)
+    gens = list(plucker_relations(k, n)) + list(orthogonality_relations(k, n, std))
+    gens += [poly for _, _, poly in all_straightening_mu(k, n)]
+    gens += [poly for _, _, poly in all_straightening_lambda(k, n)]
+    alt_gens = orthogonality_relations(k, n, alt) + plucker_relations(k, n)
+    types = set()
+    for seed in range(2):
+        for form, field, polys in ((std, "gaussian", gens), (alt, "rational", alt_gens)):
+            p = sample_isotropic(k, n, form, seed, field=field).plucker()
+            for g in polys:
+                value, want = g.evaluate(p), reference_value(g, p)
+                assert type(value) is type(want) and value == want == 0
+                types.add(type(value))
+                if type(value) is Fraction:
+                    assert value is ZERO
+                else:
+                    assert value.re is ZERO and value.im is ZERO
+                    assert g.evaluate(p) is not value
+    assert types == {Fraction, GaussianRational}
 
 
 def test_plucker_relations_classical():
