@@ -192,9 +192,6 @@ def _cmd_ogr1_canonical(args, out) -> int:
     return 0 if payload["ok"] else 1
 
 
-# about 0.8 ms per sample at (2,5) and 18 ms at (5,10)
-HODGE_MAX_COUNT = 10_000
-
 # A sample point takes C(n, k) minors and an n x n change of basis, and is
 # checked by up to C(n, k - 1)^2 / 2 orthogonality quadrics; hodge-check
 # takes the C(n, k) minors of order n - k of the complement.  (6,12) has
@@ -214,14 +211,29 @@ def _require_point_scale(k: int, n: int) -> None:
         )
 
 
+# A hodge-check point takes about C(n, k) (k^2 + (n - k)^2) + 8 k^3 + 300 us
+# (fitted over 22 sizes, 2-vCPU VM: the maximal minors of the sampled matrix
+# and of its complement, then fixed costs); a run stays near a minute.
+HODGE_MAX_COUNT = 10_000
+HODGE_MAX_COST = 40_000_000
+
+
+def _hodge_max_count(k: int, n: int) -> int:
+    cost = binom(n, k) * (k * k + (n - k) ** 2) + 8 * k ** 3 + 300
+    return min(HODGE_MAX_COUNT, HODGE_MAX_COST // cost)
+
+
 def _cmd_hodge_check(args, out) -> int:
     import random
 
     from .exact_core import rand_matrix
 
-    if not 0 <= args.count <= HODGE_MAX_COUNT:
-        raise InputError(f"--count must lie in [0, {HODGE_MAX_COUNT}]")
+    if not 0 <= args.k <= args.n:
+        raise InputError("need 0 <= k <= n")
     _require_point_scale(args.k, args.n)
+    limit = _hodge_max_count(args.k, args.n)
+    if not 0 <= args.count <= limit:
+        raise InputError(f"--count must lie in [0, {limit}] at ({args.k}, {args.n})")
     rng = random.Random(args.seed)
     bad = 0
     for _ in range(args.count):

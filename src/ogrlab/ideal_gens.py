@@ -49,49 +49,64 @@ def _mono(*subsets):
     return tuple(sorted((tuple(s) for s in subsets), key=colex_key))
 
 
+def _subsets(k: int, n: int, ranks) -> tuple:
+    """The monomial of a tuple of colex ranks of k-subsets, in its order; a
+    rank C(n, k), the constant slot of Polynomial.cleared, is dropped."""
+    subs = ksubsets(n, k)
+    return tuple(subs[r] for r in ranks if r < len(subs))
+
+
 class Polynomial:
     """Sparse polynomial in Plucker variables with rational coefficients.
 
-    Change the terms only through add_term, which drops the cached integer
-    form that `cleared` builds and every consumer reads, and the distinct
-    variable ranks that `evaluate` collects from it.
+    A generator built over colex ranks stores only its integer form
+    (`cleared`); `terms`, the subset-tuple -> Fraction dict, is built from
+    it in the same order on first access.  Change the terms only through
+    add_term, which drops the integer form and the distinct variable ranks
+    that `evaluate` collects from it.
     """
 
-    __slots__ = ("k", "n", "terms", "_cleared", "_variables")
+    __slots__ = ("k", "n", "_terms", "_cleared", "_variables")
 
     def __init__(self, k: int, n: int, terms: dict | None = None):
         self.k = k
         self.n = n
-        self.terms = {}
+        self._terms = {m: Fraction(c) for m, c in terms.items() if c} if terms else {}
         self._cleared = None
         self._variables = None
-        if terms:
-            for m, c in terms.items():
-                if c:
-                    self.terms[m] = Fraction(c)
 
     @classmethod
     def _from_ranks(cls, k: int, n: int, ints: dict) -> "Polynomial":
         """Wrap integer coefficients keyed by sorted tuples of colex ranks,
         all of one degree; zero coefficients are dropped.  The integer form
         is the input itself."""
-        subs = ksubsets(n, k)
         ints = {m: c for m, c in ints.items() if c}
         poly = cls(k, n)
-        poly.terms = {tuple(subs[r] for r in m): Fraction(c) for m, c in ints.items()}
+        poly._terms = None
         poly._cleared = (1, list(ints.values()), list(ints))
         return poly
 
+    @property
+    def terms(self) -> dict:
+        """Monomial (a tuple of sorted k-subsets) -> Fraction coefficient."""
+        if self._terms is None:
+            L, coeffs, ranks = self._cleared
+            self._terms = {
+                _subsets(self.k, self.n, m): Fraction(c, L) for c, m in zip(coeffs, ranks)
+            }
+        return self._terms
+
     def add_term(self, monomial, coeff):
+        terms = self.terms  # built from the integer form before it is dropped
         self._cleared = self._variables = None
-        c = self.terms.get(monomial, Fraction(0)) + coeff
+        c = terms.get(monomial, Fraction(0)) + coeff
         if c:
-            self.terms[monomial] = c
+            terms[monomial] = c
         else:
-            self.terms.pop(monomial, None)
+            terms.pop(monomial, None)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not (self._cleared[2] if self._terms is None else self._terms)
 
     def __add__(self, other):
         out = Polynomial(self.k, self.n, dict(self.terms))
@@ -100,10 +115,7 @@ class Polynomial:
         return out
 
     def __sub__(self, other):
-        out = Polynomial(self.k, self.n, dict(self.terms))
-        for m, c in other.terms.items():
-            out.add_term(m, -c)
-        return out
+        return self + other.scale(-1)
 
     def scale(self, c):
         c = Fraction(c)
@@ -246,10 +258,9 @@ class TermOrder:
         if poly.is_zero():
             raise InputError("zero polynomial has no leading monomial")
         position = self.position
-        return min(
-            zip(poly.cleared()[2], poly.terms),
-            key=lambda rm: sorted([position[r] for r in rm[0]], reverse=True),
-        )[1]
+        lead = min(poly.cleared()[2],
+                   key=lambda m: sorted([position[r] for r in m], reverse=True))
+        return _subsets(self.k, self.n, lead)
 
 
 # ---------------------------------------------------------------------------
@@ -576,15 +587,16 @@ class Degree2Span:
 
     def _vector(self, poly: Polynomial):
         """(vec, L) from poly.cleared(): vec maps monomial index to L times
-        the coefficient, in the order of poly.terms.  The monomial of colex
-        ranks a <= b has index a*N - a*(a-1)/2 + b - a, N = C(n, k)."""
+        the coefficient, in the order of the integer form.  The monomial of
+        colex ranks a <= b has index a*N - a*(a-1)/2 + b - a, N = C(n, k)."""
         if (poly.k, poly.n) != (self.k, self.n):
             raise SizeMismatchError("polynomial type does not match span type")
         L, coeffs, ranks = poly.cleared()
         N = binom(self.n, self.k)
         vec = {}
-        for mono, c, m in zip(poly.terms, coeffs, ranks):
+        for c, m in zip(coeffs, ranks):
             if len(m) != 2 or not m[0] <= m[1] < N:
+                mono = _subsets(self.k, self.n, m)
                 raise InputError(f"{mono} is not a degree-2 monomial of the span")
             a, b = m
             vec[a * N - a * (a - 1) // 2 + b - a] = c

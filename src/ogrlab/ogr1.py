@@ -16,7 +16,6 @@ from fractions import Fraction
 from .errors import InputError, PoleError
 from .exact_core import binom
 from .forms_points import PluckerVector
-from .weyl import ogr_dimension
 
 
 @dataclass(frozen=True)
@@ -286,10 +285,3 @@ def interior_points(n: int, seed: int, count: int):
         out.append(us)
     return out
 
-
-def top_dimension(n: int) -> int:
-    """Top cell dimension; agrees with the variety dimension for k = 1."""
-    top = max(c.dimension for c in cells(n))
-    if top != n - 2 or top != ogr_dimension(1, n):
-        raise InputError("unexpected top dimension")
-    return top

@@ -10,7 +10,6 @@ estimate of the isotropic slice of each cell.
 """
 from __future__ import annotations
 
-import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +25,7 @@ from .errors import (
     SizeMismatchError,
 )
 from .exact_core import (
-    Mat, binom, colex_key, colex_rank, eps, ksubsets, rand_rational,
+    Mat, binom, colex_key, colex_rank, eps, ksubsets,
 )
 from .forms_points import (
     PluckerVector,
@@ -419,30 +418,6 @@ def bridge_decomposition(dp: DecoratedPermutation) -> BridgeDecomposition:
     if len(coloops) != k:
         raise InternalInvariantError("terminal cell has wrong rank")
     return BridgeDecomposition(k=k, n=n, coloops=coloops, bridges=tuple(bridges))
-
-
-def bridge_matrix(decomp: BridgeDecomposition, values) -> Mat:
-    """Exact cell sample: apply the recorded column operations to the
-    coordinate rows; positive values land strictly inside the cell."""
-    values = [Fraction(v) for v in values]
-    if len(values) != decomp.dim:
-        raise SizeMismatchError("one value per bridge required")
-    rows = [
-        [Fraction(1) if j == c - 1 else Fraction(0) for j in range(decomp.n)]
-        for c in decomp.coloops
-    ]
-    for (a, b, sign), t in reversed(list(zip(decomp.bridges, values))):
-        for row in rows:
-            row[b - 1] += sign * t * row[a - 1]
-    return Mat(rows)
-
-
-def sample_cell_point(positroid: Positroid, seed: int = 0) -> Subspace:
-    """Random strictly-positive point of the positroid cell, exact."""
-    decomp = bridge_decomposition(positroid.dperm)
-    rng = random.Random(seed)
-    vals = [abs(rand_rational(rng)) + Fraction(1, 10) for _ in range(decomp.dim)]
-    return Subspace(bridge_matrix(decomp, vals))
 
 
 # ---------------------------------------------------------------------------

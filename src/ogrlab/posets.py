@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 
 from .errors import InputError, InternalInvariantError, SizeMismatchError
-from .exact_core import binom, colex_key, ksubsets, subset_complement
+from .exact_core import binom, colex_key, colex_ranks, ksubsets, subset_complement
 
 
 @dataclass(frozen=True)
@@ -65,11 +64,6 @@ def p_leq(a: PosetElement, b: PosetElement, k: int, n: int) -> bool:
             raise InputError(f"bad poset element kind {e.kind!r}")
         if len(e.subset) != want or any(x < 1 or x > n for x in e.subset):
             raise InputError(f"element {e} does not live in the ({k},{n}) poset")
-    return _leq(a, b, k)
-
-
-def _leq(a: PosetElement, b: PosetElement, k: int) -> bool:
-    """p_leq on elements already known to live in the poset."""
     if a.kind == b.kind:
         return young_leq(a.subset, b.subset)
     return a.kind == "coY" and mixed_leq(a.subset, b.subset, k)
@@ -89,25 +83,23 @@ def snake_index(I, upper) -> int | None:
     return None
 
 
-def covering_partition_pairs(k: int, n: int) -> list[tuple[PosetElement, PosetElement]]:
-    """The C(2k, k) glue relations [complement of J] < <I> from {1..2k} = I | J."""
-    out = []
-    for I in combinations(range(1, 2 * k + 1), k):
-        J = tuple(x for x in range(1, 2 * k + 1) if x not in I)
-        Jp = subset_complement(J, n)
-        out.append((PosetElement("coY", Jp), PosetElement("Y", I)))
-    return out
-
-
 @lru_cache(maxsize=None)
 def young_upsets(k: int, n: int) -> tuple[int, ...]:
     """For each colex rank a of ksubsets(n, k), the bitmask over colex ranks
     of the J with subs[a] <= J in Young's lattice, subs[a] itself included.
-    Cached: callers share it."""
+    Built from the covers, one entry raised by one, which have the larger
+    colex rank, so the ranks are filled from the top.  Cached: callers
+    share it."""
     subs = ksubsets(n, k)
-    return tuple(
-        sum(1 << b for b, J in enumerate(subs) if young_leq(I, J)) for I in subs
-    )
+    rank = colex_ranks(n, k)
+    up = [0] * len(subs)
+    for a in reversed(range(len(subs))):
+        I = subs[a]
+        up[a] = 1 << a
+        for l, (x, nxt) in enumerate(zip(I, I[1:] + (n + 1,))):
+            if x + 1 < nxt:  # raising x keeps the subset sorted, in [1, n]
+                up[a] |= up[rank[I[:l] + (x + 1,) + I[l + 1:]]]
+    return tuple(up)
 
 
 def young_incomparable_pairs(k: int, n: int) -> list[tuple[tuple, tuple]]:
@@ -298,15 +290,26 @@ def count_standard_monomials(k: int, n: int, ell: int) -> int:
 # Linear extensions (term orders are built on these)
 # ---------------------------------------------------------------------------
 
+def _ranks_of(mask: int, offset: int) -> list[int]:
+    """The set bits of mask in increasing order, each plus offset."""
+    return [b + offset for b in range(mask.bit_length()) if mask >> b & 1]
+
+
 @lru_cache(maxsize=None)
 def _strictly_above(k: int, n: int) -> tuple[tuple[int, ...], ...]:
     """For each index into elements(k, n), the indices of the elements
-    strictly above it.  Cached: callers share it and must not change it."""
-    elems = elements(k, n)
-    return tuple(
-        tuple(i for i, b in enumerate(elems) if i != j and _leq(a, b, k))
-        for j, a in enumerate(elems)
-    )
+    strictly above it, read off the Young up-sets: [J'] lies below <I>
+    exactly when the first k entries of J' lie below I in Young's lattice.
+    Cached: callers share it and must not change it."""
+    up, co_up = young_upsets(k, n), young_upsets(n - k, n)
+    rank = colex_ranks(n, k)
+    top = len(co_up)  # elements(k, n) lists the coYoung copy first
+    out = [
+        tuple(_ranks_of(ups & ~(1 << a), 0) + _ranks_of(up[rank[Jp[:k]]], top))
+        for a, (ups, Jp) in enumerate(zip(co_up, ksubsets(n, n - k)))
+    ]
+    out += [tuple(_ranks_of(ups & ~(1 << a), top)) for a, ups in enumerate(up)]
+    return tuple(out)
 
 
 def linear_extension(k: int, n: int, tie_break: str = "colex") -> list[PosetElement]:

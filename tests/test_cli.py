@@ -173,6 +173,11 @@ TOP_CELL_15_30 = ",".join(str((i + 14) % 30 + 1) for i in range(1, 31))
     "phi-map --k 6",
     "hodge-check --k 10 --n 20 --count 1",
     "hodge-check --k 1 --n 300 --count 1",
+    "hodge-check --k 3 --n 18 --count 10000",
+    "hodge-check --k 3 --n 18 --count 209",
+    "hodge-check --k 24 --n 24 --count 359",
+    "hodge-check --k -1 --n 5 --count 1",
+    "hodge-check --k 6 --n 5 --count 1",
 ])
 def test_refused_up_front(command, capsys):
     assert main(command.split()) == 2
@@ -246,6 +251,27 @@ def test_small_sizes_complete_or_are_refused(argv):
         code = main(argv)
     assert code in (0, 1, 2), err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+# (k, n) past the guard of the numeric dimension sweep: k < 0, n > 2k + 2,
+# or C(n, k) > 35
+PAST_DIMS_GUARD = st.one_of(
+    st.tuples(st.integers(-3, -1), st.integers(-1, 12)),
+    st.integers(0, 6).flatmap(lambda k: st.tuples(st.just(k), st.integers(2 * k + 3, 30))),
+    st.sampled_from([(3, 8), (4, 8), (4, 9), (4, 10), (5, 9), (5, 12), (6, 12)]),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(size=PAST_DIMS_GUARD, seed=st.integers(0, 9))
+def test_dims_past_its_guard_is_refused(size, seed):
+    argv = ["orthopositroids", "dims", "--k", str(size[0]), "--n", str(size[1]),
+            "--seed", str(seed)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code == 2, err.getvalue()
+    assert "Traceback" not in err.getvalue() and not out.getvalue()
 
 
 def test_byte_determinism(capsys):

@@ -766,3 +766,105 @@ def test_mixed_pairs_at_n_below_2k_are_refused():
         for family in (all_straightening_mu, all_straightening_lambda):
             with pytest.raises(InputError):
                 family(k, n)
+
+
+def eager_from_ranks(cls, k, n, ints):
+    """Polynomial._from_ranks with both forms built at once: the subset
+    tuple -> Fraction dict next to the integer form it was read from."""
+    subs = ksubsets(n, k)
+    ints = {m: c for m, c in ints.items() if c}
+    poly = Polynomial(k, n, {tuple(subs[r] for r in m): Fraction(c) for m, c in ints.items()})
+    poly._cleared = (1, list(ints.values()), list(ints))
+    return poly
+
+
+def every_family(k, n):
+    """New copies of the generators of every family at (k, n): the shuffle
+    quadrics, the orthogonality quadrics of three forms, mu of both
+    orientations of each incomparable pair (at k = 4 the canonical choice
+    between them still fails for one pair) and lambda."""
+    polys = list(plucker_relations.__wrapped__(k, n))
+    for form in (QuadraticForm.standard(n), QuadraticForm.alternating(n),
+                 QuadraticForm.hyperbolic(n)):
+        polys += orthogonality_relations.__wrapped__(k, n, form)
+    for I, J in young_incomparable_pairs(k, n):
+        polys += [straightening_mu(I, J, n), straightening_mu(J, I, n)]
+    polys += [poly for _, _, poly in all_straightening_lambda.__wrapped__(k, n)]
+    return polys
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (2, 6), (3, 7), (3, 8), (4, 8)])
+def test_terms_view_matches_eager_reference(k, n, monkeypatch):
+    lazy = every_family(k, n)
+    monkeypatch.setattr(Polynomial, "_from_ranks", classmethod(eager_from_ranks))
+    eager = every_family(k, n)
+    assert len(lazy) == len(eager)
+    for poly, ref in zip(lazy, eager):
+        assert poly._terms is None
+        cleared = poly.cleared()
+        items = list(poly.terms.items())
+        assert items == list(ref.terms.items())
+        assert all(type(c) is Fraction for _, c in items)
+        assert poly.cleared() is cleared and cleared == ref.cleared()
+
+
+def test_zero_polynomial_from_ranks():
+    for ints in ({}, {(0, 1): 0, (2, 2): 0}):
+        poly = Polynomial._from_ranks(2, 5, ints)
+        assert poly.is_zero() and poly._terms is None
+        assert poly.terms == {} and poly == Polynomial(2, 5)
+
+
+def algebra_results(build, eager):
+    """+, -, scale, == and add_term on pairs of the polynomials, each
+    operation on a new build() so that it meets unbuilt views first, each
+    result as an item list; the add_term monomials are read off eager."""
+    ops = [lambda a, b: a + b, lambda a, b: b - a,
+           lambda a, b: a.scale(Fraction(-3, 4)), lambda a, b: (a == b, b == a.scale(1))]
+    out = []
+    for op in ops:
+        polys = build()
+        out += [op(polys[i], polys[i + 1]) for i in range(0, len(polys) - 1, 5)]
+    polys = build()
+    for i in range(0, len(polys) - 1, 5):
+        (m, c), *_ = eager[i].terms.items()
+        polys[i].add_term(m, -c)
+        polys[i].add_term(next(iter(eager[i + 1].terms)), Fraction(5, 3))
+        out.append(polys[i])
+    return [list(r.terms.items()) if isinstance(r, Polynomial) else r for r in out]
+
+
+def test_algebra_on_unbuilt_views_matches_eager(monkeypatch):
+    k, n = 2, 6
+    with monkeypatch.context() as patch:
+        patch.setattr(Polynomial, "_from_ranks", classmethod(eager_from_ranks))
+        eager = every_family(k, n)
+        want = algebra_results(lambda: every_family(k, n), eager)
+    assert algebra_results(lambda: every_family(k, n), eager) == want
+
+
+def test_add_term_on_an_unbuilt_view_keeps_the_old_terms():
+    poly, twin = straightening_mu((1, 4), (2, 3), 5), straightening_mu((1, 4), (2, 3), 5)
+    assert poly._terms is None
+    square = _mono((1, 2), (1, 2))
+    assert square not in twin.terms
+    poly.add_term(square, 2)
+    assert poly.terms == {**twin.terms, square: 2}
+    p = random_point(random.Random(3), 2, 5, gaussian=False)
+    assert poly.evaluate(p) == reference_value(poly, p)
+
+
+def test_degree2_checks_never_build_the_terms_view():
+    k, n = 3, 7
+    for cached in (plucker_relations, orthogonality_relations, all_straightening_mu,
+                   all_straightening_lambda, _relation_span):
+        cached.cache_clear()
+    assert groebner_degree2_check(k, n)["ok"]
+    laws = [poly for _, _, poly in all_straightening_mu(k, n) + all_straightening_lambda(k, n)]
+    square = Polynomial(k, n, {_mono((1, 2, 3), (1, 2, 3)): 1})
+    for coords in (True, False):
+        for law in laws:
+            assert degree2_membership(law, k, n, coords=coords)
+        assert not degree2_membership(square, k, n, coords=coords)
+    gens = plucker_relations(k, n) + orthogonality_relations(k, n, QuadraticForm.standard(n))
+    assert all(poly._terms is None for poly in list(gens) + laws)

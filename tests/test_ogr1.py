@@ -19,7 +19,6 @@ from ogrlab.ogr1 import (
     quadric_residual,
     residue_check,
     simplex_product_f_vector,
-    top_dimension,
 )
 from ogrlab.weyl import ogr_dimension
 
@@ -124,7 +123,7 @@ def test_boundary_limit_drops_support():
 
 def test_top_dimension_matches_variety():
     for n in range(3, 9):
-        assert top_dimension(n) == ogr_dimension(1, n)
+        assert max(c.dimension for c in cells(n)) == n - 2 == ogr_dimension(1, n)
 
 
 def test_canonical_coeff_example():

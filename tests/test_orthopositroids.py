@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from ogrlab.errors import InputError
-from ogrlab.exact_core import Mat, eps, ksubsets
+from ogrlab.exact_core import Mat, eps, ksubsets, rand_rational
 from ogrlab.forms_points import (
     PluckerVector,
     QuadraticForm,
+    Subspace,
     is_totally_nonnegative,
 )
 from ogrlab.ideal_gens import is_isotropic
@@ -23,7 +24,6 @@ from ogrlab.orthopositroids import (
     a_sets,
     bases_from_necklace,
     bridge_decomposition,
-    bridge_matrix,
     _ResidualModel,
     cell_dim_in_ogr_numeric,
     dims_report,
@@ -38,7 +38,6 @@ from ogrlab.orthopositroids import (
     m_tau,
     necklace_of,
     printed_e1,
-    sample_cell_point,
     tau_solution,
     top_cell_dperm,
 )
@@ -293,6 +292,27 @@ def test_symmetry_closure_of_the_99():
     refl = {1: 1, 2: 6, 3: 5, 4: 4, 5: 3, 6: 2}
     for mapping in (rot2, refl):
         assert {relabel_bases(b, mapping) for b in fams} == fams
+
+
+def bridge_matrix(decomp, values):
+    """Exact cell sample: apply the recorded column operations to the
+    coordinate rows; positive values land strictly inside the cell."""
+    rows = [
+        [Fraction(1) if j == c - 1 else Fraction(0) for j in range(decomp.n)]
+        for c in decomp.coloops
+    ]
+    for (a, b, sign), t in reversed(list(zip(decomp.bridges, values, strict=True))):
+        for row in rows:
+            row[b - 1] += sign * t * row[a - 1]
+    return Mat(rows)
+
+
+def sample_cell_point(positroid, seed=0):
+    """Random strictly-positive point of the positroid cell, exact."""
+    decomp = bridge_decomposition(positroid.dperm)
+    rng = random.Random(seed)
+    vals = [abs(rand_rational(rng)) + Fraction(1, 10) for _ in range(decomp.dim)]
+    return Subspace(bridge_matrix(decomp, vals))
 
 
 @pytest.mark.parametrize("k,n", [(1, 4), (2, 4), (2, 5), (2, 6)])

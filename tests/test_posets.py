@@ -7,10 +7,10 @@ from ogrlab.errors import InputError
 from ogrlab.exact_core import colex_key, ksubsets, subset_complement
 from ogrlab.posets import (
     MixedIncomparablePair,
+    _strictly_above,
     PosetElement,
     count_mixed_pairs_formula,
     count_standard_monomials,
-    covering_partition_pairs,
     elements,
     incomparable_pairs,
     is_standard_monomial,
@@ -78,6 +78,15 @@ def test_p_leq_partial_order(k, n):
         for jj, kk in leq:
             if j == jj:
                 assert (i, kk) in leq, "transitivity fails"
+
+
+def covering_partition_pairs(k, n):
+    """The C(2k, k) glue relations [complement of J] < <I> from {1..2k} = I | J."""
+    out = []
+    for I in combinations(range(1, 2 * k + 1), k):
+        J = tuple(x for x in range(1, 2 * k + 1) if x not in I)
+        out.append((PosetElement("coY", subset_complement(J, n)), PosetElement("Y", I)))
+    return out
 
 
 @pytest.mark.parametrize("k,n", [(2, 5), (2, 6), (3, 7)])
@@ -272,3 +281,12 @@ def test_young_upsets_match_young_leq(k, n):
     for a, A in enumerate(subs):
         assert [b for b, B in enumerate(subs) if young_leq(A, B)] == [
             b for b in range(len(subs)) if up[a] >> b & 1]
+
+
+@pytest.mark.parametrize("k,n", [(1, 4), (2, 6), (3, 7), (3, 10), (4, 9)])
+def test_strictly_above_matches_order_relation(k, n):
+    elems = elements(k, n)
+    assert _strictly_above(k, n) == tuple(
+        tuple(i for i, b in enumerate(elems) if i != j and p_leq(a, b, k, n))
+        for j, a in enumerate(elems)
+    )
