@@ -313,17 +313,37 @@ def _cmd_ortho_enumerate(args, out) -> int:
     return 0
 
 
+def _parse_bases(text: str, k: int, n: int) -> frozenset:
+    """--bases tokens, each k distinct digits in [1, n]: one digit per
+    element, so the syntax names elements up to 9 only."""
+    if n > 9:
+        raise InputError(f"--bases writes each element as one digit, so it takes "
+                         f"n <= 9; got n = {n}")
+    digits = set("123456789"[:max(n, 0)])
+    bases = set()
+    for token in filter(None, text.replace(" ", "").split(",")):
+        if not len(token) == len(set(token) & digits) == k:
+            raise InputError(f"--bases token {token!r} is not {k} distinct digits in [1, {n}]")
+        bases.add(tuple(sorted(map(int, token))))
+    return frozenset(bases)
+
+
 def _cmd_ortho_test(args, out) -> int:
+    if args.bases is not None and args.perm is not None:
+        raise InputError("give --bases or --perm, not both")
+    if args.coloops is not None and args.perm is None:
+        raise InputError("--coloops decorates --perm; give it with --perm")
     if args.bases:
-        bases = frozenset(
-            tuple(sorted(int(ch) for ch in token))
-            for token in args.bases.replace(" ", "").split(",") if token
-        )
+        bases = _parse_bases(args.bases, args.k, args.n)
         pos = orthopositroids.Positroid.from_bases(bases, args.k, args.n)
     elif args.perm:
         word = tuple(_parse_ints(args.perm))
+        if len(word) != args.n:
+            raise InputError(f"--perm has {len(word)} entries; --n is {args.n}")
         coloops = frozenset(_parse_ints(args.coloops or ""))
         dp = orthopositroids.DecoratedPermutation(word, coloops)
+        if dp.type_k() != args.k:
+            raise InputError(f"--perm has type {dp.type_k()}; --k is {args.k}")
         pos = orthopositroids.Positroid.from_dperm(dp)
     else:
         raise InputError("provide --bases or --perm")

@@ -13,8 +13,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import permutations, combinations
+from functools import cached_property, lru_cache
+from itertools import chain, combinations, permutations
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -25,7 +25,8 @@ from .errors import (
     SizeMismatchError,
 )
 from .exact_core import (
-    Mat, binom, colex_key, colex_rank, eps, ksubsets,
+    Mat, binom, colex_key, colex_mask_ranks, colex_rank, eps, ksubsets,
+    subset_mask,
 )
 from .forms_points import (
     PluckerVector,
@@ -53,7 +54,7 @@ class DecoratedPermutation:
         if sorted(self.word) != list(range(1, n + 1)):
             raise InputError("word is not a permutation of [1, n]")
         for c in self.coloops:
-            if self.word[c - 1] != c:
+            if not 1 <= c <= n or self.word[c - 1] != c:
                 raise InputError(f"coloop {c} is not a fixed point")
 
     @property
@@ -85,20 +86,21 @@ class DecoratedPermutation:
         return {"word": list(self.word), "coloops": sorted(self.coloops)}
 
 
-def necklace_of(dp: DecoratedPermutation) -> tuple[tuple[int, ...], ...]:
-    """Grassmann necklace: I_1 holds the anti-exceedance values and the
-    coloops, and I_{a+1} = (I_a - {a}) + {pi(a)} when a is in I_a, else I_a
-    (the recurrence dperm_from_necklace inverts)."""
-    k = dp.type_k()
-    entry = {v for i, v in enumerate(dp.word, 1) if v < i} | dp.coloops
+def necklace_of(dp: DecoratedPermutation, k: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """Grassmann necklace of dp, of type k: I_1 holds the anti-exceedance
+    values and the coloops, and I_{a+1} = (I_a - {a}) + {pi(a)} when a is in
+    I_a, else I_a (the recurrence dperm_from_necklace inverts), on masks."""
+    k = dp.type_k() if k is None else k
+    _require_desk_scale(k, dp.n)
+    subs, ranks = ksubsets(dp.n, k), colex_mask_ranks(dp.n, k)
+    entry = subset_mask(v for i, v in enumerate(dp.word, 1) if v < i) | subset_mask(dp.coloops)
     out = []
     for a, v in enumerate(dp.word, 1):
-        if len(entry) != k:
+        if entry not in ranks:
             raise InternalInvariantError("necklace entry of wrong size")
-        out.append(tuple(sorted(entry)))
-        if a in entry:
-            entry.remove(a)
-            entry.add(v)
+        out.append(subs[ranks[entry]])
+        if entry >> a & 1:
+            entry = entry ^ (1 << a) | (1 << v)
     return tuple(out)
 
 
@@ -122,13 +124,19 @@ def _gale_upset(I, a: int, k: int, n: int) -> int:
 
 
 def bases_from_necklace(necklace, k: int, n: int) -> frozenset:
-    """Oh's rule: B is a basis iff I_a is below B in every cyclic Gale order."""
+    """Oh's rule: B is a basis iff I_a is below B in every cyclic Gale order.
+    Only the set bits of the resulting mask are decoded."""
     _require_desk_scale(k, n)
     subs = ksubsets(n, k)
     mask = (1 << len(subs)) - 1
     for a, Ia in enumerate(necklace, 1):
         mask &= _gale_upset(tuple(Ia), a, k, n)
-    return frozenset(B for r, B in enumerate(subs) if mask >> r & 1)
+    bases = []
+    while mask:
+        low = mask & -mask
+        bases.append(subs[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(bases)
 
 
 def dperm_from_necklace(necklace, n: int) -> DecoratedPermutation:
@@ -164,7 +172,7 @@ class Positroid:
     @classmethod
     def from_dperm(cls, dp: DecoratedPermutation) -> "Positroid":
         k = dp.type_k()
-        neck = necklace_of(dp)
+        neck = necklace_of(dp, k)
         return cls(k, dp.n, dp, neck, bases_from_necklace(neck, k, dp.n))
 
     @classmethod
@@ -282,12 +290,14 @@ def _extension_masks(bases, k: int, n: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _pair_table(k: int, n: int) -> tuple:
-    """(a, b, I, J, plus, minus) for each pair I <= J of (k-1)-subsets in
-    ksubsets order: a and b are the colex ranks of I and J, plus and minus
-    the bitmasks of the l of each sign in _extensions(I, J, n)."""
+    """One row per (k-1)-subset I, in ksubsets order: (I, pairs) with
+    (b, J, plus, minus) for each J >= I, where b is the colex rank of J and
+    plus and minus are the bitmasks of the l of each sign in
+    _extensions(I, J, n)."""
     subs = ksubsets(n, k - 1)
     table = []
     for a, I in enumerate(subs):
+        pairs = []
         for b in range(a, len(subs)):
             J = subs[b]
             plus = minus = 0
@@ -296,43 +306,56 @@ def _pair_table(k: int, n: int) -> tuple:
                     plus |= 1 << l
                 else:
                     minus |= 1 << l
-            table.append((a, b, I, J, plus, minus))
+            pairs.append((b, J, plus, minus))
+        table.append((I, tuple(pairs)))
     return tuple(table)
 
 
 def _one_sided(ext, k: int, n: int):
     """(I, J, plus bits, minus bits) of the extension sets of each pair whose
     two sides are not empty or nonempty together, given the extension masks
-    of a bases set; lazily, so a verdict can stop early."""
-    for a, b, I, J, plus, minus in _pair_table(k, n):
-        e = ext[a] & ext[b]
-        if (e & plus == 0) != (e & minus == 0):
-            yield I, J, e & plus, e & minus
+    of a bases set; lazily, so a verdict can stop early.  The row of an I
+    with ext 0 is skipped: every pair through it is two-sided."""
+    for a, (I, pairs) in enumerate(_pair_table(k, n)):
+        ea = ext[a]
+        if not ea:
+            continue
+        for b, J, plus, minus in pairs:
+            e = ea & ext[b]
+            if (e & plus == 0) != (e & minus == 0):
+                yield I, J, e & plus, e & minus
 
 
-class _Ascending(dict):
-    """The failure decoding table: the ascending tuple of the set bits of
-    each mask, filled on demand, since the size guard leaves n unbounded at
-    k = 1 (C(70, 1) <= 70) and every mask below 2^(n+1) cannot be listed."""
-
-    def __missing__(self, mask: int) -> tuple[int, ...]:
-        bits = self[mask] = tuple(l for l in range(mask.bit_length()) if mask >> l & 1)
-        return bits
+def _ascending(mask: int) -> tuple[int, ...]:
+    """The set bits of a mask, in ascending order."""
+    return tuple(l for l in range(mask.bit_length()) if mask >> l & 1)
 
 
-_ASCENDING = _Ascending()
-
-
-@dataclass(frozen=True)
 class OrthoReport:
-    verdict: bool
-    failures: tuple  # (I, J, A_plus, A_minus) for each one-sided pair
+    """The verdict of the pair test and its failures, (I, J, A_plus, A_minus)
+    for each one-sided pair; given undecoded pairs instead, it decodes them
+    on first read of failures."""
+
+    def __init__(self, verdict: bool, failures=None, pairs=()):
+        self.verdict, self._pairs = verdict, pairs
+        if failures is not None:
+            self.failures = tuple(failures)
+
+    @cached_property
+    def failures(self) -> tuple:
+        return tuple((I, J, _ascending(plus), _ascending(minus))
+                     for I, J, plus, minus in self._pairs)
+
+    def __eq__(self, other):
+        return isinstance(other, OrthoReport) and \
+            (self.verdict, self.failures) == (other.verdict, other.failures)
 
 
 def is_orthopositroid(positroid_or_bases, k: int | None = None,
                       n: int | None = None) -> OrthoReport:
     """A positroid passes when every pair (I, J) has its two extension sets
-    empty or nonempty together."""
+    empty or nonempty together; the verdict is decided at the first
+    one-sided pair, and the failures are decoded only when read."""
     if isinstance(positroid_or_bases, Positroid):
         bases = positroid_or_bases.bases
         k, n = positroid_or_bases.k, positroid_or_bases.n
@@ -340,19 +363,16 @@ def is_orthopositroid(positroid_or_bases, k: int | None = None,
         if k is None or n is None:
             raise InputError("k and n are required with a raw bases set")
         bases = frozenset(tuple(sorted(b)) for b in positroid_or_bases)
-    failures = [
-        (I, J, _ASCENDING[plus], _ASCENDING[minus])
-        for I, J, plus, minus in _one_sided(_extension_masks(bases, k, n), k, n)
-    ]
-    return OrthoReport(verdict=not failures, failures=tuple(failures))
+    pairs = _one_sided(_extension_masks(bases, k, n), k, n)
+    first = next(pairs, None)
+    if first is None:
+        return OrthoReport(True, ())
+    return OrthoReport(False, pairs=chain((first,), pairs))
 
 
 @lru_cache(maxsize=None)
 def enumerate_orthopositroids(k: int, n: int) -> tuple[Positroid, ...]:
-    return tuple(
-        p for p in enumerate_positroids(k, n)
-        if next(_one_sided(_extension_masks(p.bases, k, n), k, n), None) is None
-    )
+    return tuple(p for p in enumerate_positroids(k, n) if is_orthopositroid(p).verdict)
 
 
 def top_cell_dperm(k: int, n: int) -> DecoratedPermutation:

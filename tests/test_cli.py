@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -185,6 +186,26 @@ def test_refused_up_front(command, capsys):
     assert err.startswith("input error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags,message", [
+    ("--k 2 --n 7 --perm 2,1,4,3,5", "--perm has 5 entries; --n is 7"),
+    ("--k 3 --n 5 --perm 2,1,4,3,5", "--perm has type 2; --k is 3"),
+    ("--k 1 --n 3 --perm 1,2,3 --coloops 5", "coloop 5 is not a fixed point"),
+    ("--k 2 --n 5 --bases 12,14,25,45 --perm 2,1,4,3,5", "not both"),
+    ("--k 2 --n 5 --bases 12,14,25,45 --coloops 3", "--coloops decorates --perm"),
+    ("--k 1 --n 12 --bases 10,11,12", "n <= 9; got n = 12"),
+    ("--k 2 --n 5 --bases 12,14,25,45,9", "'9' is not 2 distinct digits in [1, 5]"),
+    ("--k 2 --n 5 --bases 12,14,25,46", "'46' is not 2 distinct digits"),
+    ("--k 2 --n 5 --bases 12,14,22", "'22' is not 2 distinct digits"),
+    ("--k 2 --n 5 --bases 12,121", "'121' is not 2 distinct digits"),
+    ("--k 2 --n 5 --bases 12,1x", "'1x' is not 2 distinct digits"),
+])
+def test_orthopositroids_test_refuses_what_it_cannot_read(flags, message, capsys):
+    assert main(["orthopositroids", "test", *flags.split()]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error:") and message in captured.err
+    assert not captured.out
+
+
 FORM_SPECS = ["standard", "alternating", "hyperbolic", "signed:1", "signed:2,5",
               "signed:", "signed:9", "elliptic"]
 
@@ -193,6 +214,38 @@ FORM_SPECS = ["standard", "alternating", "hyperbolic", "signed:1", "signed:2,5",
 # 924 k-subsets, or n above 24
 PAST_POINT_GUARD = st.one_of(st.tuples(st.integers(5, 9), st.integers(14, 20)),
                              st.tuples(st.integers(-1, 3), st.integers(25, 40)))
+
+
+@st.composite
+def ortho_test_command(draw, n):
+    """An orthopositroids test command line at n: a decorated word of n
+    letters at its type k, or the bases of the uniform matroid of rank k on
+    a set S (a positroid when |S| >= k >= 1); and now and then one fault: a
+    word of n + 1 letters, k one off the word's type, a coloop past the
+    word, one more token, or the word beside the bases."""
+    perm = list(draw(st.permutations(range(1, max(n, 0) + 1))))
+    fixed = [i for i, v in enumerate(perm, 1) if i == v]
+    coloops = draw(st.lists(st.sampled_from(fixed), unique=True) if fixed else st.just([]))
+    k = sum(v < i for i, v in enumerate(perm, 1)) + len(coloops)
+    fault = draw(st.booleans()) and draw(
+        st.sampled_from(["length", "type", "coloop", "token", "both"]))
+    if fault == "length":
+        perm.append(len(perm) + 1)
+    if fault == "type":
+        k += draw(st.sampled_from([-1, 1]))
+    if fault == "coloop":
+        coloops.append(len(perm) + 1)
+    word = ["--perm", ",".join(map(str, perm)), "--coloops=" + ",".join(map(str, coloops))]
+    if fault not in ("token", "both") and draw(st.booleans()):
+        return ["orthopositroids", "test", "--k", str(k), "--n", str(n), *word]
+    k = draw(st.integers(min(1, n), max(n, 1)))
+    ground = draw(st.lists(st.integers(1, max(n, 1)), unique=True,
+                           min_size=min(max(k, 0), max(n, 1))))
+    tokens = ["".join(map(str, B)) for B in combinations(sorted(ground), max(k, 0))]
+    if fault == "token":
+        tokens.append(draw(st.text("0123456789", min_size=1, max_size=3)))
+    return ["orthopositroids", "test", "--k", str(k), "--n", str(n),
+            "--bases", ",".join(tokens), *(word if fault == "both" else [])]
 
 
 @st.composite
@@ -220,8 +273,7 @@ def small_commands(draw):
     if command == "hodge-check":
         return [command, *size, "--count", "3"]
     if command == "orthopositroids test":
-        perm = draw(st.permutations(range(1, max(n, 0) + 1)))
-        return ["orthopositroids", "test", *size, "--perm", ",".join(map(str, perm))]
+        return draw(ortho_test_command(n))
     if command == "orthopositroids enumerate":  # n! permutations, so n <= 6
         n = min(n, 6)
         dims = ["--dims"] if n <= 3 and draw(st.booleans()) else []
@@ -243,14 +295,32 @@ def small_commands(draw):
     return [command, *size]
 
 
-@settings(max_examples=240, deadline=None, derandomize=True, database=None)
-@given(argv=small_commands())
-def test_small_sizes_complete_or_are_refused(argv):
+def complete_or_refuse(argv):
+    """Run one command line: it completes or is refused without a traceback,
+    and an orthopositroids test that completes reports the positroid of its
+    --k and --n."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2), err.getvalue()
     assert "Traceback" not in err.getvalue()
+    if argv[:2] == ["orthopositroids", "test"] and code == 0:
+        k, n = int(argv[3]), int(argv[5])
+        positroid = json.loads(out.getvalue())["positroid"]
+        assert len(positroid["perm"]) == n
+        assert all(len(B) == k for B in positroid["bases"])
+
+
+@settings(max_examples=240, deadline=None, derandomize=True, database=None)
+@given(argv=small_commands())
+def test_small_sizes_complete_or_are_refused(argv):
+    complete_or_refuse(argv)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(argv=st.integers(-1, 7).flatmap(ortho_test_command))
+def test_orthopositroids_test_reports_its_size(argv):
+    complete_or_refuse(argv)
 
 
 # (k, n) past the guard of the numeric dimension sweep: k < 0, n > 2k + 2,

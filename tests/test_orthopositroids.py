@@ -16,6 +16,7 @@ from ogrlab.forms_points import (
     is_totally_nonnegative,
 )
 from ogrlab.ideal_gens import is_isotropic
+from ogrlab import orthopositroids
 from ogrlab.parity_duality import all_matchings, matching_to_permutation_via_contraction
 from ogrlab.orthopositroids import (
     DecoratedPermutation,
@@ -146,7 +147,11 @@ def test_necklace_of_top_cell():
 def test_necklace_recurrence_matches_definition(k, n):
     dperms = enumerate_decorated_permutations(k, n)
     for dp in dperms:
-        assert necklace_of(dp) == reference_necklace(dp)
+        necklace = reference_necklace(dp)
+        assert necklace_of(dp) == necklace
+        pos = Positroid.from_dperm(dp)
+        assert (pos.k, pos.n, pos.dperm, pos.necklace) == (k, n, dp, necklace)
+        assert pos.bases == reference_bases_from_necklace(necklace, k, n)
     # loops and coloops were both covered
     assert any(set(dp.fixed_points()) - dp.coloops for dp in dperms) == (k < n)
     assert any(dp.coloops for dp in dperms) == (k > 0)
@@ -189,6 +194,25 @@ def test_compiled_pair_test_matches_a_sets_loop(k, n):
         assert is_orthopositroid(pos.bases, k, n) == want
         failing += not want.verdict
     assert failing  # the failure lists, order included, were compared
+
+
+def test_verdict_alone_decodes_no_failure(monkeypatch):
+    decoded = []
+
+    def ascending(mask):
+        decoded.append(mask)
+        return tuple(l for l in range(mask.bit_length()) if mask >> l & 1)
+
+    monkeypatch.setattr(orthopositroids, "_ascending", ascending)
+    positroids = enumerate_positroids(2, 6)
+    wants = [reference_report(pos.bases, 2, 6) for pos in positroids]
+    reports = [is_orthopositroid(pos) for pos in positroids]
+    assert [report.verdict for report in reports] == [want.verdict for want in wants]
+    assert not decoded
+    failing = [report for report in reports if not report.verdict]
+    assert failing and not any("failures" in vars(report) for report in failing)
+    assert reports == wants
+    assert decoded
 
 
 @pytest.mark.parametrize("k,n", COMPILED_SIZES)
