@@ -536,6 +536,10 @@ def main(argv=None) -> int:
     except OgrlabError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        # any other exception is a bug too, not a failed verification
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

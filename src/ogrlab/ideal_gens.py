@@ -531,13 +531,13 @@ def all_straightening_mu(k: int, n: int) -> tuple[tuple[tuple, tuple, Polynomial
 
 def all_mixed_incomparable(k: int, n: int):
     """Ordered mixed incomparable pairs (I, J'), all of them (not only the
-    ones whose complements compare)."""
-    out = []
-    for I in ksubsets(n, k):
-        for Jp in ksubsets(n, n - k):
-            if not mixed_leq(Jp, I, k):
-                out.append((I, Jp))
-    return out
+    ones whose complements compare).  [J'] <= <I> exactly when I lies in
+    the Young up-set of J'[:k], so each pair reads one bit of that up-set."""
+    rank = colex_ranks(n, k)
+    up = young_upsets(k, n)
+    coyoung = [(Jp, up[rank[Jp[:k]]]) for Jp in ksubsets(n, n - k)]
+    return [(I, Jp) for a, I in enumerate(ksubsets(n, k))
+            for Jp, above in coyoung if not above >> a & 1]
 
 
 @lru_cache(maxsize=None)

@@ -134,6 +134,16 @@ def test_internal_error_exit_3(monkeypatch, capsys):
     assert err == "internal error: invariant broken\n"
 
 
+def test_unexpected_exception_exit_3(monkeypatch, capsys):
+    def broken(args, out):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr(cli, "_cmd_degree", broken)
+    assert main(["degree", "--k", "2", "--n", "6"]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: TypeError: unsupported operand\n"
+
+
 TOP_CELL_15_30 = ",".join(str((i + 14) % 30 + 1) for i in range(1, 31))
 
 

@@ -24,6 +24,7 @@ from ogrlab.ideal_gens import (
     TermOrder,
     _mono,
     _relation_span,
+    all_mixed_incomparable,
     all_straightening_lambda,
     all_straightening_mu,
     degree2_membership,
@@ -38,7 +39,7 @@ from ogrlab.ideal_gens import (
     straightening_mu,
     straightening_mu_canonical,
 )
-from ogrlab.posets import snake_index, young_incomparable_pairs, young_leq
+from ogrlab.posets import mixed_leq, snake_index, young_incomparable_pairs, young_leq
 
 
 def plucker_of_random_matrix(rng, k, n):
@@ -390,6 +391,14 @@ def test_straightening_lambda_vanishes_on_isotropic(k, n):
     for seed in range(10):
         p = sample_isotropic(k, n, std, seed, field="gaussian").plucker()
         assert all(g.evaluate(p) == 0 for g in lams)
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (3, 7), (3, 10)])
+def test_all_mixed_incomparable_follows_mixed_leq(k, n):
+    want = [(I, Jp) for I in ksubsets(n, k) for Jp in ksubsets(n, n - k)
+            if not mixed_leq(Jp, I, k)]
+    assert want
+    assert all_mixed_incomparable(k, n) == want
 
 
 @pytest.mark.parametrize("tb", ["colex", "colex_desc", "kind_first"])

@@ -1,14 +1,16 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
 from ogrlab.errors import InputError
-from ogrlab.exact_core import Mat, eps, ksubsets, rand_rational
+from ogrlab.exact_core import Mat, colex_rank, eps, ksubsets, rand_rational
 from ogrlab.forms_points import (
     PluckerVector,
     QuadraticForm,
@@ -25,6 +27,7 @@ from ogrlab.orthopositroids import (
     a_sets,
     bases_from_necklace,
     bridge_decomposition,
+    CellDimResult,
     _ResidualModel,
     cell_dim_in_ogr_numeric,
     dims_report,
@@ -471,6 +474,96 @@ def test_residual_model_jacobian_central_difference():
         J = model.jacobian(t)
         assert np.abs(J - fd).max() <= 1e-6 * max(1.0, np.abs(J).max())
 
+
+
+def indexed_bridge(k, n, a, b):
+    """The bridge x_b += x_a as index arrays: p[tgt] += sigma * p[src]."""
+    lo, hi = min(a, b), max(a, b)
+    subs = ksubsets(n, k)
+    tgt = [r for r, I in enumerate(subs) if b in I and a not in I]
+    src = [colex_rank(sorted(set(subs[r]) - {b} | {a})) for r in tgt]
+    sigma = [(-1) ** sum(lo < c < hi for c in subs[r]) for r in tgt]
+    return np.array(tgt), np.array(src), np.array(sigma, dtype=float)
+
+
+def indexed_model(decomp, model, t):
+    """Plucker vector, residual and Jacobian with the bridges applied as
+    indexed array updates, read off the model's quadric terms."""
+    p = model.start.copy()
+    dp = np.zeros((len(p), decomp.dim))
+    for ti in reversed(range(decomp.dim)):
+        a, b, sign = decomp.bridges[ti]
+        tgt, src, sigma = indexed_bridge(decomp.k, decomp.n, a, b)
+        c = sign * sigma
+        dp[tgt] += (t[ti] * c)[:, None] * dp[src]
+        dp[tgt, ti] += c * p[src]
+        p[tgt] += t[ti] * c * p[src]
+    r = np.bincount(model.row, model.coef * p[model.ra] * p[model.rb],
+                    minlength=model.n_quadrics)
+    grad = np.bincount(model.grad_index, model.grad_coef * p[model.grad_partner],
+                       minlength=model.n_quadrics * len(p))
+    return p, r, grad.reshape(model.n_quadrics, len(p)) @ dp
+
+
+def test_dense_bridge_operators_match_indexed_updates_bitwise():
+    rng = np.random.default_rng(11)
+    for pos in model_cells():
+        decomp = bridge_decomposition(pos.dperm)
+        model = _ResidualModel(decomp, QuadraticForm.alternating(pos.n))
+        for t in np.exp(rng.uniform(np.log(1e-3), np.log(1e3), (2, decomp.dim))):
+            p, r, J = indexed_model(decomp, model, t)
+            assert np.array_equal(model.plucker(t), p)
+            assert np.array_equal(model.residual(t), r)
+            assert np.array_equal(model.jacobian(t), J)
+
+
+def recomputed_cell_dim(pos, seed, tol=1e-8, cutoff=1e-4, starts=32, wanted=3):
+    """cell_dim_in_ogr_numeric with its solver settings, evaluating the
+    residual and Jacobian again at each solution instead of reading them
+    from the solver."""
+    decomp = bridge_decomposition(pos.dperm)
+    model = _ResidualModel(decomp, QuadraticForm.alternating(pos.n))
+    d = decomp.dim
+    rng = np.random.default_rng(seed)
+    outcomes = []
+    for _ in range(starts):
+        x0 = np.exp(rng.uniform(np.log(0.3), np.log(3.0), d))
+        sol = least_squares(model.residual, x0, jac=model.jacobian,
+                            bounds=(1e-3, 1e3), method="trf",
+                            xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=300)
+        r = model.residual(sol.x)
+        if float(r @ r) >= tol * tol:
+            continue
+        p = model.plucker(sol.x)
+        basis = [abs(p[i]) for i, I in enumerate(ksubsets(pos.n, pos.k))
+                 if I in pos.bases]
+        if min(basis) < 1e-9 * np.abs(p).max():
+            continue
+        sv = np.linalg.svd(model.jacobian(sol.x) * sol.x[None, :], compute_uv=False)
+        outcomes.append((d - int((sv > cutoff).sum()), float(r @ r), tuple(sv)))
+        if len(outcomes) >= wanted:
+            break
+    dims = [o[0] for o in outcomes]
+    counts = Counter(dims)
+    dim = min(v for v, c in counts.items() if c == max(counts.values()))
+    ssq, sv = next(o[1:] for o in outcomes if o[0] == dim)
+    return CellDimResult(pos, d, dim, tuple(dims), ssq, sv, len(outcomes), False)
+
+
+def test_cell_dim_reads_solution_values_from_the_solver():
+    cells = sorted(enumerate_orthopositroids(2, 6), key=lambda p: p.sort_key())
+    for idx in (10, 40, 70, 98):
+        res = cell_dim_in_ogr_numeric(cells[idx], seed=idx)
+        assert res.param_count > 0 and not res.failed
+        assert res == recomputed_cell_dim(cells[idx], seed=idx)
+
+
+def test_cell_dim_lets_solver_errors_escape(monkeypatch):
+    jacobian = _ResidualModel.jacobian
+    monkeypatch.setattr(_ResidualModel, "jacobian",
+                        lambda self, t: jacobian(self, t)[:, 1:])
+    with pytest.raises(ValueError):
+        cell_dim_in_ogr_numeric(Positroid.from_dperm(top_cell_dperm(2, 4)))
 
 def chord_crossings(word) -> int:
     """Crossing pairs among the chords (i, w(i)) of an involution."""
