@@ -6,7 +6,9 @@ This module ports the one path of scipy 1.17.1's
 Jacobian, the exact SVD-based subproblem, linear loss and unit ``x_scale``
 (whose products by 1.0 are exact and are left out).  Operations run in
 scipy's order, so ``x``, ``fun``, ``jac``, ``nfev`` and ``status`` are
-bit-identical to scipy's.  The SVD stays scipy.linalg's: numpy.linalg.svd
+bit-identical to scipy's.  The SVD is the LAPACK ``gesdd`` call that
+scipy.linalg.svd makes, reached through scipy.linalg.lapack with scipy's
+``lwork`` and checks but without its per-call wrapper: numpy.linalg.svd
 links another OpenBLAS build, whose last bits differ.
 
 Derived from scipy/optimize/_lsq (least_squares.py, trf.py, common.py) of
@@ -45,17 +47,41 @@ OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from math import copysign
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.linalg import svd
+from scipy.linalg import LinAlgError
+from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
 
 EPS = np.finfo(float).eps
+# the routine scipy.linalg.svd picks for a float64 matrix
+_GESDD, _GESDD_LWORK = get_lapack_funcs(("gesdd", "gesdd_lwork"), dtype=np.float64,
+                                        ilp64="preferred")
 
 
 def _norm(v):
     return np.sqrt(v.dot(v))
+
+
+@lru_cache(maxsize=None)
+def _gesdd_lwork(m, n):
+    return _compute_lwork(_GESDD_LWORK, m, n, compute_uv=1, full_matrices=0)
+
+
+def svd(a):
+    """scipy.linalg.svd(a, full_matrices=False) of a float64 matrix: the
+    same gesdd call, workspace and checks, without the per-call wrapper."""
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    u, s, vt, info = _GESDD(a, compute_uv=1, lwork=_gesdd_lwork(*a.shape),
+                            full_matrices=0, overwrite_a=0)
+    if info > 0:
+        raise LinAlgError("SVD did not converge")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal gesdd")
+    return u, s, vt
 
 
 def least_squares(fun, x0, jac, *, bounds, ftol, xtol, gtol, max_nfev):
@@ -68,24 +94,26 @@ def least_squares(fun, x0, jac, *, bounds, ftol, xtol, gtol, max_nfev):
     """
     x0 = np.atleast_1d(x0).astype(float)
     lb, ub = (np.full(x0.shape, b, dtype=float) for b in bounds)
-    if not np.all((x0 >= lb) & (x0 <= ub)):
+    if not ((x0 >= lb) & (x0 <= ub)).all():
         raise ValueError("Initial guess is outside of provided bounds")
     x = make_strictly_feasible(x0, lb, ub, rstep=1e-10)
     f, J = fun(x), jac(x)
-    if not np.all(np.isfinite(f)):
+    if not np.isfinite(f).all():
         raise ValueError("Residuals are not finite in the initial point.")
     m, n = f.size, x.size
     if J.shape != (m, n):
         raise ValueError(f"The return value of `jac` has wrong shape: "
                          f"expected {(m, n)}, actual {J.shape}.")
     nfev, cost, g = 1, 0.5 * np.dot(f, f), J.T.dot(f)
-    f_augmented, J_augmented = np.zeros(m + n), np.empty((m + n, n))
-    v, dv = _cl_scaling_vector(x, g, lb, ub)
+    f_augmented, J_augmented = np.zeros(m + n), np.zeros((m + n, n))
+    J_h, diag_root = J_augmented[:m], J_augmented[m:].reshape(-1)[::n + 1]  # views into it
+    finite = np.isfinite(lb), np.isfinite(ub)
+    v, dv = _cl_scaling_vector(x, g, lb, ub, *finite)
     Delta = _norm(x / v**0.5) or 1.0  # the trust-region radius
     alpha, status = 0.0, None  # alpha: the Levenberg-Marquardt parameter
     while True:
-        v, dv = _cl_scaling_vector(x, g, lb, ub)
-        g_norm = np.max(np.abs(g * v))
+        v, dv = _cl_scaling_vector(x, g, lb, ub, *finite)
+        g_norm = np.abs(g * v).max()
         if g_norm < gtol:
             status = 1
         if status is not None or nfev == max_nfev:
@@ -93,10 +121,9 @@ def least_squares(fun, x0, jac, *, bounds, ftol, xtol, gtol, max_nfev):
         d, diag_h = v**0.5, g * dv  # the scaled ("hat") variables are x / d
         g_h = d * g
         f_augmented[:m] = f
-        J_augmented[:m] = J * d
-        J_h = J_augmented[:m]
-        J_augmented[m:] = np.diag(diag_h**0.5)
-        U, s, V = svd(J_augmented, full_matrices=False)
+        J_h[:] = J * d
+        diag_root[:] = diag_h**0.5  # the rest of J_augmented[m:] stays 0
+        U, s, V = svd(J_augmented)
         V, uf = V.T, U.T.dot(f_augmented)
         theta = max(0.995, 1 - g_norm)  # step-back ratio from the bounds
         actual_reduction = -1
@@ -104,11 +131,13 @@ def least_squares(fun, x0, jac, *, bounds, ftol, xtol, gtol, max_nfev):
             p_h, alpha = _solve_lsq_trust_region(n, m, uf, s, V, Delta, alpha)
             step, step_h, predicted_reduction = _select_step(
                 x, J_h, diag_h, g_h, d * p_h, p_h, d, Delta, lb, ub, theta)
-            x_new = make_strictly_feasible(x + step, lb, ub, rstep=0)
+            x_new = x + step
+            if not ((x_new > lb) & (x_new < ub)).all():  # else left as it is
+                x_new = make_strictly_feasible(x_new, lb, ub, rstep=0)
             f_new = fun(x_new)
             nfev += 1
             step_h_norm = _norm(step_h)
-            if not np.all(np.isfinite(f_new)):
+            if not np.isfinite(f_new).all():
                 Delta = 0.25 * step_h_norm
                 continue
             cost_new = 0.5 * np.dot(f_new, f_new)
@@ -138,7 +167,7 @@ def least_squares(fun, x0, jac, *, bounds, ftol, xtol, gtol, max_nfev):
 def _select_step(x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, ub, theta):
     """The best of the trust-region step p (cut back at the first bound it
     crosses), its reflection off that bound, and the anti-gradient step."""
-    if np.all((x + p >= lb) & (x + p <= ub)):
+    if ((x + p >= lb) & (x + p <= ub)).all():
         return p, p_h, -_evaluate_quadratic(J_h, g_h, p_h, diag_h)
     p_stride, hits = _step_size_to_bound(x, p, lb, ub)
     r_h = np.copy(p_h)
@@ -185,10 +214,10 @@ def _select_step(x, J_h, diag_h, g_h, p, p_h, d, Delta, lb, ub, theta):
     return ag, ag_h, -ag_value
 
 
-def _cl_scaling_vector(x, g, lb, ub):
+def _cl_scaling_vector(x, g, lb, ub, finite_lb, finite_ub):
     """Coleman-Li scaling v, the distance to the bound the anti-gradient
     points at (else 1), and its derivative dv."""
-    upper, lower = (g < 0) & np.isfinite(ub), (g > 0) & np.isfinite(lb)
+    upper, lower = (g < 0) & finite_ub, (g > 0) & finite_lb
     return (np.where(upper, ub - x, np.where(lower, x - lb, 1.0)),
             np.where(upper, -1.0, np.where(lower, 1.0, 0.0)))
 
@@ -199,7 +228,7 @@ def _solve_lsq_trust_region(n, m, uf, s, V, Delta, alpha):
     def phi_and_derivative(alpha):
         denom = s**2 + alpha
         p_norm = _norm(suf / denom)
-        return p_norm - Delta, -np.sum(suf**2 / denom**3) / p_norm
+        return p_norm - Delta, -(suf**2 / denom**3).sum() / p_norm
 
     suf = s * uf
     full_rank = m >= n and s[-1] > EPS * m * s[0]
@@ -222,7 +251,7 @@ def _solve_lsq_trust_region(n, m, uf, s, V, Delta, alpha):
         ratio = phi / phi_prime
         alpha_lower = max(alpha_lower, alpha - ratio)
         alpha -= (phi + Delta) * ratio / Delta
-        if np.abs(phi) < 0.01 * Delta:
+        if abs(phi) < 0.01 * Delta:
             break
     p = -V.dot(suf / (s**2 + alpha))
     p *= Delta / _norm(p)  # norm Delta, so that p cannot end outside the region
@@ -248,7 +277,7 @@ def _minimize_quadratic_1d(a, b, lb, ub, c=0):
         t.append(-0.5 * b / a)
     t = np.asarray(t)
     y = t * (a * t + b) + c
-    i = np.argmin(y)
+    i = y.argmin()
     return t[i], y[i]
 
 
@@ -261,7 +290,7 @@ def _step_size_to_bound(x, s, lb, ub):
     """The least t >= 0 with x + t s on a bound, and where it gets there."""
     with np.errstate(all="ignore"):  # s = 0 is masked out
         steps = np.where(s != 0, np.maximum((lb - x) / s, (ub - x) / s), np.inf)
-    min_step = np.min(steps)
+    min_step = steps.min()
     return min_step, (steps == min_step) & (s != 0)
 
 

@@ -621,11 +621,17 @@ def dims_report(k: int = 2, n: int = 6, tol: float = 1e-8,
     """
     if workers != 1:
         raise InputError("the dimension sweep is sequential: workers must be 1")
-    # (3,7), the largest size admitted, sweeps its 105 cells in about 21 s
+    # (3,7), the largest size admitted, sweeps its 105 cells in 21 to 24 s
     # of CPU time on a 2-vCPU VM
     if not 0 <= k <= n <= 2 * k + 2 or binom(n, k) > 35:
         raise InputError("the dimension sweep is desk-scale: "
                          "0 <= k <= n <= 2k + 2 and C(n, k) <= 35")
+    # past these, cells get wrong dimensions yet count as resolved
+    if not (0 < tol < np.inf and tol * tol > 0 and 0 < cutoff < np.inf):
+        raise InputError("tol and cutoff must be finite and positive, "
+                         "and tol squared must not underflow to 0")
+    if min(starts, retry_starts) < 1 or seed < 0:
+        raise InputError("the sweep needs at least 1 start and a non-negative seed")
     cells = sorted(enumerate_orthopositroids(k, n), key=lambda p: p.sort_key())
     results = []
     for idx, pos in enumerate(cells):

@@ -8,6 +8,7 @@ import sys
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -342,16 +343,75 @@ PAST_DIMS_GUARD = st.one_of(
 )
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(size=PAST_DIMS_GUARD, seed=st.integers(0, 9))
-def test_dims_past_its_guard_is_refused(size, seed):
-    argv = ["orthopositroids", "dims", "--k", str(size[0]), "--n", str(size[1]),
-            "--seed", str(seed)]
+# one flag value the sweep refuses: a tol or cutoff that is NaN, infinite
+# or not positive, a tol whose square underflows to 0, no start, or a
+# negative seed ("--flag=value" keeps "-inf" from reading as a flag)
+BAD_DIMS_FLAG = st.one_of(
+    st.tuples(st.sampled_from(["--tol", "--cutoff"]),
+              st.one_of(st.sampled_from([np.nan, np.inf]), st.floats(max_value=0))),
+    st.tuples(st.just("--tol"), st.floats(0, 1e-170, exclude_min=True)),
+    st.tuples(st.just("--starts"), st.integers(-5, 0)),
+    st.tuples(st.just("--seed"), st.integers(-10**6, -1)),
+).map(lambda flag: f"{flag[0]}={flag[1]!r}")
+
+
+@st.composite
+def refused_dims_command(draw):
+    """The sweep, alone or under enumerate, past its size guard or within
+    it with one refused flag value."""
+    command = draw(st.sampled_from([["dims"], ["enumerate", "--dims"]]))
+    flags = ["--seed", str(draw(st.integers(0, 9)))]
+    if draw(st.booleans()):
+        k, n = draw(PAST_DIMS_GUARD)
+    else:
+        k, n = draw(st.sampled_from([(1, 3), (2, 4), (2, 6), (3, 6)]))
+        flags.append(draw(BAD_DIMS_FLAG))
+    return ["orthopositroids", *command, "--k", str(k), "--n", str(n), *flags]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(argv=refused_dims_command())
+def test_dims_past_its_guard_is_refused(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code == 2, err.getvalue()
+    assert err.getvalue().startswith("input error:"), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue() and not out.getvalue()
+
+
+DIMS_COMMANDS = ["orthopositroids dims --k 2 --n 4",
+                 "orthopositroids enumerate --k 2 --n 4 --dims"]
+
+
+# each of these reported wrong dimensions with "ok": true, or (--starts
+# below 1) fell through to the retry starts
+@pytest.mark.parametrize("flag", ["--cutoff=nan", "--cutoff=-1", "--cutoff=0",
+                                  "--cutoff=inf", "--tol=nan", "--tol=-1", "--tol=0",
+                                  "--tol=-inf", "--tol=1e-200", "--starts=0",
+                                  "--starts=-3"])
+@pytest.mark.parametrize("command", DIMS_COMMANDS)
+def test_dims_flag_out_of_range_is_refused(command, flag, capsys):
+    assert main([*command.split(), flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error:") and not captured.out
+
+
+# numpy's default_rng refused these deep in the sweep, as an internal error
+@pytest.mark.parametrize("seed", ["-1", "-5"])
+@pytest.mark.parametrize("command", DIMS_COMMANDS)
+def test_negative_dims_seed_is_refused(command, seed, capsys):
+    assert main([*command.split(), "--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error:") and not captured.out
+
+
+def test_dims_accepts_its_smallest_settings(capsys):
+    # one start, seed 0 and criterion 2's tol and cutoff
+    code, payload = run_json(["orthopositroids", "dims", "--k", "2", "--n", "4",
+                              "--starts", "1", "--seed", "0", "--tol", "1e-8",
+                              "--cutoff", "1e-4"], capsys)
+    assert code == 0 and payload["histogram"] == {"1": 1, "0": 2}
 
 
 def test_byte_determinism(capsys):

@@ -5,6 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy.linalg import svd as scipy_svd
 from scipy.optimize import least_squares as scipy_least_squares
 
 import ogrlab
@@ -131,3 +132,63 @@ def test_import_does_not_load_scipy_optimize():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_svd_is_scipys(monkeypatch):
+    # every augmented matrix the oracle cases factor, and a rank-deficient
+    # one with a zero diagonal block
+    checked = []
+    svd = lsq.svd
+
+    def spy(a):
+        ours = svd(a)
+        ref = scipy_svd(a, full_matrices=False)
+        assert all(np.array_equal(x, y) for x, y in zip(ours, ref, strict=True))
+        checked.append(a.shape)
+        return ours
+
+    monkeypatch.setattr(lsq, "svd", spy)
+    for model, x0 in oracle_cases():
+        lsq.least_squares(model.residual, x0, model.jacobian, **PINNED)
+    assert len(checked) > 2000
+    rank_one = np.outer([1.0, -2.0, 0.5], [3.0, 1.0, -1.0])
+    a = np.vstack([rank_one, np.diag([0.0, 0.0, 0.25])])
+    ours, ref = svd(a), scipy_svd(a, full_matrices=False)
+    assert all(np.array_equal(x, y) for x, y in zip(ours, ref, strict=True))
+    assert ours[1][-1] < 1e-15 * ours[1][0]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_svd_refuses_what_scipys_refuses(bad):
+    a = np.eye(3)
+    a[1, 2] = bad
+    for svd in (lsq.svd, lambda a: scipy_svd(a, full_matrices=False)):
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            svd(a)
+
+
+def identity(x):
+    return x
+
+
+def identity_jac(x):
+    return np.eye(2)
+
+
+def test_trial_point_on_a_bound_is_moved_off_it(monkeypatch):
+    # the minimum of |x|^2 is at the lower bound, and one trial step lands
+    # exactly on it
+    rsteps = []
+    feasible = lsq.make_strictly_feasible
+
+    def spy(x, lb, ub, rstep):
+        rsteps.append(rstep)
+        return feasible(x, lb, ub, rstep)
+
+    monkeypatch.setattr(lsq, "make_strictly_feasible", spy)
+    ours = lsq.least_squares(identity, [1.0, 2.0], identity_jac, **PINNED)
+    ref = scipy_least_squares(identity, [1.0, 2.0], jac=identity_jac, method="trf",
+                              **PINNED)
+    assert 0 in rsteps
+    assert np.array_equal(ours.x, ref.x) and np.array_equal(ours.fun, ref.fun)
+    assert (ours.nfev, ours.status) == (ref.nfev, ref.status)
