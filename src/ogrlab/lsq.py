@@ -7,9 +7,13 @@ Jacobian, the exact SVD-based subproblem, linear loss and unit ``x_scale``
 (whose products by 1.0 are exact and are left out).  Operations run in
 scipy's order, so ``x``, ``fun``, ``jac``, ``nfev`` and ``status`` are
 bit-identical to scipy's.  The SVD is the LAPACK ``gesdd`` call that
-scipy.linalg.svd makes, reached through scipy.linalg.lapack with scipy's
-``lwork`` and checks but without its per-call wrapper: numpy.linalg.svd
-links another OpenBLAS build, whose last bits differ.
+scipy.linalg.svd makes, with scipy's ``lwork`` and checks but without its
+per-call wrapper: numpy.linalg.svd links another OpenBLAS build, whose last
+bits differ.  ``gesdd`` is taken from scipy's compiled LAPACK extension,
+loaded from its file without running ``scipy/linalg/__init__.py``: that
+package's import pulls in scipy's array-API layer and with it numpy.testing,
+numpy.f2py, numpy.random and unittest, about 0.25 s of every ``import
+ogrlab`` for one routine that loads in a few milliseconds.
 
 Derived from scipy/optimize/_lsq (least_squares.py, trf.py, common.py) of
 scipy 1.17.1, under the license below.
@@ -47,18 +51,36 @@ OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
 """
 from __future__ import annotations
 
+import os
 from functools import lru_cache
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 from math import copysign
 from types import SimpleNamespace
 
 import numpy as np
-from scipy.linalg import LinAlgError
-from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
+import scipy
+from numpy.linalg import LinAlgError  # the class scipy.linalg raises too
 
 EPS = np.finfo(float).eps
-# the routine scipy.linalg.svd picks for a float64 matrix
-_GESDD, _GESDD_LWORK = get_lapack_funcs(("gesdd", "gesdd_lwork"), dtype=np.float64,
-                                        ilp64="preferred")
+
+
+def _load_flapack():
+    """scipy's LAPACK extension that get_lapack_funcs(..., ilp64="preferred")
+    picks for float64 (the 64-bit-integer build where scipy ships one), and
+    the integer type of its arguments."""
+    path = [os.path.join(scipy.__path__[0], "linalg")]
+    for name, int_dtype in (("_flapack_64", np.int64), ("_flapack", np.intc)):
+        spec = PathFinder.find_spec("scipy.linalg." + name, path)
+        if spec is not None:  # CPython lists it in sys.modules, for scipy.linalg to reuse
+            module = module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module, np.dtype(int_dtype)
+    raise ImportError(f"scipy's LAPACK extension scipy.linalg._flapack is not in {path[0]}")
+
+
+_FLAPACK, _INT_DTYPE = _load_flapack()
+_GESDD, _GESDD_LWORK = _FLAPACK.dgesdd, _FLAPACK.dgesdd_lwork
 
 
 def _norm(v):
@@ -67,7 +89,16 @@ def _norm(v):
 
 @lru_cache(maxsize=None)
 def _gesdd_lwork(m, n):
-    return _compute_lwork(_GESDD_LWORK, m, n, compute_uv=1, full_matrices=0)
+    """scipy.linalg.lapack._compute_lwork(gesdd_lwork, m, n, compute_uv=1,
+    full_matrices=0) for float64: the workspace scipy.linalg.svd asks for."""
+    work, info = _GESDD_LWORK(m, n, compute_uv=1, full_matrices=0)
+    if info != 0:
+        raise ValueError(f"Internal work array size computation failed: {info}")
+    lwork = int(work.real)
+    if not 0 <= lwork <= np.iinfo(_INT_DTYPE).max:
+        raise ValueError(f"Too large work array required -- computation cannot be "
+                         f"performed with standard {8 * _INT_DTYPE.itemsize}-bit LAPACK.")
+    return lwork
 
 
 def svd(a):
@@ -108,11 +139,10 @@ def least_squares(fun, x0, jac, *, bounds, ftol, xtol, gtol, max_nfev):
     f_augmented, J_augmented = np.zeros(m + n), np.zeros((m + n, n))
     J_h, diag_root = J_augmented[:m], J_augmented[m:].reshape(-1)[::n + 1]  # views into it
     finite = np.isfinite(lb), np.isfinite(ub)
-    v, dv = _cl_scaling_vector(x, g, lb, ub, *finite)
+    v, dv = _cl_scaling_vector(x, g, lb, ub, *finite)  # kept up to date with x and g
     Delta = _norm(x / v**0.5) or 1.0  # the trust-region radius
     alpha, status = 0.0, None  # alpha: the Levenberg-Marquardt parameter
     while True:
-        v, dv = _cl_scaling_vector(x, g, lb, ub, *finite)
         g_norm = np.abs(g * v).max()
         if g_norm < gtol:
             status = 1
@@ -159,6 +189,7 @@ def least_squares(fun, x0, jac, *, bounds, ftol, xtol, gtol, max_nfev):
             x, f, cost = x_new, f_new, cost_new
             J = jac(x)
             g = J.T.dot(f)
+            v, dv = _cl_scaling_vector(x, g, lb, ub, *finite)
     status = status or 0
     return SimpleNamespace(x=x, fun=f.copy(), jac=J, nfev=nfev,
                            status=status, success=status > 0)

@@ -5,7 +5,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import svd as scipy_svd
+from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
 from scipy.optimize import least_squares as scipy_least_squares
 
 import ogrlab
@@ -126,12 +128,35 @@ def test_tight_bounds_start_at_the_midpoint():
 
 
 def test_import_does_not_load_scipy_optimize():
+    # nor scipy.linalg, whose package import loads scipy's array-API layer
     src = os.path.dirname(os.path.dirname(ogrlab.__file__))
     code = ("import sys, ogrlab, ogrlab.acceptance, ogrlab.cli; "
-            "print('scipy.optimize' in sys.modules)")
+            "print([m for m in ('scipy.optimize', 'scipy.linalg', 'scipy._lib._array_api') "
+            "if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+
+
+def test_gesdd_is_scipys_routine_with_scipys_workspace():
+    ref, ref_lwork = get_lapack_funcs(("gesdd", "gesdd_lwork"), dtype=np.float64,
+                                      ilp64="preferred")
+    assert lsq._FLAPACK.__name__ == "scipy.linalg._" + ref.module_name
+    assert lsq._INT_DTYPE == ref.int_dtype
+    assert lsq.LinAlgError is scipy.linalg.LinAlgError
+    # every augmented Jacobian shape (m + n, n) the sweep factors at (2,4) to
+    # (3,6), and a few edge shapes
+    shapes = {(1, 1), (7, 2), (4, 4), (2, 5)}
+    for k, n in [(2, 4), (2, 5), (2, 6), (3, 6)]:
+        form = QuadraticForm.alternating(n)
+        for pos in enumerate_orthopositroids(k, n):
+            decomp = bridge_decomposition(pos.dperm)
+            if decomp.dim:
+                shapes.add((_ResidualModel(decomp, form).n_quadrics + decomp.dim, decomp.dim))
+    assert len(shapes) > 10
+    for m, n in shapes:
+        assert lsq._gesdd_lwork(m, n) == _compute_lwork(ref_lwork, m, n, compute_uv=1,
+                                                        full_matrices=0)
 
 
 def test_svd_is_scipys(monkeypatch):
