@@ -112,9 +112,6 @@ class GaussianRational:
     def __bool__(self):
         return self.re != 0 or self.im != 0
 
-    def conjugate(self):
-        return GaussianRational(self.re, -self.im)
-
     def __repr__(self):
         if self.im == 0:
             return str(self.re)
@@ -396,9 +393,6 @@ class Mat:
 
     def row(self, i):
         return list(self.rows[i])
-
-    def col(self, j):
-        return [r[j] for r in self.rows]
 
     def copy(self):
         return Mat([list(r) for r in self.rows])

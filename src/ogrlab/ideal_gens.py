@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 
 from .errors import InputError, InternalInvariantError, SizeMismatchError
 from .exact_core import (
@@ -59,11 +59,10 @@ def _subsets(k: int, n: int, ranks) -> tuple:
 class Polynomial:
     """Sparse polynomial in Plucker variables with rational coefficients.
 
-    A generator built over colex ranks stores only its integer form
-    (`cleared`); `terms`, the subset-tuple -> Fraction dict, is built from
-    it in the same order on first access.  Change the terms only through
-    add_term, which drops the integer form and the distinct variable ranks
-    that `evaluate` collects from it.
+    The terms do not change after construction.  A generator built over
+    colex ranks stores only its integer form (`cleared`); `terms`, the
+    subset-tuple -> Fraction dict, is built from it in the same order on
+    first access.
     """
 
     __slots__ = ("k", "n", "_terms", "_cleared", "_variables")
@@ -96,30 +95,8 @@ class Polynomial:
             }
         return self._terms
 
-    def add_term(self, monomial, coeff):
-        terms = self.terms  # built from the integer form before it is dropped
-        self._cleared = self._variables = None
-        c = terms.get(monomial, Fraction(0)) + coeff
-        if c:
-            terms[monomial] = c
-        else:
-            terms.pop(monomial, None)
-
     def is_zero(self) -> bool:
         return not (self._cleared[2] if self._terms is None else self._terms)
-
-    def __add__(self, other):
-        out = Polynomial(self.k, self.n, dict(self.terms))
-        for m, c in other.terms.items():
-            out.add_term(m, c)
-        return out
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return Polynomial(self.k, self.n, {m: c * v for m, v in self.terms.items()})
 
     def __eq__(self, other):
         return (
@@ -569,21 +546,17 @@ def degree2_monomials(k: int, n: int) -> tuple:
 class Degree2Span:
     """Row space of quadrics over the degree-2 monomial basis, exact.
 
-    Rows are reduced integer vectors over the indices of `monomials`; with
-    track=True each stored row also carries its expression in the original
-    generators, as integer coefficients over one positive denominator, so
-    membership queries can return coordinates.
+    Rows are reduced integer vectors over the indices of `monomials`, each
+    with a positive lead and no common factor; `pivot_row` maps a lead to
+    its row.
     """
 
-    def __init__(self, k: int, n: int, track: bool = False):
+    def __init__(self, k: int, n: int):
         self.k = k
         self.n = n
-        self.track = track
         self.monomials = degree2_monomials(k, n)
         self.pivot_row = {}
         self.rows = []
-        self.combos = []  # per row: (generator id -> integer, denominator)
-        self.gen_count = 0
 
     def _vector(self, poly: Polynomial):
         """(vec, L) from poly.cleared(): vec maps monomial index to L times
@@ -610,22 +583,24 @@ class Degree2Span:
         lead = max(vec)
         if vec[lead] < 0:
             g = -g
-        return {i: v // g for i, v in vec.items()}, g
+        return {i: v // g for i, v in vec.items()}
 
-    def _eliminate(self, vec):
+    def _eliminate(self, vec) -> int:
         """Reduce vec in place, top entry first, while a stored row has the
-        same lead.  Each step replaces vec by ca*vec - cb*row and yields
-        (row id, lead of vec, lead of the row, ca, cb)."""
+        same lead.  Each step replaces vec by ca*vec - cb*row; returns the
+        product of the multipliers ca."""
+        scale = 1
         while vec:
             lead = max(vec)
             r = self.pivot_row.get(lead)
             if r is None:
-                return
+                break
             row = self.rows[r]
             a, b = vec[lead], row[lead]
             g = gcd(a, b)
             ca, cb = b // g, a // g
             if ca != 1:
+                scale *= ca
                 for i in vec:
                     vec[i] *= ca
             for i, v in row.items():
@@ -634,35 +609,15 @@ class Degree2Span:
                     vec[i] = nv
                 else:
                     vec.pop(i, None)
-            yield r, a, b, ca, cb
+        return scale
 
     def add(self, poly: Polynomial) -> bool:
         """Reduce a generator into the span; returns True when rank grew."""
-        vec, denom = self._vector(poly)
-        gen_id = self.gen_count
-        self.gen_count += 1
-        combo, cden = {gen_id: denom}, 1  # vec is the sum of combo[g]/cden times generator g
-        for r, _, _, ca, cb in self._eliminate(vec):
-            if self.track:
-                row, rden = self.combos[r]
-                den = lcm(cden, rden)
-                sa, sb = ca * (den // cden), cb * (den // rden)
-                for g_ in combo:
-                    combo[g_] *= sa
-                for g_, c in row.items():
-                    combo[g_] = combo.get(g_, 0) - sb * c
-                cden = den
+        vec, _ = self._vector(poly)
+        self._eliminate(vec)
         if not vec:
             return False
-        vec, scale = self._normalize(vec)
-        if self.track:
-            cden *= scale
-            g = gcd(cden, *combo.values())
-            if cden < 0:
-                g = -g
-            self.combos.append(({g_: c // g for g_, c in combo.items() if c}, cden // g))
-        else:
-            self.combos.append(None)
+        vec = self._normalize(vec)
         self.pivot_row[max(vec)] = len(self.rows)
         self.rows.append(vec)
         return True
@@ -671,62 +626,38 @@ class Degree2Span:
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, poly: Polynomial):
-        """Express poly against the span.
-
-        Returns (residual Polynomial, used) where used maps stored-row id to
-        the rational multiple subtracted; residual is zero iff poly lies in
-        the span.
-        """
+    def reduce(self, poly: Polynomial) -> Polynomial:
+        """The residual of poly against the span: zero iff poly lies in it."""
         vec, denom = self._vector(poly)  # poly is vec / denom throughout
-        used = {}
-        for r, a, b, ca, _ in self._eliminate(vec):
-            used[r] = Fraction(a, denom * b)  # each pivot is met once: leads fall
-            denom *= ca
-        residual = Polynomial(
+        denom *= self._eliminate(vec)
+        return Polynomial(
             self.k, self.n,
             {self.monomials[i]: Fraction(v, denom) for i, v in vec.items()},
         )
-        return residual, used
-
-    def coordinates(self, used) -> dict[int, Fraction]:
-        """Flatten row multiples to original-generator coordinates."""
-        if not self.track:
-            raise InputError("span was built without provenance tracking")
-        den = lcm(*(c.denominator * self.combos[r][1] for r, c in used.items()))
-        out = {}  # integer numerators over den
-        for r, c in used.items():
-            combo, cden = self.combos[r]
-            f = c.numerator * (den // (c.denominator * cden))
-            for g_, cc in combo.items():
-                out[g_] = out.get(g_, 0) + f * cc
-        return {g_: Fraction(c, den) for g_, c in out.items() if c}
 
 
-def relation_span(k: int, n: int, form: QuadraticForm | None = None,
-                  track: bool = False) -> Degree2Span:
+def relation_span(k: int, n: int, form: QuadraticForm | None = None) -> Degree2Span:
     """A new span of the shuffle quadrics, then the orthogonality quadrics
-    of the form (standard by default); generator ids follow that order."""
+    of the form (standard by default)."""
     if form is None:
         form = QuadraticForm.standard(n)
-    span = Degree2Span(k, n, track=track)
+    span = Degree2Span(k, n)
     for poly in plucker_relations(k, n) + orthogonality_relations(k, n, form):
         span.add(poly)
     return span
 
 
 @lru_cache(maxsize=None)
-def _relation_span(k: int, n: int, form: QuadraticForm, track: bool) -> Degree2Span:
+def _relation_span(k: int, n: int, form: QuadraticForm) -> Degree2Span:
     """relation_span, built once per key; callers only read it."""
-    return relation_span(k, n, form, track)
+    return relation_span(k, n, form)
 
 
 class MembershipResult:
     """Outcome of a degree-2 ideal membership query."""
 
-    def __init__(self, success: bool, coordinates=None, residual=None):
+    def __init__(self, success: bool, residual=None):
         self.success = success
-        self.coordinates = coordinates
         self.residual = residual
 
     def __bool__(self):
@@ -734,22 +665,18 @@ class MembershipResult:
 
 
 def degree2_membership(f: Polynomial, k: int, n: int,
-                       form: QuadraticForm | None = None,
-                       coords: bool = True) -> MembershipResult:
+                       form: QuadraticForm | None = None) -> MembershipResult:
     """Is f in the degree-2 span of the shuffle + orthogonality quadrics?
 
-    On success returns coordinates over the concatenated generator list
-    (shuffle relations first, then orthogonality); on failure returns the
-    nonzero residual after reduction.
+    On failure the result carries the nonzero residual after reduction.
     """
     if (f.k, f.n) != (k, n):
         raise SizeMismatchError("polynomial type does not match (k, n)")
     if form is None:
         form = QuadraticForm.standard(n)
-    span = _relation_span(k, n, form, coords)
-    residual, used = span.reduce(f)
+    residual = _relation_span(k, n, form).reduce(f)
     if residual.is_zero():
-        return MembershipResult(True, coordinates=span.coordinates(used) if coords else None)
+        return MembershipResult(True)
     return MembershipResult(False, residual=residual)
 
 

@@ -15,7 +15,8 @@ from fractions import Fraction
 
 from .errors import InputError, PoleError
 from .exact_core import binom
-from .forms_points import PluckerVector
+from .forms_points import PluckerVector, QuadraticForm
+from .ideal_gens import orthogonality_relations
 
 
 @dataclass(frozen=True)
@@ -165,13 +166,11 @@ def parametrize_cell(cell: Cell1, n: int, u_params, v_params) -> PluckerVector:
 
 
 def quadric_residual(p: PluckerVector) -> Fraction:
-    """Alternating-form value: sum over odd coordinates of x^2 minus sum
-    over even coordinates; zero exactly on the quadric."""
-    total = Fraction(0)
-    for i in range(1, p.n + 1):
-        v = p.get((i,))
-        total += v * v * ((-1) ** (i - 1))
-    return total
+    """Alternating-form value, the single orthogonality quadric of the line
+    case: sum over odd coordinates of x^2 minus sum over even coordinates;
+    zero exactly on the quadric."""
+    (quadric,) = orthogonality_relations(1, p.n, QuadraticForm.alternating(p.n))
+    return quadric.evaluate(p)
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,14 @@ import subprocess
 import sys
 from itertools import combinations
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ogrlab
-from ogrlab import acceptance, cli
+from ogrlab import acceptance, cli, orthopositroids
 from ogrlab.cli import main
 from ogrlab.errors import InternalInvariantError
 
@@ -369,11 +370,19 @@ def refused_dims_command(draw):
     return ["orthopositroids", *command, "--k", str(k), "--n", str(n), *flags]
 
 
+def _sweep_started(*args, **kwargs):
+    raise AssertionError("the sweep started work before refusing its input")
+
+
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(argv=refused_dims_command())
 def test_dims_past_its_guard_is_refused(argv):
+    # a refusal comes before any work: enumeration or a cell solve fails
+    # the example at once instead of running a sweep
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.object(orthopositroids, "enumerate_orthopositroids", _sweep_started), \
+            mock.patch.object(orthopositroids, "cell_dim_in_ogr_numeric", _sweep_started):
         code = main(argv)
     assert code == 2, err.getvalue()
     assert err.getvalue().startswith("input error:"), (argv, err.getvalue())

@@ -60,6 +60,17 @@ def reference_value(poly, p):
     return total
 
 
+def combination(*pairs):
+    """The sum of c * poly over (c, poly) pairs, added term dict by term
+    dict; a Polynomial drops the coefficients that cancel."""
+    k, n = pairs[0][1].k, pairs[0][1].n
+    terms = {}
+    for c, poly in pairs:
+        for m, v in poly.terms.items():
+            terms[m] = terms.get(m, 0) + Fraction(c) * v
+    return Polynomial(k, n, terms)
+
+
 def random_point(rng, k, n, gaussian):
     """Plucker vector of a random (not isotropic) rational or Q(i) plane."""
     while True:
@@ -79,8 +90,8 @@ def test_evaluate_matches_reference_sum(k, n, gaussian):
     polys = list(plucker_relations(k, n))
     polys += orthogonality_relations(k, n, QuadraticForm.standard(n))
     polys += [poly for _, _, poly in all_straightening_lambda(k, n)]
-    # scaled by 1/6, these sums have coefficients with denominators
-    polys += [(a.scale(2) + b.scale(3)).scale(Fraction(1, 6))
+    # these sums have coefficients with denominators
+    polys += [combination((Fraction(1, 3), a), (Fraction(1, 2), b))
               for a, b in zip(polys[::5], polys[1::5])]
     assert any(c.denominator > 1 for poly in polys for c in poly.terms.values())
     nonzero = 0
@@ -111,24 +122,13 @@ def test_evaluate_mixed_degrees_and_empty():
         Polynomial(2, 5, {((1, 2),): 1}).evaluate(p)
 
 
-def test_add_term_after_evaluate_recompiles():
-    rng = random.Random(4)
-    p = random_point(rng, 2, 5, gaussian=True)
-    poly = plucker_relations(2, 5)[0].scale(1)
-    before = poly.evaluate(p)
-    assert before == reference_value(poly, p)
-    poly.add_term(_mono((1, 2), (3, 4)), Fraction(5, 3))
-    assert poly.evaluate(p) == reference_value(poly, p) != before
-    poly.add_term(_mono((1, 2), (3, 4)), Fraction(-5, 3))
-    assert poly.evaluate(p) == before
-
-
-def test_add_term_bringing_in_a_gaussian_variable_switches_the_type():
+def test_a_gaussian_variable_switches_the_type():
     p = PluckerVector(2, 4, {(1, 2): Fraction(2, 3), (1, 3): Fraction(1, 5),
                              (3, 4): GaussianRational(1, -2)})
-    poly = Polynomial(2, 4, {_mono((1, 2), (1, 3)): Fraction(1)})
+    rational = {_mono((1, 2), (1, 3)): Fraction(1)}
+    poly = Polynomial(2, 4, rational)
     assert type(poly.evaluate(p)) is Fraction
-    poly.add_term(_mono((1, 2), (3, 4)), Fraction(3))
+    poly = Polynomial(2, 4, {**rational, _mono((1, 2), (3, 4)): Fraction(3)})
     value = poly.evaluate(p)
     assert type(value) is GaussianRational
     assert value == reference_value(poly, p) == GaussianRational(Fraction(32, 15), -4)
@@ -186,15 +186,16 @@ def deduplicated_candidates(k, n):
     seen = {}
     for I in ksubsets(n, k - 1):
         for J in ksubsets(n, k + 1):
-            poly = Polynomial(k, n)
+            terms = {}
             for t, jt in enumerate(J):
                 first, s1 = sort_sign(I + (jt,))
                 if s1:
-                    poly.add_term(_mono(first, J[:t] + J[t + 1:]), (-1) ** t * s1)
+                    m = _mono(first, J[:t] + J[t + 1:])
+                    terms[m] = terms.get(m, 0) + (-1) ** t * s1
+            poly = Polynomial(k, n, terms)
             if poly.is_zero():
                 continue
-            terms = poly.sorted_terms()
-            norm = poly.scale(1 / terms[0][1])
+            norm = combination((1 / poly.sorted_terms()[0][1], poly))
             seen.setdefault(tuple(norm.sorted_terms()), norm)
     return tuple(seen[key] for key in sorted(seen, key=lambda terms: [m for m, _ in terms]))
 
@@ -230,10 +231,10 @@ def test_factor_outside_the_k_subsets_is_refused(factor):
     p = PluckerVector(2, 6, {(1, 2): 1, (5, 6): 1})
     with pytest.raises(InputError):
         poly.evaluate(p)
-    span = relation_span(2, 6)
+    span, fresh = relation_span(2, 6), relation_span(2, 6)
     with pytest.raises(InputError):
         span.add(poly)
-    assert span.gen_count == relation_span(2, 6).gen_count
+    assert (span.pivot_row, span.rows) == (fresh.pivot_row, fresh.rows)
 
 
 @pytest.mark.parametrize("k,n", [(2, 4), (2, 5), (3, 6)])
@@ -478,19 +479,7 @@ def test_membership_of_each_family():
             assert degree2_membership(poly, k, n)
         for _, _, poly in all_straightening_lambda(k, n):
             res = degree2_membership(poly, k, n)
-            assert res
-            assert res.coordinates
-
-
-def test_membership_coordinates_reconstruct():
-    f = straightening_lambda((1, 2), (1, 3, 5, 6), 6)
-    res = degree2_membership(f, 2, 6)
-    gens = list(plucker_relations(2, 6))
-    gens += orthogonality_relations(2, 6, QuadraticForm.standard(6))
-    total = Polynomial(2, 6)
-    for g, c in res.coordinates.items():
-        total = total + gens[g].scale(c)
-    assert total == f
+            assert res and res.residual is None
 
 
 def test_membership_failure_has_residual():
@@ -508,25 +497,20 @@ def test_membership_failure_has_residual():
 def test_trivial_membership():
     g = plucker_relations(2, 6)[0]
     res = degree2_membership(g, 2, 6)
-    assert res and res.coordinates == {0: Fraction(1)}
+    assert res and res.residual is None
 
 
-def test_membership_at_3_7_without_coordinates():
+def test_membership_at_3_7():
     lams = all_straightening_lambda(3, 7)
     for _, _, poly in lams[::50]:
-        assert degree2_membership(poly, 3, 7, coords=False)
+        assert degree2_membership(poly, 3, 7)
 
 
-def test_membership_coordinates_for_nonstandard_form():
+def test_membership_for_nonstandard_form():
     alt = QuadraticForm.alternating(5)
     gens = plucker_relations(2, 5) + orthogonality_relations(2, 5, alt)
-    f = gens[7].scale(3) - gens[2] + gens[-1]
-    res = degree2_membership(f, 2, 5, form=alt)
-    assert res
-    total = Polynomial(2, 5)
-    for i, c in res.coordinates.items():
-        total = total + gens[i].scale(c)
-    assert total == f
+    f = combination((3, gens[7]), (-1, gens[2]), (1, gens[-1]))
+    assert degree2_membership(f, 2, 5, form=alt)
     assert not degree2_membership(f, 2, 5)
 
 
@@ -535,27 +519,24 @@ def test_relation_span_is_fresh_and_cached_span_unchanged():
     std = QuadraticForm.standard(6)
     f = straightening_lambda((1, 2), (1, 3, 5, 6), 6)
     assert degree2_membership(f, 2, 6)
-    cached = _relation_span(2, 6, std, True)
+    cached = _relation_span(2, 6, std)
     rows, rank = [dict(r) for r in cached.rows], cached.rank
     assert groebner_degree2_check(2, 6)["ok"]
     assert degree2_membership(f, 2, 6)
-    assert _relation_span(2, 6, std, True) is cached
+    assert _relation_span(2, 6, std) is cached
     assert cached.rank == rank and cached.rows == rows
 
 
 def fraction_reduce(span, poly):
-    """Degree2Span.reduce in Fraction arithmetic, the residual and the row
-    multiples in the order the elimination meets them."""
+    """Degree2Span.reduce in Fraction arithmetic: the residual's items."""
     index = {m: i for i, m in enumerate(span.monomials)}
     vec = {index[m]: Fraction(c) for m, c in poly.terms.items()}
-    used = {}
     while vec:
         lead = max(vec)
         r = span.pivot_row.get(lead)
         if r is None:
             break
         c = vec[lead] / span.rows[r][lead]
-        used[r] = used.get(r, Fraction(0)) + c
         for i, v in span.rows[r].items():
             nv = vec.get(i, Fraction(0)) - c * v
             if nv:
@@ -563,21 +544,27 @@ def fraction_reduce(span, poly):
             else:
                 vec.pop(i, None)
     monomials = degree2_monomials(span.k, span.n)
-    return [(monomials[i], c) for i, c in vec.items()], list(used.items())
+    return [(monomials[i], c) for i, c in vec.items()]
 
 
 @pytest.mark.parametrize("k,n", [(2, 6), (3, 7)])
 def test_reduce_matches_fraction_reduction(k, n):
-    span = _relation_span(k, n, QuadraticForm.standard(n), True)
+    span = _relation_span(k, n, QuadraticForm.standard(n))
     laws = [poly for _, _, poly in all_straightening_mu(k, n) + all_straightening_lambda(k, n)]
-    # scaled sums bring denominators; at (3, 7) some also meet the one row whose lead is 2
-    laws += [(a.scale(Fraction(2, 3)) + b.scale(Fraction(-5, 7))) for a, b in zip(laws, laws[1:])]
+    # sums with denominators
+    laws += [combination((Fraction(2, 3), a), (Fraction(-5, 7), b)) for a, b in zip(laws, laws[1:])]
     # p12 p34 at (2, 6), p123 p456 at (3, 7)
     nonmember = Polynomial(k, n, {_mono(tuple(range(1, k + 1)), tuple(range(k + 1, 2 * k + 1))): 1})
-    for poly in laws + [nonmember, nonmember + laws[0], Polynomial(k, n)]:
-        residual, used = span.reduce(poly)
-        assert (list(residual.terms.items()), list(used.items())) == fraction_reduce(span, poly)
-    assert not span.reduce(nonmember)[0].is_zero()
+    # the lead monomial of a row is no member: its reduction starts by
+    # multiplying it by the row's lead, which is not 1 for one row at (3, 7)
+    leads = [Polynomial(k, n, {span.monomials[max(row)]: 1}) for row in span.rows]
+    assert any(row[max(row)] != 1 for row in span.rows) == ((k, n) == (3, 7))
+    others = leads + [nonmember, combination((1, nonmember), (1, laws[0]))]
+    for polys, member in ((laws + [Polynomial(k, n)], True), (others, False)):
+        for poly in polys:
+            residual = span.reduce(poly)
+            assert list(residual.terms.items()) == fraction_reduce(span, poly)
+            assert residual.is_zero() == member
     assert not degree2_membership(nonmember, k, n)
 
 
@@ -608,7 +595,7 @@ def test_span_refuses_monomial_outside_degree_2_basis():
         for method in (span.add, span.reduce):
             with pytest.raises(InputError):
                 method(poly)
-    assert (span.rank, span.gen_count) == (fresh.rank, fresh.gen_count)
+    assert (span.pivot_row, span.rows) == (fresh.pivot_row, fresh.rows)
 
 
 def test_span_rank_against_counts():
@@ -678,13 +665,13 @@ def test_shuffles_match_sort_sign_reference(k, n, step):
         assert poly.cleared() == ref.cleared()
 
 
-def fraction_provenance(span, gens):
-    """The rows and generator combinations that Degree2Span.add builds from
-    gens, each combination kept as a dict of Fractions."""
-    pivot_row, rows, combos = {}, [], []
-    for gen_id, poly in enumerate(gens):
-        vec, denom = span._vector(poly)
-        combo = {gen_id: Fraction(denom)}
+def reference_rows(span, gens):
+    """The rows Degree2Span.add builds from gens, by the same elimination
+    written out: each new row divided by the gcd of its entries, with a
+    positive lead."""
+    pivot_row, rows = {}, []
+    for poly in gens:
+        vec, _ = span._vector(poly)
         while vec and max(vec) in pivot_row:
             r = pivot_row[max(vec)]
             a, b = vec[max(vec)], rows[r][max(vec)]
@@ -694,48 +681,22 @@ def fraction_provenance(span, gens):
                 vec[i] = vec.get(i, 0) - cb * v
                 if not vec[i]:
                     del vec[i]
-            combo = {g: ca * c for g, c in combo.items()}
-            for g, c in combos[r].items():
-                combo[g] = combo.get(g, Fraction(0)) - cb * c
         if vec:
-            vec, scale = span._normalize(vec)
-            pivot_row[max(vec)] = len(rows)
-            rows.append(vec)
-            combos.append({g: c / scale for g, c in combo.items() if c})
-    return rows, combos
+            lead = max(vec)
+            g = gcd(*vec.values())
+            g = -g if vec[lead] < 0 else g
+            pivot_row[lead] = len(rows)
+            rows.append({i: v // g for i, v in vec.items()})
+    return rows
 
 
 @pytest.mark.parametrize("k,n", [(2, 6), (3, 7)])
-def test_coordinates_match_fraction_provenance(k, n):
+def test_rows_match_reference_elimination(k, n):
     std = QuadraticForm.standard(n)
-    span = _relation_span(k, n, std, True)
-    gens = plucker_relations(k, n) + orthogonality_relations(k, n, std)
-    rows, combos = fraction_provenance(span, gens)
+    span = _relation_span(k, n, std)
+    rows = reference_rows(span, plucker_relations(k, n) + orthogonality_relations(k, n, std))
     assert [list(r.items()) for r in span.rows] == [list(r.items()) for r in rows]
-    laws = [poly for _, _, poly in all_straightening_mu(k, n) + all_straightening_lambda(k, n)]
-    laws += [(a.scale(Fraction(2, 3)) + b.scale(Fraction(-5, 7))) for a, b in zip(laws, laws[1:])]
-    for poly in laws:
-        residual, used = span.reduce(poly)
-        assert residual.is_zero()
-        want = {}
-        for r, c in used.items():
-            for g, cc in combos[r].items():
-                want[g] = want.get(g, Fraction(0)) + c * cc
-        want = [(g, c) for g, c in want.items() if c]
-        assert list(span.coordinates(used).items()) == want
-
-
-@pytest.mark.parametrize("k,n", [(2, 6), (3, 7)])
-def test_coordinates_rebuild_every_law(k, n):
-    std = QuadraticForm.standard(n)
-    gens = plucker_relations(k, n) + orthogonality_relations(k, n, std)
-    for _, _, law in all_straightening_mu(k, n) + all_straightening_lambda(k, n):
-        res = degree2_membership(law, k, n)
-        total = {}
-        for g, c in res.coordinates.items():
-            for m, v in gens[g].terms.items():
-                total[m] = total.get(m, 0) + c * v
-        assert {m: v for m, v in total.items() if v} == law.terms
+    assert span.pivot_row == {max(r): i for i, r in enumerate(rows)}
 
 
 def universal_by_young_leq(poly, m0):
@@ -824,43 +785,21 @@ def test_zero_polynomial_from_ranks():
         assert poly.terms == {} and poly == Polynomial(2, 5)
 
 
-def algebra_results(build, eager):
-    """+, -, scale, == and add_term on pairs of the polynomials, each
-    operation on a new build() so that it meets unbuilt views first, each
-    result as an item list; the add_term monomials are read off eager."""
-    ops = [lambda a, b: a + b, lambda a, b: b - a,
-           lambda a, b: a.scale(Fraction(-3, 4)), lambda a, b: (a == b, b == a.scale(1))]
-    out = []
-    for op in ops:
-        polys = build()
-        out += [op(polys[i], polys[i + 1]) for i in range(0, len(polys) - 1, 5)]
-    polys = build()
-    for i in range(0, len(polys) - 1, 5):
-        (m, c), *_ = eager[i].terms.items()
-        polys[i].add_term(m, -c)
-        polys[i].add_term(next(iter(eager[i + 1].terms)), Fraction(5, 3))
-        out.append(polys[i])
-    return [list(r.terms.items()) if isinstance(r, Polynomial) else r for r in out]
-
-
-def test_algebra_on_unbuilt_views_matches_eager(monkeypatch):
+def test_equality_on_unbuilt_views_matches_eager(monkeypatch):
+    """== on new builds, so that it meets unbuilt views first: pairs of
+    neighbours compare as their eager twins do, and each equals its twin."""
     k, n = 2, 6
     with monkeypatch.context() as patch:
         patch.setattr(Polynomial, "_from_ranks", classmethod(eager_from_ranks))
         eager = every_family(k, n)
-        want = algebra_results(lambda: every_family(k, n), eager)
-    assert algebra_results(lambda: every_family(k, n), eager) == want
 
+    def neighbours(polys):
+        return [(polys[i] == polys[i + 1], polys[i + 1] == polys[i])
+                for i in range(0, len(polys) - 1, 5)]
 
-def test_add_term_on_an_unbuilt_view_keeps_the_old_terms():
-    poly, twin = straightening_mu((1, 4), (2, 3), 5), straightening_mu((1, 4), (2, 3), 5)
-    assert poly._terms is None
-    square = _mono((1, 2), (1, 2))
-    assert square not in twin.terms
-    poly.add_term(square, 2)
-    assert poly.terms == {**twin.terms, square: 2}
-    p = random_point(random.Random(3), 2, 5, gaussian=False)
-    assert poly.evaluate(p) == reference_value(poly, p)
+    assert neighbours(every_family(k, n)) == neighbours(eager)
+    assert any(a for a, _ in neighbours(eager))
+    assert all(a == b == a for a, b in zip(every_family(k, n), eager))
 
 
 def test_degree2_checks_never_build_the_terms_view():
@@ -871,9 +810,8 @@ def test_degree2_checks_never_build_the_terms_view():
     assert groebner_degree2_check(k, n)["ok"]
     laws = [poly for _, _, poly in all_straightening_mu(k, n) + all_straightening_lambda(k, n)]
     square = Polynomial(k, n, {_mono((1, 2, 3), (1, 2, 3)): 1})
-    for coords in (True, False):
-        for law in laws:
-            assert degree2_membership(law, k, n, coords=coords)
-        assert not degree2_membership(square, k, n, coords=coords)
+    for law in laws:
+        assert degree2_membership(law, k, n)
+    assert not degree2_membership(square, k, n)
     gens = plucker_relations(k, n) + orthogonality_relations(k, n, QuadraticForm.standard(n))
     assert all(poly._terms is None for poly in list(gens) + laws)
