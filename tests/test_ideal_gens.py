@@ -514,6 +514,33 @@ def test_membership_for_nonstandard_form():
     assert not degree2_membership(f, 2, 5)
 
 
+def first_standard_monomial(k, n):
+    """p12 p34 at (2, n), p123 p456 at (3, n): no member of the span."""
+    return _mono(tuple(range(1, k + 1)), tuple(range(k + 1, 2 * k + 1)))
+
+
+@pytest.mark.parametrize("k,n", [(2, 6), (3, 7)])
+def test_generator_combinations_are_members(k, n):
+    """Sums of generators with rational multipliers, some with
+    denominators, are members; one more standard monomial makes each a
+    non-member whose residual is the span's own."""
+    rng = random.Random(k * 100 + n)
+    gens = plucker_relations(k, n) + orthogonality_relations(k, n, QuadraticForm.standard(n))
+    span = _relation_span(k, n, QuadraticForm.standard(n))
+    square = Polynomial(k, n, {first_standard_monomial(k, n): 1})
+    for _ in range(12):
+        pairs = [(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)), g)
+                 for g in rng.sample(gens, 3)]
+        f = combination(*pairs)
+        assert not f.is_zero()
+        res = degree2_membership(f, k, n)
+        assert res and res.residual is None
+        g = combination(*pairs, (Fraction(-2, 3), square))
+        res = degree2_membership(g, k, n)
+        assert not res
+        assert res.residual == span.reduce(g) and not res.residual.is_zero()
+
+
 def test_relation_span_is_fresh_and_cached_span_unchanged():
     assert relation_span(2, 6) is not relation_span(2, 6)
     std = QuadraticForm.standard(6)
@@ -602,6 +629,41 @@ def test_span_rank_against_counts():
     span = relation_span(2, 6)
     assert span.rank == 36
     assert len(degree2_monomials(2, 6)) == 120
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (2, 6)])
+def test_add_reports_whether_the_rank_grew(k, n):
+    span = relation_span(k, n)
+    rows, rank = [dict(r) for r in span.rows], span.rank
+    gens = plucker_relations(k, n) + orthogonality_relations(k, n, QuadraticForm.standard(n))
+    assert not any(span.add(g) for g in gens)
+    assert span.rows == rows and span.rank == rank
+    m = first_standard_monomial(k, n)
+    outside = Polynomial(k, n, {m: Fraction(-6, 5)})
+    assert not span.reduce(outside).is_zero()
+    assert span.add(outside)
+    # the new row is the monomial's index alone, made primitive with a positive lead
+    lead = span.monomials.index(m)
+    assert span.rank == rank + 1 and span.rows[-1] == {lead: 1}
+    assert span.pivot_row[lead] == rank
+    assert span.reduce(outside).is_zero()
+    assert not span.add(Polynomial(k, n, {m: 7}))
+    assert span.rank == rank + 1
+
+
+@pytest.mark.parametrize("k,n", [(2, 6), (3, 7)])
+def test_reduce_is_idempotent_and_reads_the_span_only(k, n):
+    span = _relation_span(k, n, QuadraticForm.standard(n))
+    rows, pivots = [dict(r) for r in span.rows], dict(span.pivot_row)
+    laws = [poly for _, _, poly in all_straightening_mu(k, n)[::7]]
+    square = Polynomial(k, n, {first_standard_monomial(k, n): Fraction(5, 4)})
+    others = [square] + [combination((Fraction(3, 7), law), (1, square)) for law in laws]
+    for polys, member in ((laws, True), (others, False)):
+        for poly in polys:
+            residual = span.reduce(poly)
+            assert span.reduce(residual) == residual
+            assert residual.is_zero() == member
+    assert span.rows == rows and span.pivot_row == pivots
 
 
 @pytest.mark.parametrize("k,n", [(2, 5), (2, 6), (3, 7)])

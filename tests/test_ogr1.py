@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ogrlab.errors import InputError, PoleError
+from ogrlab.forms_points import PluckerVector
 from ogrlab.ogr1 import (
     Cell1,
     canonical_coeff,
@@ -83,6 +84,21 @@ def test_parametrize_pythagorean():
     assert p.get((3,)) == Fraction(4, 5)
     assert p.get((2,)) == 1
     assert quadric_residual(p) == 0
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_quadric_residual_off_the_quadric(n):
+    """The residual is the alternating sum of squares x_1^2 - x_2^2 + ...,
+    nonzero off the quadric."""
+    rng = random.Random(n)
+    nonzero = 0
+    for _ in range(20):
+        x = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+        p = PluckerVector(1, n, {(i + 1,): v for i, v in enumerate(x) if v})
+        want = sum((-1) ** i * v * v for i, v in enumerate(x))
+        assert quadric_residual(p) == want
+        nonzero += want != 0
+    assert nonzero >= 15
 
 
 def test_parametrize_rejects_boundary_parameters():
