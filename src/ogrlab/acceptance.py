@@ -175,7 +175,8 @@ def _vanishing_generators(k, n):
     return gens
 
 
-def criterion_09_generator_vanishing(seeds: int = 100):
+def criterion_09_generator_vanishing():
+    seeds = 100
     details = []
     ok = True
     for (k, n) in [(2, 5), (2, 6), (3, 7)]:
@@ -197,7 +198,8 @@ def criterion_09_generator_vanishing(seeds: int = 100):
     return ok, "; ".join(details)
 
 
-def criterion_10_hodge(count: int = 100):
+def criterion_10_hodge():
+    count = 100
     ok = True
     details = []
     for (k, n) in [(2, 5), (2, 6), (3, 7)]:
@@ -269,7 +271,8 @@ def criterion_12_canonical_form():
     return ok, "; ".join(details)
 
 
-def criterion_13_phi_samples(count: int = 20):
+def criterion_13_phi_samples():
+    count = 20
     alt5 = QuadraticForm.alternating(5)
     plucker5 = ideal_gens.plucker_relations(2, 5)
     bad = 0
@@ -404,12 +407,10 @@ CRITERIA = [
 ]
 
 
-def run_all(numbers=None, fast: bool = False, stream=None) -> list[CriterionResult]:
+def run_all(fast: bool = False, stream=None) -> list[CriterionResult]:
     """Run the acceptance criteria, printing one pass/fail line per criterion."""
     results = []
     for number, name, func, slow in CRITERIA:
-        if numbers is not None and number not in numbers:
-            continue
         if fast and slow:
             continue
         t0 = time.monotonic()

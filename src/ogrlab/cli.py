@@ -61,10 +61,8 @@ def _emit(payload, fmt: str, out) -> None:
     if fmt == "json":
         json.dump(payload, out, sort_keys=True, separators=(",", ":"))
         out.write("\n")
-    elif fmt == "text":
-        out.write(_as_text(payload))
     else:
-        raise InputError(f"format {fmt!r} not supported for this command")
+        out.write(_as_text(payload))
 
 
 def _as_text(payload, indent: int = 0) -> str:
@@ -415,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, k=True, n=True, form=False, seed=False):
+    def common(p, k=True, n=True, form=False, seed=False, formats=("json", "text")):
         if k:
             p.add_argument("--k", type=int, required=True)
         if n:
@@ -424,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--form", default="alternating")
         if seed:
             p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", default="json", choices=["json", "csv", "text"])
+        p.add_argument("--format", default="json", choices=formats)
 
     p = sub.add_parser("equations", help="defining quadrics")
     common(p, form=True)
@@ -478,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orthopositroids", help="enumeration and dimensions")
     oo = p.add_subparsers(dest="subcommand", required=True)
     q = oo.add_parser("enumerate")
-    common(q, seed=True)
+    common(q, seed=True, formats=("json", "csv", "text"))
     q.add_argument("--dims", action="store_true")
     q.add_argument("--tol", type=float, default=1e-8)
     q.add_argument("--cutoff", type=float, default=1e-4)

@@ -394,9 +394,6 @@ class Mat:
     def row(self, i):
         return list(self.rows[i])
 
-    def copy(self):
-        return Mat([list(r) for r in self.rows])
-
     def transpose(self):
         return Mat([[self.rows[i][j] for i in range(self.nrows)] for j in range(self.ncols)])
 
@@ -411,20 +408,6 @@ class Mat:
         out.rows = [[_product_entry(r, c) for c in right] for r in left]
         return out
 
-    def __add__(self, other):
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise SizeMismatchError("matrix sum shape mismatch")
-        return Mat(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
-        )
-
-    def __neg__(self):
-        return Mat([[-x for x in r] for r in self.rows])
-
-    def scale(self, c):
-        c = coerce_scalar(c)
-        return Mat([[c * x for x in r] for r in self.rows])
-
     def __eq__(self, other):
         return (
             isinstance(other, Mat)
@@ -432,9 +415,6 @@ class Mat:
             and self.ncols == other.ncols
             and all(a == b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb))
         )
-
-    def is_zero(self):
-        return all(x == 0 for r in self.rows for x in r)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in r) for r in self.rows)

@@ -324,14 +324,14 @@ def sample_isotropic(k: int, n: int, form: QuadraticForm, seed: int,
     return Subspace(chart * M)
 
 
-def sample_isotropic_component(k: int, seed: int, component: str = "standard",
-                               field: str = "rational") -> Subspace:
-    """Random isotropic k-plane in 2k-space (alternating form) lying on the
-    requested component; negating the first coordinate swaps components."""
+def sample_isotropic_component(k: int, seed: int, component: str = "standard") -> Subspace:
+    """Random rational isotropic k-plane in 2k-space (alternating form) lying
+    on the requested component; negating the first coordinate swaps
+    components."""
     if component not in ("standard", "twisted"):
         raise InputError("component must be 'standard' or 'twisted'")
     form = QuadraticForm.alternating(2 * k)
-    sub = sample_isotropic(k, 2 * k, form, seed, field)
+    sub = sample_isotropic(k, 2 * k, form, seed)
     if component_of(sub.plucker()) == component:
         return sub
     flipped = Mat([[-row[0]] + row[1:] for row in (sub.basis.row(i) for i in range(k))])

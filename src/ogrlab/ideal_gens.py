@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import gcd
+from types import MappingProxyType
 
 from .errors import InputError, InternalInvariantError, SizeMismatchError
 from .exact_core import (
@@ -60,9 +61,9 @@ class Polynomial:
     """Sparse polynomial in Plucker variables with rational coefficients.
 
     The terms do not change after construction.  A generator built over
-    colex ranks stores only its integer form (`cleared`); `terms`, the
-    subset-tuple -> Fraction dict, is built from it in the same order on
-    first access.
+    colex ranks stores only its integer form (`cleared`); `terms`, a
+    read-only subset-tuple -> Fraction mapping, is built from it in the same
+    order on first access.
     """
 
     __slots__ = ("k", "n", "_terms", "_cleared", "_variables")
@@ -70,7 +71,8 @@ class Polynomial:
     def __init__(self, k: int, n: int, terms: dict | None = None):
         self.k = k
         self.n = n
-        self._terms = {m: Fraction(c) for m, c in terms.items() if c} if terms else {}
+        self._terms = MappingProxyType(
+            {m: Fraction(c) for m, c in terms.items() if c} if terms else {})
         self._cleared = None
         self._variables = None
 
@@ -86,13 +88,13 @@ class Polynomial:
         return poly
 
     @property
-    def terms(self) -> dict:
+    def terms(self) -> MappingProxyType:
         """Monomial (a tuple of sorted k-subsets) -> Fraction coefficient."""
         if self._terms is None:
             L, coeffs, ranks = self._cleared
-            self._terms = {
+            self._terms = MappingProxyType({
                 _subsets(self.k, self.n, m): Fraction(c, L) for c, m in zip(coeffs, ranks)
-            }
+            })
         return self._terms
 
     def is_zero(self) -> bool:
@@ -680,11 +682,10 @@ def degree2_membership(f: Polynomial, k: int, n: int,
     return MembershipResult(False, residual=residual)
 
 
-def groebner_degree2_check(k: int, n: int,
-                           tie_breaks=("colex", "colex_desc", "kind_first")) -> dict:
+def groebner_degree2_check(k: int, n: int) -> dict:
     """Exact degree-2 consistency report.
 
-    (a) under each listed term order, the leading monomials of the two
+    (a) under each of three term orders, the leading monomials of the two
     straightening families are the stated products, and together they equal
     the non-standard degree-2 monomials; (b) the rank of the full generator
     span matches the monomial count minus the standard count; (c) the
@@ -697,9 +698,10 @@ def groebner_degree2_check(k: int, n: int,
     lams = all_straightening_lambda(k, n)
     laws = [(poly, _mono(I, J)) for I, J, poly in mus]
     laws += [(poly, _mono(I, subset_complement(Jp, n))) for I, Jp, poly in lams]
+    term_orders = ("colex", "colex_desc", "kind_first")
     claimed = set()
     orders_ok = True
-    for tb in tie_breaks:
+    for tb in term_orders:
         order = TermOrder(k, n, tb)
         for poly, stated in laws:
             lm = order.leading_monomial(poly)
@@ -723,7 +725,7 @@ def groebner_degree2_check(k: int, n: int,
     report = {
         "k": k,
         "n": n,
-        "term_orders": list(tie_breaks),
+        "term_orders": list(term_orders),
         "leading_monomials_match": orders_ok and claimed == nonstandard,
         "nonstandard_count": len(nonstandard),
         "claimed_count": len(claimed),

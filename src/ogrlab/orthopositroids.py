@@ -543,22 +543,20 @@ class CellDimResult:
     failed: bool
 
 
-def cell_dim_in_ogr_numeric(positroid: Positroid, form: QuadraticForm | None = None,
-                            tol: float = 1e-8, cutoff: float = 1e-4,
-                            seed: int = 0, starts: int = 32,
-                            wanted: int = 3) -> CellDimResult:
+def cell_dim_in_ogr_numeric(positroid: Positroid, tol: float = 1e-8,
+                            cutoff: float = 1e-4, seed: int = 0,
+                            starts: int = 32) -> CellDimResult:
     """Estimate the dimension of the isotropic slice of a positroid cell.
 
-    Minimizes the squared orthogonality residual over the bridge parameters
-    from random starts; at each converged interior point the slice dimension
-    is (parameter count) - rank of the residual Jacobian, with singular
-    values below the cutoff treated as zero.  The Jacobian is taken with
-    respect to log-parameters, the natural scale for positive parameters.
+    Minimizes the squared orthogonality residual of the alternating form
+    over the bridge parameters from random starts; at each converged
+    interior point the slice dimension is (parameter count) - rank of the
+    residual Jacobian, with singular values below the cutoff treated as
+    zero.  The Jacobian is taken with respect to log-parameters, the natural
+    scale for positive parameters.  It stops after 3 such points.
     """
-    if form is None:
-        form = QuadraticForm.alternating(positroid.n)
     decomp = bridge_decomposition(positroid.dperm)
-    model = _ResidualModel(decomp, form)
+    model = _ResidualModel(decomp, QuadraticForm.alternating(positroid.n))
     d = decomp.dim
     tol_sq = tol * tol
 
@@ -596,7 +594,7 @@ def cell_dim_in_ogr_numeric(positroid: Positroid, form: QuadraticForm | None = N
         sv = np.linalg.svd(J, compute_uv=False)
         rank = int((sv > cutoff).sum())
         outcomes.append((d - rank, ssq, tuple(sv)))
-        if len(outcomes) >= wanted:
+        if len(outcomes) >= 3:
             break
     if not outcomes:
         return CellDimResult(positroid, d, None, (), best_res, (), 0, True)
@@ -717,67 +715,38 @@ def printed_e1(b) -> Subspace:
     return Subspace(Mat([[1, 1, 0, 0, b, b], [0, 0, 1, 1, 0, 0]]))
 
 
-# -- univariate exact polynomials for projective limits ---------------------
+# -- projective limits of one-parameter families ----------------------------
 
-def _ptrim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+def _plucker_curve(family) -> tuple:
+    """The Plucker coordinates of t -> family(t) as quadratics in t.
 
-
-def _padd(p, q):
-    out = [Fraction(0)] * max(len(p), len(q))
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return _ptrim(out)
-
-
-def _pmul(p, q):
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return _ptrim(out)
+    Returns (k, n, {I: (c0, c1, c2)}).  Every family here is a 2 x n matrix
+    whose entries are affine in t, so each coordinate has degree at most 2:
+    the exact Plucker vectors at t = 1, 2, 3 determine it, and t = 4 checks
+    that it is one.
+    """
+    points = [family(t).plucker() for t in (1, 2, 3, 4)]
+    k, n = points[0].k, points[0].n
+    curve = {}
+    for I in ksubsets(n, k):
+        v1, v2, v3, v4 = (p.get(I) for p in points)
+        c2 = Fraction(v3 - 2 * v2 + v1, 2)
+        c1 = v2 - v1 - 3 * c2
+        c0 = v1 - c1 - c2
+        if c0 + 4 * c1 + 16 * c2 != v4:
+            raise InternalInvariantError(
+                f"Plucker coordinate {I} of the family is not quadratic in its parameter")
+        curve[I] = (c0, c1, c2)
+    return k, n, curve
 
 
-def _pneg(p):
-    return [-c for c in p]
-
-
-def poly_pluckers_2xn(rows) -> dict:
-    """Minors of a 2 x n matrix whose entries are univariate polynomials
-    (coefficient lists over Fraction)."""
-    n = len(rows[0])
-    out = {}
-    for pair in ksubsets(n, 2):
-        i, j = pair[0] - 1, pair[1] - 1
-        out[pair] = _padd(
-            _pmul(rows[0][i], rows[1][j]), _pneg(_pmul(rows[0][j], rows[1][i]))
-        )
-    return out
-
-
-def _limit_at_zero(ppl) -> dict:
-    return {I: (p[0] if p else Fraction(0)) for I, p in ppl.items()}
-
-
-def _limit_at_infinity(ppl) -> dict:
-    deg = max((len(p) - 1 for p in ppl.values() if p), default=0)
-    return {I: (p[deg] if len(p) == deg + 1 else Fraction(0)) for I, p in ppl.items()}
-
-
-def _const(v):
-    return [Fraction(v)] if v != 0 else []
-
-
-def _vec_eq_projective(u: dict, v: dict, k: int, n: int) -> bool:
-    pu = PluckerVector(k, n, {I: c for I, c in u.items() if c})
-    pv = PluckerVector(k, n, {I: c for I, c in v.items() if c})
-    return pu.eq_projective(pv)
+def _limit(curve, at_infinity: bool) -> PluckerVector:
+    """The projective limit of a Plucker curve as t -> 0 (or infinity): its
+    lowest (or highest) coefficient vector that is not zero."""
+    k, n, coeffs = curve
+    degrees = (2, 1, 0) if at_infinity else (0, 1, 2)
+    d = next(d for d in degrees if any(c[d] for c in coeffs.values()))
+    return PluckerVector(k, n, {I: c[d] for I, c in coeffs.items()})
 
 
 def gluing_check() -> dict:
@@ -788,80 +757,51 @@ def gluing_check() -> dict:
     that the other two limits give the remaining triangle edges; the as-
     printed first edge fails nonnegativity (minor on columns 3,5 is -b).
     """
-    n = 6
     bvals = [Fraction(1), Fraction(1, 2), Fraction(3, 2), Fraction(7, 5),
              Fraction(2, 3)]
     report = {}
 
-    # x -> 0 limit of the triangle family equals the third edge, symbolically
-    ok = True
-    for y in bvals:
-        rows = [
-            [_const(1), _const(1), _const(0), _const(0), [Fraction(0), Fraction(-1)], [Fraction(0), Fraction(-1)]],
-            [_const(0), _const(0), _const(1), _const(1), _const(y), _const(y)],
-        ]  # variable is x
-        limit = _limit_at_zero(poly_pluckers_2xn(rows))
-        target = edge_e(3, y).plucker()
-        ok = ok and _vec_eq_projective(limit, dict(target.coords), 2, n)
-    report["x_limit_is_e3"] = ok
+    # x -> 0 limit of the triangle family equals the third edge
+    report["x_limit_is_e3"] = all(
+        _limit(_plucker_curve(lambda x: m_sigma(x, y)), at_infinity=False)
+        .eq_projective(edge_e(3, y).plucker())
+        for y in bvals
+    )
 
     # the third edge is literally a member of the square family
-    ok = True
-    for b in bvals:
-        e3 = edge_e(3, b)
-        tau = m_tau(1, b, b)
-        ok = ok and e3.basis == tau.basis
-    report["e3_in_square_family"] = ok
+    report["e3_in_square_family"] = all(
+        edge_e(3, b).basis == m_tau(1, b, b).basis for b in bvals
+    )
 
     # inside the OPEN square cell: matroid of e3(b) equals the square matroid
     tau_bases = frozenset(
         tuple(sorted((i, j))) for i in (1, 2) for j in (3, 4, 5, 6)
     )
-    ok = True
-    sym_rows = [
-        [_const(1), _const(1), _const(0), _const(0), _const(0), _const(0)],
-        [_const(0), _const(0), _const(1), _const(1), [Fraction(0), Fraction(1)], [Fraction(0), Fraction(1)]],
-    ]  # variable is b
-    ppl = poly_pluckers_2xn(sym_rows)
-    for I, p in ppl.items():
-        if I in tau_bases:
-            ok = ok and bool(p) and all(c >= 0 for c in p) and any(c > 0 for c in p)
-        else:
-            ok = ok and not p
-    report["e3_in_open_square_cell"] = ok
+    e3 = _plucker_curve(lambda b: edge_e(3, b))
+    report["e3_in_open_square_cell"] = all(
+        any(c) == (I in tau_bases) and min(c) >= 0 for I, c in e3[2].items()
+    )
 
     # endpoints of the diagonal: opposite vertex cells of the square
-    at0 = _limit_at_zero(ppl)
-    atinf = _limit_at_infinity(ppl)
-    sup0 = {x for I, c in at0.items() if c for x in I} - {1, 2}
-    supinf = {x for I, c in atinf.items() if c for x in I} - {1, 2}
+    sup0 = {x for I in _limit(e3, at_infinity=False).support() for x in I} - {1, 2}
+    supinf = {x for I in _limit(e3, at_infinity=True).support() for x in I} - {1, 2}
     report["diagonal_endpoints_opposite"] = (
         sup0 == {3, 4} and supinf == {5, 6} and not (sup0 & supinf)
     )
 
     # y -> 0 limit equals the sign-corrected first edge
-    ok = True
-    for x in bvals:
-        rows = [
-            [_const(1), _const(1), _const(0), _const(0), _const(-x), _const(-x)],
-            [_const(0), _const(0), _const(1), _const(1), [Fraction(0), Fraction(1)], [Fraction(0), Fraction(1)]],
-        ]  # variable is y
-        limit = _limit_at_zero(poly_pluckers_2xn(rows))
-        target = edge_e(1, x).plucker()
-        ok = ok and _vec_eq_projective(limit, dict(target.coords), 2, n)
-    report["y_limit_is_corrected_e1"] = ok
+    report["y_limit_is_corrected_e1"] = all(
+        _limit(_plucker_curve(lambda y: m_sigma(x, y)), at_infinity=False)
+        .eq_projective(edge_e(1, x).plucker())
+        for x in bvals
+    )
 
     # x, y -> infinity along x = b*s, y = s gives the second edge
-    ok = True
-    for b in bvals:
-        rows = [
-            [_const(1), _const(1), _const(0), _const(0), [Fraction(0), -b], [Fraction(0), -b]],
-            [_const(0), _const(0), _const(1), _const(1), [Fraction(0), Fraction(1)], [Fraction(0), Fraction(1)]],
-        ]  # variable is s
-        limit = _limit_at_infinity(poly_pluckers_2xn(rows))
-        target = edge_e(2, b).plucker()
-        ok = ok and _vec_eq_projective(limit, dict(target.coords), 2, n)
-    report["xy_infinity_limit_is_e2"] = ok
+    report["xy_infinity_limit_is_e2"] = all(
+        _limit(_plucker_curve(lambda s: m_sigma(b * s, s)), at_infinity=True)
+        .eq_projective(edge_e(2, b).plucker())
+        for b in bvals
+    )
 
     # the as-printed first edge has a negative minor
     ok = True

@@ -442,6 +442,17 @@ def test_csv_format(capsys):
     assert len(lines) == 16  # header + 15 records
 
 
+def test_csv_is_refused_before_any_work(monkeypatch, capsys):
+    # only orthopositroids enumerate writes csv; elsewhere the parser
+    # refuses it, so the check never starts
+    def started(*args, **kwargs):
+        raise AssertionError("hodge_check ran")
+
+    monkeypatch.setattr(cli, "hodge_check", started)
+    assert main(["hodge-check", "--k", "3", "--n", "7", "--format", "csv"]) == 2
+    assert "invalid choice: 'csv'" in capsys.readouterr().err
+
+
 # sha256 of whole-command outputs; the sample and phi-map digests are those
 # of the Fraction / GaussianRational kernel and matrix product that the
 # integer-cleared ones replaced,

@@ -847,6 +847,19 @@ def test_zero_polynomial_from_ranks():
         assert poly.terms == {} and poly == Polynomial(2, 5)
 
 
+def test_terms_are_read_only():
+    # a cached generator is shared by every caller: writing into its terms
+    # must not change what the next caller prints
+    cached = plucker_relations(2, 4)[0]
+    before = cached.pretty()
+    direct = Polynomial(2, 4, {_mono((1, 2), (3, 4)): 1})
+    for poly in (cached, direct):
+        with pytest.raises(TypeError):
+            poly.terms[_mono((1, 2), (3, 4))] = 7
+    assert plucker_relations(2, 4)[0].pretty() == before
+    assert direct.pretty() == "⟨12⟩ ⟨34⟩"
+
+
 def test_equality_on_unbuilt_views_matches_eager(monkeypatch):
     """== on new builds, so that it meets unbuilt views first: pairs of
     neighbours compare as their eager twins do, and each equals its twin."""

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.optimize import least_squares
 
-from ogrlab.errors import InputError
+from ogrlab.errors import InputError, InternalInvariantError
 from ogrlab.exact_core import Mat, colex_rank, eps, ksubsets, rand_rational
 from ogrlab.forms_points import (
     PluckerVector,
@@ -648,3 +648,29 @@ def test_gluing_check_report():
     assert rep["ok"], rep
     assert rep["cw_certificate"]
     assert rep["printed_e1_fails_nonnegativity"]
+
+
+def test_gluing_check_reads_the_triangle_family(monkeypatch):
+    # with the printed +x entries the triangle family is not totally
+    # nonnegative, and its y -> 0 and x, y -> infinity limits are not the
+    # sign-corrected edges
+    def printed_sigma(x, y):
+        x, y = Fraction(x), Fraction(y)
+        return Subspace(Mat([[1, 1, 0, 0, x, x], [0, 0, 1, 1, y, y]]))
+
+    monkeypatch.setattr(orthopositroids, "m_sigma", printed_sigma)
+    rep = gluing_check()
+    assert not rep["ok"]
+    assert not rep["y_limit_is_corrected_e1"]
+    assert not rep["xy_infinity_limit_is_e2"]
+
+
+def test_plucker_curve_reads_quadratics_and_refuses_a_cubic():
+    # minors 1 - t^2, -t^2 and -t
+    curve = orthopositroids._plucker_curve(
+        lambda t: Subspace(Mat([[1, t, t], [t, 1, 0]])))
+    assert curve == (2, 3, {(1, 2): (1, 0, -1), (1, 3): (0, 0, -1), (2, 3): (0, -1, 0)})
+    assert orthopositroids._limit(curve, at_infinity=False).coords == {(1, 2): 1}
+    assert orthopositroids._limit(curve, at_infinity=True).coords == {(1, 2): -1, (1, 3): -1}
+    with pytest.raises(InternalInvariantError, match="not quadratic"):
+        orthopositroids._plucker_curve(lambda t: Subspace(Mat([[1, 0, t ** 3], [0, 1, 0]])))
