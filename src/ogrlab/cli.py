@@ -34,27 +34,20 @@ def _parse_form(spec: str, n: int) -> QuadraticForm:
     if spec == "hyperbolic":
         return QuadraticForm.hyperbolic(n)
     if spec.startswith("signed:"):
-        flipped = _parse_ints(spec.split(":", 1)[1])
+        flipped = _parse_list(spec.split(":", 1)[1])
         return QuadraticForm.signed_subset(flipped, n)
     raise InputError(f"unknown form {spec!r}")
 
 
-def _parse_ints(text: str) -> list[int]:
-    if not text:
-        return []
-    try:
-        return [int(x) for x in text.replace(" ", "").split(",") if x]
-    except ValueError as exc:
-        raise InputError(f"expected comma-separated integers, got {text!r}") from exc
+_LIST_ITEMS = {int: "integers", Fraction: "rationals"}
 
 
-def _parse_fractions(text: str) -> list[Fraction]:
-    if not text:
-        return []
+def _parse_list(text: str, item=int) -> list:
+    """The comma-separated entries of text as ints, or as Fractions."""
     try:
-        return [Fraction(x) for x in text.replace(" ", "").split(",") if x]
+        return [item(x) for x in text.replace(" ", "").split(",") if x]
     except ValueError as exc:
-        raise InputError(f"expected comma-separated rationals, got {text!r}") from exc
+        raise InputError(f"expected comma-separated {_LIST_ITEMS[item]}, got {text!r}") from exc
 
 
 def _emit(payload, fmt: str, out) -> None:
@@ -158,9 +151,9 @@ def _cmd_ogr1_cells(args, out) -> int:
 
 
 def _cmd_ogr1_sample(args, out) -> int:
-    cell = ogr1.make_cell(_parse_ints(args.A), _parse_ints(args.B), args.n)
-    us = _parse_fractions(args.params)
-    vs = _parse_fractions(args.params_b)
+    cell = ogr1.make_cell(_parse_list(args.A), _parse_list(args.B), args.n)
+    us = _parse_list(args.params, Fraction)
+    vs = _parse_list(args.params_b, Fraction)
     point = ogr1.parametrize_cell(cell, args.n, us, vs)
     payload = {
         "cell": cell.to_json(),
@@ -335,10 +328,10 @@ def _cmd_ortho_test(args, out) -> int:
         bases = _parse_bases(args.bases, args.k, args.n)
         pos = orthopositroids.Positroid.from_bases(bases, args.k, args.n)
     elif args.perm:
-        word = tuple(_parse_ints(args.perm))
+        word = tuple(_parse_list(args.perm))
         if len(word) != args.n:
             raise InputError(f"--perm has {len(word)} entries; --n is {args.n}")
-        coloops = frozenset(_parse_ints(args.coloops or ""))
+        coloops = frozenset(_parse_list(args.coloops or ""))
         dp = orthopositroids.DecoratedPermutation(word, coloops)
         if dp.type_k() != args.k:
             raise InputError(f"--perm has type {dp.type_k()}; --k is {args.k}")
@@ -424,6 +417,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", default="json", choices=formats)
 
+    def sweep(p):
+        """The numeric dimension sweep's flags, as dims_report's defaults."""
+        p.add_argument("--tol", type=float, default=1e-8)
+        p.add_argument("--cutoff", type=float, default=1e-4)
+        p.add_argument("--starts", type=int, default=32)
+
     p = sub.add_parser("equations", help="defining quadrics")
     common(p, form=True)
     p.set_defaults(func=_cmd_equations)
@@ -478,9 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = oo.add_parser("enumerate")
     common(q, seed=True, formats=("json", "csv", "text"))
     q.add_argument("--dims", action="store_true")
-    q.add_argument("--tol", type=float, default=1e-8)
-    q.add_argument("--cutoff", type=float, default=1e-4)
-    q.add_argument("--starts", type=int, default=32)
+    sweep(q)
     q.set_defaults(func=_cmd_ortho_enumerate)
     q = oo.add_parser("test")
     common(q)
@@ -490,9 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=_cmd_ortho_test)
     q = oo.add_parser("dims")
     common(q, seed=True)
-    q.add_argument("--tol", type=float, default=1e-8)
-    q.add_argument("--cutoff", type=float, default=1e-4)
-    q.add_argument("--starts", type=int, default=32)
+    sweep(q)
     q.set_defaults(func=_cmd_ortho_dims)
 
     p = sub.add_parser("sample", help="exact random isotropic subspace")

@@ -4,6 +4,11 @@ Everything downstream (equation generation, sampling, enumeration) is built
 on the primitives here: colexicographic k-subset indexing, the sorting-sign
 convention for Plucker brackets, and exact linear algebra over the rationals
 or the Gaussian rationals.
+
+Every cocircuit sign epsilon(K, l), the sign of sorting the word K then l,
+is read from one cached table, `signed_extensions`: the shuffle and
+orthogonality quadrics, the orthopositroid pair test and the bridge action
+on Plucker coordinates all use it.
 """
 from __future__ import annotations
 
@@ -12,6 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from operator import mul
+from types import MappingProxyType
 
 from .errors import (
     DegenerateInputError,
@@ -151,11 +157,6 @@ def ksubsets(n: int, k: int) -> tuple[tuple[int, ...], ...]:
     return tuple(subs)
 
 
-def colex_rank(subset) -> int:
-    """Position of a sorted subset in colex order: sum of C(s_i - 1, i)."""
-    return sum(binom(s - 1, i + 1) for i, s in enumerate(subset))
-
-
 @lru_cache(maxsize=None)
 def colex_ranks(n: int, k: int) -> dict[tuple[int, ...], int]:
     """The colex rank of each k-subset of {1..n}, keyed by its sorted tuple."""
@@ -182,8 +183,7 @@ def sort_sign(word) -> tuple[tuple[int, ...], int]:
     """Sort a word of indices, returning (sorted word, sign of the sort).
 
     The sign is that of the permutation putting the word in increasing
-    order; it is 0 exactly when the word has a repeated entry.  This single
-    convention backs every epsilon(I, l) in the package.
+    order; it is 0 exactly when the word has a repeated entry.
     """
     w = tuple(word)
     if len(set(w)) != len(w):
@@ -196,9 +196,20 @@ def sort_sign(word) -> tuple[tuple[int, ...], int]:
     return tuple(sorted(w)), (-1) ** inversions
 
 
-def eps(prefix, extra: int) -> int:
-    """Sign of sorting the string 'prefix then extra'; 0 on repeats."""
-    return sort_sign(tuple(prefix) + (extra,))[1]
+@lru_cache(maxsize=None)
+def signed_extensions(n: int, j: int) -> tuple[MappingProxyType, ...]:
+    """The signed extensions of each j-subset K of {1..n}, in colex order:
+    a read-only map l -> (colex rank of K + l among the (j+1)-subsets,
+    epsilon(K, l)) over the l not in K, ascending, where epsilon(K, l) is
+    the sort_sign of the word K then l.  This single table backs every
+    epsilon(K, l) in the package.  Cached: callers share it."""
+    rank = colex_ranks(n, j + 1)
+    table = []
+    for K in ksubsets(n, j):
+        signed = (sort_sign(K + (l,)) for l in range(1, n + 1))
+        table.append(MappingProxyType(
+            {l: (rank[Kl], s) for l, (Kl, s) in enumerate(signed, 1) if s}))
+    return tuple(table)
 
 
 # ---------------------------------------------------------------------------
@@ -448,9 +459,6 @@ class Mat:
             if pr == nr:
                 break
         return Mat(m), pivots
-
-    def rank(self):
-        return len(self.rref()[1])
 
     def nullspace(self):
         """Basis of the right kernel, as a list of column vectors (lists)."""

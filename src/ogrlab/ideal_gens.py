@@ -24,7 +24,7 @@ from .exact_core import (
     colex_mask_ranks,
     colex_ranks,
     ksubsets,
-    sort_sign,
+    signed_extensions,
     subset_complement,
     subset_mask,
 )
@@ -60,8 +60,8 @@ def _subsets(k: int, n: int, ranks) -> tuple:
 class Polynomial:
     """Sparse polynomial in Plucker variables with rational coefficients.
 
-    The terms do not change after construction.  A generator built over
-    colex ranks stores only its integer form (`cleared`); `terms`, a
+    The terms do not change after construction.  A polynomial stores only
+    its integer form (`cleared`), built at construction; `terms`, a
     read-only subset-tuple -> Fraction mapping, is built from it in the same
     order on first access.
     """
@@ -69,12 +69,23 @@ class Polynomial:
     __slots__ = ("k", "n", "_terms", "_cleared", "_variables")
 
     def __init__(self, k: int, n: int, terms: dict | None = None):
-        self.k = k
-        self.n = n
-        self._terms = MappingProxyType(
-            {m: Fraction(c) for m, c in terms.items() if c} if terms else {})
-        self._cleared = None
-        self._variables = None
+        """terms maps a monomial, a tuple of sorted k-subsets of [1, n], to
+        an int or Fraction coefficient; zero coefficients are dropped.  Any
+        other factor or coefficient is refused with InputError."""
+        terms = {m: c for m, c in terms.items() if c} if terms else {}
+        if not all(isinstance(c, (int, Fraction)) for c in terms.values()):
+            raise InputError("polynomial coefficients must be rational")
+        L, coeffs = clear_denominators(terms.values())
+        rank = colex_ranks(n, k)
+        degree = max(map(len, terms), default=0)
+        pad = (len(rank),)
+        try:
+            ranks = [tuple(rank[f] for f in m) + pad * (degree - len(m)) for m in terms]
+        except KeyError as e:
+            raise InputError(f"{e.args[0]} is not a sorted {k}-subset of [1, {n}]") from None
+        self.k, self.n = k, n
+        self._cleared = (L, coeffs, ranks)
+        self._terms = self._variables = None
 
     @classmethod
     def _from_ranks(cls, k: int, n: int, ints: dict) -> "Polynomial":
@@ -82,9 +93,10 @@ class Polynomial:
         all of one degree; zero coefficients are dropped.  The integer form
         is the input itself."""
         ints = {m: c for m, c in ints.items() if c}
-        poly = cls(k, n)
-        poly._terms = None
+        poly = object.__new__(cls)
+        poly.k, poly.n = k, n
         poly._cleared = (1, list(ints.values()), list(ints))
+        poly._terms = poly._variables = None
         return poly
 
     @property
@@ -98,7 +110,7 @@ class Polynomial:
         return self._terms
 
     def is_zero(self) -> bool:
-        return not (self._cleared[2] if self._terms is None else self._terms)
+        return not self._cleared[2]
 
     def __eq__(self, other):
         return (
@@ -108,25 +120,13 @@ class Polynomial:
         )
 
     def cleared(self):
-        """The integer form, computed once: (L, coeffs, ranks).
+        """The integer form: (L, coeffs, ranks).
 
         L is the least common denominator of the coefficients and coeffs
         lists L times each of them, in the order of terms.  ranks lists each
         monomial as the colex ranks of its factors, padded up to the top
         degree with C(n, k), the constant slot of PluckerVector.cleared.
         """
-        if self._cleared is None:
-            L, coeffs = clear_denominators(self.terms.values())
-            if any(not isinstance(c, int) for c in coeffs):
-                raise InputError("polynomial coefficients must be rational")
-            rank = colex_ranks(self.n, self.k)
-            degree = max(map(len, self.terms), default=0)
-            pad = (len(rank),)
-            try:
-                ranks = [tuple(rank[f] for f in m) + pad * (degree - len(m)) for m in self.terms]
-            except KeyError as e:
-                raise InputError(f"{e.args[0]} is not a sorted {self.k}-subset of [1, {self.n}]") from None
-            self._cleared = (L, coeffs, ranks)
         return self._cleared
 
     def evaluate(self, p: PluckerVector):
@@ -280,14 +280,15 @@ def plucker_relations(k: int, n: int) -> tuple[Polynomial, ...]:
     monomial has coefficient +1, and they are sorted by the list of their
     monomials in colex order, each monomial compared as a tuple of subsets.
 
-    On bitmasks: p_{I+j_t} p_{J-j_t} has sign (-1)^(t + #{i in I : i > j_t}).
+    The bracket of the word I, j_t is eps(I, j_t) p_{I+j_t}, with the sign
+    read off signed_extensions; I and J are compared on bitmasks.
     """
     _require_span_scale(k, n)
     rank = colex_mask_ranks(n, k)
     bigs = [(subset_mask(J), [(t, jt, 1 << jt) for t, jt in enumerate(J)])
             for J in ksubsets(n, k + 1)]
     rels = []
-    for mi in map(subset_mask, ksubsets(n, k - 1)):
+    for mi, ext in zip(map(subset_mask, ksubsets(n, k - 1)), signed_extensions(n, k - 1)):
         for mj, bits in bigs:
             only_i, only_j = mi & ~mj, mj & ~mi
             if not only_i or (
@@ -296,9 +297,9 @@ def plucker_relations(k: int, n: int) -> tuple[Polynomial, ...]:
                 continue
             terms = {}
             for t, jt, bit in bits:
-                if not mi & bit:
-                    m = _rank_pair(rank[mi | bit], rank[mj ^ bit])
-                    terms[m] = -1 if (t + (mi >> jt).bit_count()) & 1 else 1
+                if jt in ext:
+                    r, s = ext[jt]
+                    terms[_rank_pair(r, rank[mj ^ bit])] = -s if t & 1 else s
             if terms[min(terms)] < 0:
                 terms = {m: -c for m, c in terms.items()}
             rels.append(terms)
@@ -324,11 +325,7 @@ def orthogonality_relations(k: int, n: int, form: QuadraticForm) -> tuple[Polyno
     omega = form.matrix()
     entries = [(l, m, int(omega[l - 1, m - 1])) for l in range(1, n + 1)
                for m in range(1, n + 1) if omega[l - 1, m - 1]]
-    rank = colex_ranks(n, k)
-    ext = []  # per (k-1)-subset I: l -> (colex rank of I+l, eps(I, l)) for l not in I
-    for I in ksubsets(n, k - 1):
-        signed = {l: sort_sign(I + (l,)) for l in range(1, n + 1)}
-        ext.append({l: (rank[Il], s) for l, (Il, s) in signed.items() if s})
+    ext = signed_extensions(n, k - 1)
     out = []
     for a, ext_i in enumerate(ext):
         for ext_j in ext[a:]:
@@ -410,7 +407,7 @@ def _snake_shuffle(I, J, l: int, n: int, coyoung: bool) -> Polynomial:
     return Polynomial._from_ranks(k, n, terms)
 
 
-def straightening_mu(I, J, n: int, ell: int | None = None) -> Polynomial:
+def straightening_mu(I, J, n: int) -> Polynomial:
     """Straightening quadric for an incomparable Young pair.
 
     Shuffles the snake i_1..i_l, j_l..j_k over two sorted blocks; the
@@ -430,12 +427,10 @@ def straightening_mu(I, J, n: int, ell: int | None = None) -> Polynomial:
     l = snake_index(I, J)
     if l is None:
         raise InternalInvariantError("incomparable pair without snake")
-    if ell is not None and ell != l:
-        raise InputError(f"stated snake index {ell} but minimal is {l}")
     return _snake_shuffle(I, J, l, n, coyoung=False)
 
 
-def straightening_lambda(I, Jp, n: int, ell: int | None = None) -> Polynomial:
+def straightening_lambda(I, Jp, n: int) -> Polynomial:
     """Straightening quadric for a Young/coYoung incomparable pair.
 
     Same two-block shuffle with the coYoung bracket; terms whose bracket
@@ -452,8 +447,6 @@ def straightening_lambda(I, Jp, n: int, ell: int | None = None) -> Polynomial:
     l = snake_index(I, Jp[:k])
     if l is None:
         raise InternalInvariantError("incomparable mixed pair without snake")
-    if ell is not None and ell != l:
-        raise InputError(f"stated snake index {ell} but minimal is {l}")
     return _snake_shuffle(I, Jp, l, n, coyoung=True)
 
 

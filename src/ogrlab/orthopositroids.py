@@ -24,8 +24,8 @@ from .errors import (
     SizeMismatchError,
 )
 from .exact_core import (
-    Mat, binom, colex_key, colex_mask_ranks, colex_rank, eps, ksubsets,
-    subset_mask,
+    Mat, binom, colex_key, colex_mask_ranks, colex_ranks, ksubsets,
+    signed_extensions, subset_mask,
 )
 from .forms_points import (
     PluckerVector,
@@ -242,38 +242,36 @@ def enumerate_positroids(k: int, n: int) -> tuple[Positroid, ...]:
 # The orthopositroid test
 # ---------------------------------------------------------------------------
 
-def _extensions(I, J, n: int):
-    """(l, I+l, J+l, sign) for each l outside I and J, with the alternating
-    sign (-1)^(l-1) eps(I,l) eps(J,l); l meeting I or J is excluded since
-    its bracket vanishes."""
-    for l in range(1, n + 1):
-        if l in I or l in J:
-            continue
-        yield (l, tuple(sorted(I + (l,))), tuple(sorted(J + (l,))),
-               (-1) ** (l - 1) * eps(I, l) * eps(J, l))
-
-
 def a_sets(bases, I, J, n: int):
-    """Extension sets of a pair of (k-1)-subsets, split by sign: the l whose
-    two extensions I+l and J+l are both bases."""
+    """Extension sets of a pair of sorted (k-1)-subsets: the l whose two
+    extensions I+l and J+l are both bases, split by the sign of p_{I+l}
+    p_{J+l} in the alternating orthogonality quadric of (I, J), read off
+    the pair table."""
     I, J = tuple(I), tuple(J)
     if len(I) != len(J):
         raise SizeMismatchError("need equal-size subsets")
-    plus, minus = [], []
-    for l, BI, BJ, s in _extensions(I, J, n):
-        if BI in bases and BJ in bases:
-            (plus if s > 0 else minus).append(l)
-    return tuple(plus), tuple(minus)
+    k = len(I) + 1
+    ext = _extension_masks(bases, k, n)  # refuses a size past the desk scale
+    rank = colex_ranks(n, k - 1)
+    if I not in rank or J not in rank:
+        raise InputError(f"{I} and {J} must be sorted {k - 1}-subsets of [1, {n}]")
+    a, b = sorted((rank[I], rank[J]))
+    _, _, plus, minus = _pair_table(k, n)[a][1][b - a]
+    both = ext[a] & ext[b]
+    return _ascending(both & plus), _ascending(both & minus)
 
 
 @lru_cache(maxsize=None)
 def _facets(k: int, n: int) -> dict:
     """For each k-subset B, the pair (colex rank of B - b, 1 << b) for each
-    b in B: B is the extension of the (k-1)-subset B - b by b."""
-    return {
-        B: tuple((colex_rank(B[:i] + B[i + 1:]), 1 << b) for i, b in enumerate(B))
-        for B in ksubsets(n, k)
-    }
+    b in B: B is the extension of the (k-1)-subset B - b by b, read off
+    signed_extensions backwards."""
+    subs = ksubsets(n, k)
+    facets = {B: () for B in subs}
+    for r, ext in enumerate(signed_extensions(n, k - 1)):
+        for l, (rb, _) in ext.items():
+            facets[subs[rb]] += ((r, 1 << l),)
+    return facets
 
 
 def _extension_masks(bases, k: int, n: int) -> list[int]:
@@ -292,21 +290,24 @@ def _extension_masks(bases, k: int, n: int) -> list[int]:
 def _pair_table(k: int, n: int) -> tuple:
     """One row per (k-1)-subset I, in ksubsets order: (I, pairs) with
     (b, J, plus, minus) for each J >= I, where b is the colex rank of J and
-    plus and minus are the bitmasks of the l of each sign in
-    _extensions(I, J, n)."""
+    plus and minus are the bitmasks of the l outside I and J by the sign of
+    Omega_ll eps(I, l) eps(J, l), the coefficient of p_{I+l} p_{J+l} in the
+    orthogonality quadric of (I, J) under the alternating form Omega."""
+    omega = QuadraticForm.alternating(n).diag
     subs = ksubsets(n, k - 1)
+    ext = signed_extensions(n, k - 1)
     table = []
     for a, I in enumerate(subs):
         pairs = []
         for b in range(a, len(subs)):
-            J = subs[b]
             plus = minus = 0
-            for l, _, _, s in _extensions(I, J, n):
-                if s > 0:
-                    plus |= 1 << l
-                else:
-                    minus |= 1 << l
-            pairs.append((b, J, plus, minus))
+            for l, (_, s) in ext[a].items():
+                if l in ext[b]:
+                    if omega[l - 1] * s * ext[b][l][1] > 0:
+                        plus |= 1 << l
+                    else:
+                        minus |= 1 << l
+            pairs.append((b, subs[b], plus, minus))
         table.append((I, tuple(pairs)))
     return tuple(table)
 
@@ -447,16 +448,14 @@ def bridge_decomposition(dp: DecoratedPermutation) -> BridgeDecomposition:
 @lru_cache(maxsize=None)
 def _bridge_table(k: int, n: int, a: int, b: int):
     """Plucker action of the column operation x_b += x_a as a dense matrix
-    S over colex ranks, p += t * (S @ p): row I with b in I and a not in I
-    holds sigma = (-1)^(number of c in I strictly between a and b) at column
-    I-b+a, and the other rows are zero.  Cached and read-only."""
-    lo, hi = min(a, b), max(a, b)
-    subs = ksubsets(n, k)
-    S = np.zeros((len(subs), len(subs)))
-    for r, I in enumerate(subs):
-        if b in I and a not in I:
-            S[r, colex_rank(sorted(set(I) - {b} | {a}))] = (
-                (-1) ** sum(lo < c < hi for c in I))
+    S over colex ranks, p += t * (S @ p): S[K+b, K+a] = eps(K, a) eps(K, b)
+    for each (k-1)-subset K missing a and b, and the other entries are zero.
+    Cached and read-only."""
+    S = np.zeros((binom(n, k), binom(n, k)))
+    for ext in signed_extensions(n, k - 1):
+        if a in ext and b in ext:
+            (ra, sa), (rb, sb) = ext[a], ext[b]
+            S[rb, ra] = sa * sb
     S.flags.writeable = False
     return S
 
@@ -490,7 +489,7 @@ class _ResidualModel:
         k, n = decomp.k, decomp.n
         self.d = decomp.dim
         self.start = np.zeros(binom(n, k))
-        self.start[colex_rank(decomp.coloops)] = 1.0
+        self.start[colex_ranks(n, k)[decomp.coloops]] = 1.0
         # application order is the reverse of decomposition order
         self.ops = [
             (ti, sign * _bridge_table(k, n, a, b))

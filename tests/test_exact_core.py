@@ -11,15 +11,20 @@ from ogrlab.exact_core import (
     Mat,
     clear_denominators,
     binom,
-    colex_rank,
-    eps,
+    colex_ranks,
     fraction_str,
     ksubsets,
     minors,
     rand_matrix,
     rand_rational,
+    signed_extensions,
     sort_sign,
 )
+
+
+def colex_rank(subset) -> int:
+    """Position of a sorted subset in colex order: sum of C(s_i - 1, i)."""
+    return sum(binom(s - 1, i + 1) for i, s in enumerate(subset))
 
 
 def colex_unrank(rank: int, k: int) -> tuple[int, ...]:
@@ -83,18 +88,41 @@ def test_colex_roundtrip(n, k):
     if k > n:
         return
     for i, s in enumerate(ksubsets(n, k)):
-        assert colex_rank(s) == i
+        assert colex_rank(s) == colex_ranks(n, k)[s] == i
         assert colex_unrank(i, k) == s
 
 
-def test_eps_examples():
-    assert eps((1,), 2) == 1
-    assert eps((2,), 1) == -1
-    assert eps((2,), 2) == 0
+def inversion_sign(word) -> int:
+    """(-1)^(number of inversions of word), or 0 when an entry repeats: the
+    brute-force reference for epsilon."""
+    if len(set(word)) < len(word):
+        return 0
+    inversions = sum(word[i] > word[j]
+                     for i in range(len(word)) for j in range(i + 1, len(word)))
+    return (-1) ** inversions
+
+
+def test_signed_extension_examples():
+    assert signed_extensions(2, 1) == ({2: (0, 1)}, {1: (0, -1)})
+    assert signed_extensions(3, 0) == ({1: (0, 1), 2: (1, 1), 3: (2, 1)},)
+    assert signed_extensions(3, 3) == ({},)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_signed_extensions_match_inversion_count(n):
+    for j in range(n + 1):
+        table, above = signed_extensions(n, j), ksubsets(n, j + 1)
+        assert len(table) == len(ksubsets(n, j))
+        for K, ext in zip(ksubsets(n, j), table):
+            assert list(ext) == [l for l in range(1, n + 1) if l not in K]
+            for l, (r, s) in ext.items():
+                assert above[r] == tuple(sorted(K + (l,)))
+                assert s == inversion_sign(K + (l,))
 
 
 def test_rank_identity():
-    assert Mat.identity(3).rank() == 3
+    # full rank: a maximal minor is nonzero
+    assert minors(Mat.identity(3), 3) == {(1, 2, 3): 1}
 
 
 def test_nullspace_sum_row():

@@ -5,13 +5,13 @@ from math import gcd
 
 import pytest
 
-from ogrlab.errors import InputError, SizeMismatchError
+from ogrlab.errors import DegenerateInputError, InputError, SizeMismatchError
 from ogrlab.exact_core import (
     GaussianRational,
     Mat,
     colex_ranks,
-    eps,
     ksubsets,
+    minors,
     rand_matrix,
     rand_rational,
     sort_sign,
@@ -24,6 +24,7 @@ from ogrlab.ideal_gens import (
     TermOrder,
     _mono,
     _relation_span,
+    _snake_shuffle,
     all_mixed_incomparable,
     all_straightening_lambda,
     all_straightening_mu,
@@ -42,10 +43,18 @@ from ogrlab.ideal_gens import (
 from ogrlab.posets import mixed_leq, snake_index, young_incomparable_pairs, young_leq
 
 
+def full_rank(M) -> bool:
+    """Does the k x n matrix M have rank k: is a maximal minor nonzero?"""
+    try:
+        return any(minors(M, M.nrows).values())
+    except DegenerateInputError:
+        return False
+
+
 def plucker_of_random_matrix(rng, k, n):
     while True:
         M = rand_matrix(rng, k, n)
-        if M.rank() == k:
+        if full_rank(M):
             return PluckerVector.from_matrix(M)
 
 
@@ -79,7 +88,7 @@ def random_point(rng, k, n, gaussian):
              if gaussian else rand_rational(rng) for _ in range(n)]
             for _ in range(k)
         ])
-        if M.rank() == k:
+        if full_rank(M):
             return PluckerVector.from_matrix(M)
 
 
@@ -224,17 +233,21 @@ def test_cleared_reproduces_terms():
 
 @pytest.mark.parametrize("factor", [(2, 1), (1, 1), (1, 7), (0, 1), (1, 2, 3)])
 def test_factor_outside_the_k_subsets_is_refused(factor):
-    poly = Polynomial(2, 6, {_mono((1, 2), (3, 4)): 1, (factor, (5, 6)): 2})
+    # a polynomial is converted to its integer form at construction
+    with pytest.raises(InputError, match="sorted 2-subset"):
+        Polynomial(2, 6, {_mono((1, 2), (3, 4)): 1, (factor, (5, 6)): 2})
     p = PluckerVector(2, 6, {(1, 2): 1, (2, 1): 3, (5, 6): 1})
     with pytest.raises(InputError):
         p.cleared()
-    p = PluckerVector(2, 6, {(1, 2): 1, (5, 6): 1})
-    with pytest.raises(InputError):
-        poly.evaluate(p)
-    span, fresh = relation_span(2, 6), relation_span(2, 6)
-    with pytest.raises(InputError):
-        span.add(poly)
-    assert (span.pivot_row, span.rows) == (fresh.pivot_row, fresh.rows)
+
+
+@pytest.mark.parametrize("coeff", [GaussianRational(1, 1), 0.5, "1/2"])
+def test_non_rational_coefficient_is_refused(coeff):
+    terms = {_mono((1, 2), (3, 4)): 1, _mono((1, 3), (2, 4)): coeff}
+    with pytest.raises(InputError, match="rational"):
+        Polynomial(2, 4, terms)
+    assert Polynomial(2, 4, {**terms, _mono((1, 3), (2, 4)): Fraction(1, 2)}).cleared() \
+        == (2, [2, 1], [(0, 5), (1, 4)])
 
 
 @pytest.mark.parametrize("k,n", [(2, 4), (2, 5), (3, 6)])
@@ -282,6 +295,12 @@ def test_orthogonality_vanishes_on_samples(k, n):
     for seed in range(10):
         p = sample_isotropic(k, n, alt, seed).plucker()
         assert all(g.evaluate(p) == 0 for g in rels)
+
+
+def eps(I, l) -> int:
+    """epsilon(I, l) for a sorted I, by counting inversions: the sign of
+    sorting I then l, or 0 when l lies in I."""
+    return 0 if l in I else (-1) ** sum(x > l for x in I)
 
 
 def cocircuit_reference(p, form):
@@ -370,10 +389,12 @@ def test_straightening_refuses_subsets_outside_range():
 
 
 def test_straightening_lambda_snake_validation():
-    with pytest.raises(InputError):
-        straightening_lambda((1, 2), (1, 3, 5, 6), 6, ell=1)
-    f = straightening_lambda((1, 2), (1, 3, 5, 6), 6, ell=2)
+    # the law shuffles over the minimal snake index, 2 here, not 1
+    assert snake_index((1, 2), (1, 3)) == 2
+    f = straightening_lambda((1, 2), (1, 3, 5, 6), 6)
     assert not f.is_zero()
+    assert f == _snake_shuffle((1, 2), (1, 3, 5, 6), 2, 6, coyoung=True)
+    assert f != _snake_shuffle((1, 2), (1, 3, 5, 6), 1, 6, coyoung=True)
 
 
 @pytest.mark.parametrize("k,n", [(2, 5), (2, 6)])
@@ -801,13 +822,11 @@ def test_mixed_pairs_at_n_below_2k_are_refused():
 
 
 def eager_from_ranks(cls, k, n, ints):
-    """Polynomial._from_ranks with both forms built at once: the subset
-    tuple -> Fraction dict next to the integer form it was read from."""
+    """Polynomial._from_ranks through the constructor: the subset tuple ->
+    Fraction dict of the integer form, converted back to ranks there."""
     subs = ksubsets(n, k)
     ints = {m: c for m, c in ints.items() if c}
-    poly = Polynomial(k, n, {tuple(subs[r] for r in m): Fraction(c) for m, c in ints.items()})
-    poly._cleared = (1, list(ints.values()), list(ints))
-    return poly
+    return Polynomial(k, n, {tuple(subs[r] for r in m): Fraction(c) for m, c in ints.items()})
 
 
 def every_family(k, n):

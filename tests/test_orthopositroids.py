@@ -10,14 +10,14 @@ import pytest
 from scipy.optimize import least_squares
 
 from ogrlab.errors import InputError, InternalInvariantError
-from ogrlab.exact_core import Mat, colex_rank, eps, ksubsets, rand_rational
+from ogrlab.exact_core import Mat, ksubsets, rand_rational
 from ogrlab.forms_points import (
     PluckerVector,
     QuadraticForm,
     Subspace,
     is_totally_nonnegative,
 )
-from ogrlab.ideal_gens import is_isotropic
+from ogrlab.ideal_gens import _mono, is_isotropic, orthogonality_relations
 from ogrlab import orthopositroids
 from ogrlab.parity_duality import all_matchings, matching_to_permutation_via_contraction
 from ogrlab.orthopositroids import (
@@ -64,22 +64,30 @@ def relabel_bases(bases, mapping) -> frozenset:
     return frozenset(tuple(sorted(mapping[x] for x in B)) for B in bases)
 
 
+def eps(I, l) -> int:
+    """epsilon(I, l) for a sorted I, by counting inversions: the sign of
+    sorting I then l, or 0 when l lies in I."""
+    return 0 if l in I else (-1) ** sum(x > l for x in I)
+
+
 @lru_cache(maxsize=None)
 def signed_extensions(k, n) -> tuple:
-    """(I, J, plus, minus) for each pair I <= J of (k-1)-subsets, with plus
-    and minus the a_sets of the uniform matroid: every l outside I and J,
-    split by sign."""
-    every = frozenset(ksubsets(n, k))
+    """(I, J, plus, minus) for each pair I <= J of (k-1)-subsets: every l
+    outside I and J, split by the sign (-1)^(l-1) eps(I, l) eps(J, l) of its
+    term in the alternating orthogonality quadric of (I, J)."""
     subs = ksubsets(n, k - 1)
-    return tuple(
-        (I, J) + a_sets(every, I, J, n)
-        for a, I in enumerate(subs) for J in subs[a:]
-    )
+    out = []
+    for a, I in enumerate(subs):
+        for J in subs[a:]:
+            signs = [((-1) ** (l - 1) * eps(I, l) * eps(J, l), l) for l in range(1, n + 1)]
+            out.append((I, J, tuple(l for s, l in signs if s > 0),
+                        tuple(l for s, l in signs if s < 0)))
+    return tuple(out)
 
 
 def reference_report(bases, k, n) -> OrthoReport:
-    """The pair test as a loop over the a_sets of every pair I <= J: the l
-    of each sign whose extensions I+l and J+l are both bases."""
+    """The pair test as a loop over the signed extensions of every pair
+    I <= J: the l of each sign whose extensions I+l and J+l are both bases."""
     def both_bases(I, J, side):
         return tuple(
             l for l in side
@@ -186,6 +194,28 @@ def test_a_sets_first_family_one_sided():
 
 def test_a_sets_empty_both_sides():
     assert a_sets(M2, (5,), (5,), 5) == ((), ())
+    with pytest.raises(InputError):
+        a_sets(M2, (6,), (5,), 5)
+
+
+@pytest.mark.parametrize("k,n", [(1, 4), (2, 5), (2, 6), (3, 6), (3, 7), (1, 7), (4, 8)])
+def test_pair_table_signs_are_the_alternating_quadrics(k, n):
+    """The pair test's plus and minus masks are the signs of the terms of
+    the alternating orthogonality quadric of (I, J), p_{I+l} p_{J+l} for
+    each l outside I and J; a pair with no such l has no quadric."""
+    quadrics = iter(orthogonality_relations(k, n, QuadraticForm.alternating(n)))
+    for I, pairs in orthopositroids._pair_table(k, n):
+        for _, J, plus, minus in pairs:
+            assert not plus & minus
+            if not plus | minus:
+                continue
+            signs = {}
+            for l in range(1, n + 1):
+                if (plus | minus) >> l & 1:
+                    mono = _mono(tuple(sorted(I + (l,))), tuple(sorted(J + (l,))))
+                    signs[mono] = 1 if plus >> l & 1 else -1
+            assert dict(next(quadrics).terms) == signs
+    assert next(quadrics, None) is None
 
 
 @pytest.mark.parametrize("k,n", PAIR_TEST_SIZES)
@@ -195,6 +225,8 @@ def test_compiled_pair_test_matches_a_sets_loop(k, n):
         want = reference_report(pos.bases, k, n)
         assert is_orthopositroid(pos) == want
         assert is_orthopositroid(pos.bases, k, n) == want
+        for I, J, plus, minus in want.failures:
+            assert a_sets(pos.bases, I, J, n) == a_sets(pos.bases, J, I, n) == (plus, minus)
         failing += not want.verdict
     assert failing  # the failure lists, order included, were compared
 
@@ -481,7 +513,7 @@ def indexed_bridge(k, n, a, b):
     lo, hi = min(a, b), max(a, b)
     subs = ksubsets(n, k)
     tgt = [r for r, I in enumerate(subs) if b in I and a not in I]
-    src = [colex_rank(sorted(set(subs[r]) - {b} | {a})) for r in tgt]
+    src = [subs.index(tuple(sorted(set(subs[r]) - {b} | {a}))) for r in tgt]
     sigma = [(-1) ** sum(lo < c < hi for c in subs[r]) for r in tgt]
     return np.array(tgt), np.array(src), np.array(sigma, dtype=float)
 
