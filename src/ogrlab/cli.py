@@ -46,7 +46,7 @@ def _parse_list(text: str, item=int) -> list:
     """The comma-separated entries of text as ints, or as Fractions."""
     try:
         return [item(x) for x in text.replace(" ", "").split(",") if x]
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"expected comma-separated {_LIST_ITEMS[item]}, got {text!r}") from exc
 
 

@@ -156,6 +156,8 @@ TOP_CELL_15_30 = ",".join(str((i + 14) % 30 + 1) for i in range(1, 31))
     "ogr1 canonical --n 3",
     "ogr1 cells --n 13",
     "ogr1 cells --n 30",
+    "ogr1 sample --n 5 --A 1,3,5 --B 2,4 --params 1/0 --params-b 2",
+    "ogr1 sample --n 5 --A 1,3,5 --B 2,4 --params 1,2,3 --params-b 2/0",
     "matchings map --k 6",
     "matchings map --k -1",
     "matchings map --k -2",

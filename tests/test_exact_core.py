@@ -20,6 +20,7 @@ from ogrlab.exact_core import (
     signed_extensions,
     sort_sign,
 )
+from sign_reference import eps
 
 
 def colex_rank(subset) -> int:
@@ -92,16 +93,6 @@ def test_colex_roundtrip(n, k):
         assert colex_unrank(i, k) == s
 
 
-def inversion_sign(word) -> int:
-    """(-1)^(number of inversions of word), or 0 when an entry repeats: the
-    brute-force reference for epsilon."""
-    if len(set(word)) < len(word):
-        return 0
-    inversions = sum(word[i] > word[j]
-                     for i in range(len(word)) for j in range(i + 1, len(word)))
-    return (-1) ** inversions
-
-
 def test_signed_extension_examples():
     assert signed_extensions(2, 1) == ({2: (0, 1)}, {1: (0, -1)})
     assert signed_extensions(3, 0) == ({1: (0, 1), 2: (1, 1), 3: (2, 1)},)
@@ -117,7 +108,7 @@ def test_signed_extensions_match_inversion_count(n):
             assert list(ext) == [l for l in range(1, n + 1) if l not in K]
             for l, (r, s) in ext.items():
                 assert above[r] == tuple(sorted(K + (l,)))
-                assert s == inversion_sign(K + (l,))
+                assert s == eps(K, l)
 
 
 def test_rank_identity():

@@ -23,6 +23,7 @@ from ogrlab.forms_points import (
     sample_isotropic_component,
 )
 from ogrlab.ideal_gens import is_isotropic
+from sign_reference import eps
 
 
 def test_form_matrices():
@@ -38,12 +39,6 @@ def test_subspace_rank_from_minors():
     for rows in ([[1, 2, 0], [2, 4, 0]], [[0, 0], [0, 0]], [[1, 0], [0, 1], [1, 1]]):
         with pytest.raises(DegenerateInputError, match="rank"):
             Subspace(Mat(rows))
-
-
-def eps(I, l) -> int:
-    """epsilon(I, l) for a sorted I, by counting inversions: the sign of
-    sorting I then l, or 0 when l lies in I."""
-    return 0 if l in I else (-1) ** sum(x > l for x in I)
 
 
 def cocircuit_matrix(p):

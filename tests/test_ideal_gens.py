@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from types import MappingProxyType
 
 import pytest
 
@@ -41,6 +42,7 @@ from ogrlab.ideal_gens import (
     straightening_mu_canonical,
 )
 from ogrlab.posets import mixed_leq, snake_index, young_incomparable_pairs, young_leq
+from sign_reference import eps
 
 
 def full_rank(M) -> bool:
@@ -295,12 +297,6 @@ def test_orthogonality_vanishes_on_samples(k, n):
     for seed in range(10):
         p = sample_isotropic(k, n, alt, seed).plucker()
         assert all(g.evaluate(p) == 0 for g in rels)
-
-
-def eps(I, l) -> int:
-    """epsilon(I, l) for a sorted I, by counting inversions: the sign of
-    sorting I then l, or 0 when l lies in I."""
-    return 0 if l in I else (-1) ** sum(x > l for x in I)
 
 
 def cocircuit_reference(p, form):
@@ -822,11 +818,16 @@ def test_mixed_pairs_at_n_below_2k_are_refused():
 
 
 def eager_from_ranks(cls, k, n, ints):
-    """Polynomial._from_ranks through the constructor: the subset tuple ->
-    Fraction dict of the integer form, converted back to ranks there."""
+    """Polynomial._from_ranks with both forms set by hand: the subset tuple
+    -> Fraction dict next to the integer form it was read from, so neither
+    goes through the decoding of the lazy view."""
     subs = ksubsets(n, k)
     ints = {m: c for m, c in ints.items() if c}
-    return Polynomial(k, n, {tuple(subs[r] for r in m): Fraction(c) for m, c in ints.items()})
+    terms = {tuple(subs[r] for r in m): Fraction(c) for m, c in ints.items()}
+    poly = Polynomial(k, n, terms)
+    poly._cleared = (1, list(ints.values()), list(ints))
+    poly._terms = MappingProxyType(terms)
+    return poly
 
 
 def every_family(k, n):

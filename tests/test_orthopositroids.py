@@ -45,6 +45,7 @@ from ogrlab.orthopositroids import (
     tau_solution,
     top_cell_dperm,
 )
+from sign_reference import eps
 
 ALT6 = QuadraticForm.alternating(6)
 
@@ -62,12 +63,6 @@ PAIR_TEST_STRIDE = {(3, 7): 7}
 def relabel_bases(bases, mapping) -> frozenset:
     """Image of a bases set under a ground-set relabeling."""
     return frozenset(tuple(sorted(mapping[x] for x in B)) for B in bases)
-
-
-def eps(I, l) -> int:
-    """epsilon(I, l) for a sorted I, by counting inversions: the sign of
-    sorting I then l, or 0 when l lies in I."""
-    return 0 if l in I else (-1) ** sum(x > l for x in I)
 
 
 @lru_cache(maxsize=None)
