@@ -15,13 +15,13 @@ from dataclasses import dataclass
 
 from . import ideal_gens, ogr1, orthopositroids, parity_duality, posets, weyl
 from .errors import EmptinessError, UnsupportedFormError
-from .exact_core import GaussianRational, Mat, binom, ksubsets, rand_matrix
+from .exact_core import GaussianRational, Mat, binom, ksubsets
 from .forms_points import (
     PluckerVector,
     QuadraticForm,
-    Subspace,
     complementary_ratio_sign,
-    hodge_check,
+    hodge_failures,
+    is_isotropic,
     is_totally_nonnegative,
     sample_isotropic,
     sample_isotropic_component,
@@ -69,7 +69,7 @@ def criterion_04_degree2_dimensions():
         std = posets.count_standard_monomials(k, n, 2)
         wd = weyl.weyl_dim(k, n, 2)
         pred = weyl.standard_monomial_prediction(k, n)
-        span = ideal_gens.relation_span(k, n)
+        span = ideal_gens._relation_span(k, n, QuadraticForm.standard(n))
         want_rank = binom(binom(n, k) + 1, 2) - std
         good = std == wd == pred and span.rank == want_rank
         ok = ok and good
@@ -203,12 +203,7 @@ def criterion_10_hodge():
     ok = True
     details = []
     for (k, n) in [(2, 5), (2, 6), (3, 7)]:
-        rng = random.Random(10 * k + n)
-        bad = 0
-        for _ in range(count):
-            V = Subspace(rand_matrix(rng, k, n))
-            good, _ = hodge_check(V)
-            bad += 0 if good else 1
+        bad = hodge_failures(k, n, count, random.Random(10 * k + n))
         ok = ok and bad == 0
         details.append(f"({k},{n}): {count} subspaces, failures {bad}")
     return ok, "; ".join(details)
@@ -279,7 +274,7 @@ def criterion_13_phi_samples():
     for seed in range(count):
         q = sample_isotropic_component(3, seed=seed, component="standard").plucker()
         p = parity_duality.phi_map(q)
-        if not ideal_gens.is_isotropic(p, alt5):
+        if not is_isotropic(p, alt5):
             bad += 1
         elif any(g.evaluate(p) != 0 for g in plucker5):
             bad += 1
@@ -295,7 +290,7 @@ def criterion_13_phi_samples():
     tnn_ok = is_totally_nonnegative(tnn5)
     q6 = parity_duality.phi_inverse(tnn5)
     tnn_ok = tnn_ok and is_totally_nonnegative(q6)
-    tnn_ok = tnn_ok and ideal_gens.is_isotropic(q6, QuadraticForm.alternating(6))
+    tnn_ok = tnn_ok and is_isotropic(q6, QuadraticForm.alternating(6))
     back = parity_duality.phi_map(q6)
     tnn_ok = tnn_ok and is_totally_nonnegative(back) and back.eq_projective(tnn5)
     ok = bad == 0 and tnn_ok

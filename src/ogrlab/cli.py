@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import sys
 
 from . import ideal_gens, ogr1, orthopositroids, parity_duality, weyl
@@ -18,8 +19,8 @@ from .errors import InputError, InternalInvariantError, OgrlabError
 from .exact_core import binom, fraction_str
 from .forms_points import (
     QuadraticForm,
-    Subspace,
-    hodge_check,
+    hodge_failures,
+    is_isotropic,
     sample_isotropic,
     sample_isotropic_component,
 )
@@ -183,10 +184,10 @@ def _cmd_ogr1_canonical(args, out) -> int:
     return 0 if payload["ok"] else 1
 
 
-# A sample point takes C(n, k) minors and an n x n change of basis, and is
-# checked by up to C(n, k - 1)^2 / 2 orthogonality quadrics; hodge-check
-# takes the C(n, k) minors of order n - k of the complement.  (6,12) has
-# the most k-subsets admitted, C(12, 6).
+# A sample point takes C(n, k) minors and an n x n change of basis, and its
+# check the C(n, k) minors of k cocircuits; hodge-check takes the C(n, k)
+# minors of order n - k of the complement, and C(n, k - 1) caps k near n,
+# where its cost fit runs low.  (6,12) has the most k-subsets, C(12, 6).
 POINT_MAX_SUBSETS = 924
 POINT_MAX_N = 24
 
@@ -215,22 +216,13 @@ def _hodge_max_count(k: int, n: int) -> int:
 
 
 def _cmd_hodge_check(args, out) -> int:
-    import random
-
-    from .exact_core import rand_matrix
-
     if not 0 <= args.k <= args.n:
         raise InputError("need 0 <= k <= n")
     _require_point_scale(args.k, args.n)
     limit = _hodge_max_count(args.k, args.n)
     if not 0 <= args.count <= limit:
         raise InputError(f"--count must lie in [0, {limit}] at ({args.k}, {args.n})")
-    rng = random.Random(args.seed)
-    bad = 0
-    for _ in range(args.count):
-        V = Subspace(rand_matrix(rng, args.k, args.n))
-        good, _ = hodge_check(V)
-        bad += 0 if good else 1
+    bad = hodge_failures(args.k, args.n, args.count, random.Random(args.seed))
     payload = {"k": args.k, "n": args.n, "count": args.count, "failures": bad,
                "ok": bad == 0}
     _emit(payload, args.format, out)
@@ -246,8 +238,7 @@ def _cmd_phi_map(args, out) -> int:
         "k": args.k,
         "input": q.to_json(),
         "image": p.to_json(),
-        "image_residual_zero": ideal_gens.is_isotropic(
-            p, QuadraticForm.alternating(2 * args.k + 1)),
+        "image_residual_zero": is_isotropic(p, QuadraticForm.alternating(2 * args.k + 1)),
     }
     _emit(payload, args.format, out)
     return 0 if payload["image_residual_zero"] else 1
@@ -375,7 +366,7 @@ def _cmd_sample(args, out) -> int:
         "basis": [[fraction_str(x) for x in sub.basis.row(i)]
                   for i in range(sub.k)],
         "plucker": p.to_json(),
-        "residual_zero": ideal_gens.is_isotropic(p, form),
+        "residual_zero": is_isotropic(p, form),
     }
     _emit(payload, args.format, out)
     return 0 if payload["residual_zero"] else 1

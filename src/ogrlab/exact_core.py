@@ -7,8 +7,8 @@ or the Gaussian rationals.
 
 Every cocircuit sign epsilon(K, l), the sign of sorting the word K then l,
 is read from one cached table, `signed_extensions`: the shuffle and
-orthogonality quadrics, the orthopositroid pair test and the bridge action
-on Plucker coordinates all use it.
+orthogonality quadrics, the isotropy check of a point, the orthopositroid
+pair test and the bridge action on Plucker coordinates all use it.
 """
 from __future__ import annotations
 

@@ -32,7 +32,9 @@ from .exact_core import (
     fraction_str,
     ksubsets,
     minors,
+    rand_matrix,
     rand_rational,
+    signed_extensions,
     subset_complement,
 )
 
@@ -342,8 +344,26 @@ def sample_isotropic_component(k: int, seed: int, component: str = "standard") -
 
 
 # ---------------------------------------------------------------------------
-# Hodge complement, components, nonnegativity
+# Point predicates: isotropy, Hodge complement, components, nonnegativity
 # ---------------------------------------------------------------------------
+
+def is_isotropic(p: PluckerVector, form: QuadraticForm) -> bool:
+    """Is p a point of the form's isotropic Grassmannian?  Exact: row j of R
+    is the cocircuit (eps(J - j, l) p_{J - j + l})_l of p's first basis J;
+    p is a point iff R's minors are p up to scale, isotropic iff R Omega R^T = 0."""
+    k, n = p.k, p.n
+    if not 1 <= k <= n:
+        raise InputError("need 1 <= k <= n")
+    if form.n != n:
+        raise SizeMismatchError("form dimension mismatch")
+    p.cleared()  # refuses a coordinate that is not a sorted k-subset
+    subs, rank, table = ksubsets(n, k), colex_ranks(n, k - 1), signed_extensions(n, k - 1)
+    J = next(I for I in subs if I in p.coords)
+    R = Mat([ext[l][1] * p.get(subs[ext[l][0]]) if l in ext else 0 for l in range(1, n + 1)]
+            for ext in (table[rank[tuple(x for x in J if x != j)]] for j in J))
+    return (not any(map(any, (R * form.matrix() * R.transpose()).rows))
+            and PluckerVector.from_matrix(R).eq_projective(p))
+
 
 def orthogonal_complement(V: Subspace, form: QuadraticForm) -> Subspace:
     """The (n-k)-plane of vectors pairing to zero with V under the form."""
@@ -382,6 +402,11 @@ def hodge_check(V: Subspace):
             if qv != scalar * pv:
                 return False, J
     return True, scalar
+
+
+def hodge_failures(k: int, n: int, count: int, rng) -> int:
+    """How many of `count` random k-planes, drawn from rng, fail hodge_check."""
+    return sum(not hodge_check(Subspace(rand_matrix(rng, k, n)))[0] for _ in range(count))
 
 
 def complementary_ratio_sign(k: int, flipped_subset) -> int:

@@ -341,12 +341,6 @@ def orthogonality_relations(k: int, n: int, form: QuadraticForm) -> tuple[Polyno
     return tuple(out)
 
 
-def is_isotropic(p: PluckerVector, form: QuadraticForm) -> bool:
-    """Does p lie on the isotropic Grassmannian of the form?  Exact: every
-    orthogonality quadric vanishes at p, i.e. P Omega P^T = 0."""
-    return not any(g.evaluate(p) for g in orthogonality_relations(p.k, p.n, form))
-
-
 def _block_sign(positions):
     """Sign of moving the chosen positions (sorted, 0-based) to the front."""
     return (-1) ** sum(q - t for t, q in enumerate(positions))
@@ -617,6 +611,12 @@ class Degree2Span:
         self.rows.append(vec)
         return True
 
+    def copy(self) -> "Degree2Span":
+        """A span to add to without changing this one (rows never change)."""
+        span = Degree2Span(self.k, self.n)
+        span.rows, span.pivot_row = list(self.rows), dict(self.pivot_row)
+        return span
+
     @property
     def rank(self) -> int:
         return len(self.rows)
@@ -707,7 +707,7 @@ def groebner_degree2_check(k: int, n: int) -> dict:
     }
     monomial_count = binom(binom(n, k) + 1, 2)
     standard = count_standard_monomials(k, n, 2)
-    span = relation_span(k, n)  # a fresh one: the straightening laws join it
+    span = _relation_span(k, n, QuadraticForm.standard(n)).copy()  # the laws join it
     rank_generators = span.rank
     for _, _, poly in mus:
         span.add(poly)

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from .errors import InputError, NotAPointError
 from .exact_core import ksubsets
-from .forms_points import PluckerVector, QuadraticForm, component_of
-from .ideal_gens import is_isotropic
+from .forms_points import PluckerVector, QuadraticForm, component_of, is_isotropic
 
 
 # ---------------------------------------------------------------------------

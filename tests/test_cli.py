@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ogrlab
-from ogrlab import acceptance, cli, orthopositroids
+from ogrlab import acceptance, cli, ideal_gens, orthopositroids
 from ogrlab.cli import main
 from ogrlab.errors import InternalInvariantError
 
@@ -198,6 +198,21 @@ def test_refused_up_front(command, capsys):
     assert main(command.split()) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "Traceback" not in err
+
+
+def test_phi_map_refuses_k_0_as_the_isotropy_check_does(capsys):
+    assert main(["phi-map", "--k", "0"]) == 2
+    assert capsys.readouterr().err == "input error: need 1 <= k <= n\n"
+
+
+def test_sample_and_phi_map_build_no_quadric(capsys):
+    before = ideal_gens.orthogonality_relations.cache_info()
+    for argv in ("sample --k 3 --n 7 --form standard --field gaussian --seed 1",
+                 "sample --k 2 --n 5 --form signed:1,2", "phi-map --k 3 --seed 4"):
+        assert main(argv.split()) == 0
+    capsys.readouterr()
+    after = ideal_gens.orthogonality_relations.cache_info()
+    assert after.currsize == before.currsize and after == before  # not even a lookup
 
 
 @pytest.mark.parametrize("flags,message", [
@@ -448,9 +463,9 @@ def test_csv_is_refused_before_any_work(monkeypatch, capsys):
     # only orthopositroids enumerate writes csv; elsewhere the parser
     # refuses it, so the check never starts
     def started(*args, **kwargs):
-        raise AssertionError("hodge_check ran")
+        raise AssertionError("hodge_failures ran")
 
-    monkeypatch.setattr(cli, "hodge_check", started)
+    monkeypatch.setattr(cli, "hodge_failures", started)
     assert main(["hodge-check", "--k", "3", "--n", "7", "--format", "csv"]) == 2
     assert "invalid choice: 'csv'" in capsys.readouterr().err
 
@@ -478,12 +493,16 @@ OUTPUT_DIGESTS = {
         "170fed96c36b7107bff1742ea6b77f84d942e5e3989e34df364b3148d849fc73",
     "sample --k 4 --n 9 --form alternating --seed 5":
         "52d40b95f017c7852d1aec99df00127a34c0c3a019bc7e3583359ded5b45f96d",
+    "sample --k 6 --n 12 --form alternating":
+        "324a2030faef95da6bbd678b8e900401691f4618ead96e993a440a7501acf577",
     "phi-map --k 2 --seed 1":
         "e52c2fd47cecb341f1029a62b9a2e5d66b3529dc85e336f5d37409a50d7be2b5",
     "phi-map --k 3 --seed 2":
         "34cf1513860eb6578370c44b4cc9661ff1a3dd384c222b8522455b4420bdf3d1",
     "phi-map --k 3 --seed 9":
         "2c51898c4b05f01bc1b35ac446075e2ad7ecf55799a459d34f7e94d0d133a07c",
+    "phi-map --k 5":
+        "13d8409c38a89511a1a94a2b74368aaeb658b51b0331fba53038006f8c1a7bfd",
     "groebner-check --k 3 --n 7":
         "740b299b4277a1f03506e1865fe3ab5433e69a02c637431715007ce96d1b9145",
     "groebner-check --k 3 --n 8":

@@ -18,11 +18,11 @@ from ogrlab.forms_points import (
     component_of,
     hodge_check,
     hodge_complement,
+    is_isotropic,
     is_totally_nonnegative,
     sample_isotropic,
     sample_isotropic_component,
 )
-from ogrlab.ideal_gens import is_isotropic
 from sign_reference import eps
 
 

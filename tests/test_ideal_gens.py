@@ -18,7 +18,7 @@ from ogrlab.exact_core import (
     sort_sign,
     subset_complement,
 )
-from ogrlab.forms_points import PluckerVector, QuadraticForm, sample_isotropic
+from ogrlab.forms_points import PluckerVector, QuadraticForm, is_isotropic, sample_isotropic
 from ogrlab.ideal_gens import (
     ZERO,
     Polynomial,
@@ -32,7 +32,6 @@ from ogrlab.ideal_gens import (
     degree2_membership,
     degree2_monomials,
     groebner_degree2_check,
-    is_isotropic,
     leading_term_universal,
     orthogonality_relations,
     plucker_relations,
@@ -345,6 +344,49 @@ def test_is_isotropic_size_mismatch():
         is_isotropic(p, QuadraticForm.alternating(6))
 
 
+@pytest.mark.parametrize("k,n", [(0, 3), (4, 3)])
+def test_is_isotropic_refuses_k_outside_1_n(k, n):
+    p = PluckerVector(k, n, {tuple(range(1, k + 1)): 1})
+    with pytest.raises(InputError, match="need 1 <= k <= n"):
+        is_isotropic(p, QuadraticForm.standard(n))
+
+
+def far_perturbation(rng, p):
+    """p with one coordinate p_I raised by 1, where I differs from the first
+    basis J in at least two entries: no cocircuit of J reads p_I."""
+    subs = ksubsets(p.n, p.k)
+    J = next(I for I in subs if p.get(I))
+    I = rng.choice([I for I in subs if len(set(I) - set(J)) >= 2])
+    return PluckerVector(p.k, p.n, {**p.coords, I: p.get(I) + 1})
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (2, 6), (3, 6), (3, 7), (4, 8)])
+def test_is_isotropic_agrees_with_the_quadrics(k, n):
+    """The cocircuits of one basis decide what the shuffle relations and all
+    of P Omega P^T decide, on isotropic samples, random points and far
+    perturbations of both.  A perturbed sample keeps R Omega R^T = 0, so
+    only the minors test rejects it."""
+    rng = random.Random(100 * k + n)
+    shuffles = plucker_relations(k, n)
+    forms = [QuadraticForm.standard(n), QuadraticForm.alternating(n),
+             QuadraticForm.hyperbolic(n),
+             QuadraticForm.signed_subset(range(1, n // 2 + 1), n)]
+    verdicts = []
+    for form in forms:
+        for gaussian in (False, True):
+            points = [random_point(rng, k, n, gaussian)]
+            if gaussian or form.signature_split():
+                field = "gaussian" if gaussian else "rational"
+                points += [sample_isotropic(k, n, form, seed, field=field).plucker()
+                           for seed in range(2)]
+            for p in points + [far_perturbation(rng, p) for p in points]:
+                on = not any(cocircuit_reference(p, form).values()) and not any(
+                    g.evaluate(p) for g in shuffles)
+                assert is_isotropic(p, form) == on
+                verdicts.append(on)
+    assert verdicts.count(True) == 14  # the isotropic samples, and only they
+
+
 def normalize_bracket(Jp, n):
     """Rewrite a sorted (n-k)-subset bracket as a signed k-subset variable:
     sign (-1)^(sum of entries) times the complement."""
@@ -564,11 +606,20 @@ def test_relation_span_is_fresh_and_cached_span_unchanged():
     f = straightening_lambda((1, 2), (1, 3, 5, 6), 6)
     assert degree2_membership(f, 2, 6)
     cached = _relation_span(2, 6, std)
-    rows, rank = [dict(r) for r in cached.rows], cached.rank
+    rows, pivots, rank = [dict(r) for r in cached.rows], dict(cached.pivot_row), cached.rank
     assert groebner_degree2_check(2, 6)["ok"]
     assert degree2_membership(f, 2, 6)
     assert _relation_span(2, 6, std) is cached
-    assert cached.rank == rank and cached.rows == rows
+    assert cached.rank == rank and cached.rows == rows and cached.pivot_row == pivots
+
+
+def test_span_copy_adds_without_changing_the_original():
+    span = relation_span(2, 6)
+    square = Polynomial(2, 6, {_mono((1, 2), (1, 2)): 1})
+    copy = span.copy()
+    assert copy.rank == span.rank and copy.rows == span.rows
+    assert copy.add(square) and copy.rank == span.rank + 1
+    assert copy.reduce(square).is_zero() and not span.reduce(square).is_zero()
 
 
 def fraction_reduce(span, poly):

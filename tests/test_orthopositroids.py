@@ -15,9 +15,10 @@ from ogrlab.forms_points import (
     PluckerVector,
     QuadraticForm,
     Subspace,
+    is_isotropic,
     is_totally_nonnegative,
 )
-from ogrlab.ideal_gens import _mono, is_isotropic, orthogonality_relations
+from ogrlab.ideal_gens import _mono, orthogonality_relations
 from ogrlab import orthopositroids
 from ogrlab.parity_duality import all_matchings, matching_to_permutation_via_contraction
 from ogrlab.orthopositroids import (

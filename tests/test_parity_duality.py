@@ -7,10 +7,11 @@ from ogrlab.exact_core import Mat
 from ogrlab.forms_points import (
     PluckerVector,
     QuadraticForm,
+    is_isotropic,
     is_totally_nonnegative,
     sample_isotropic_component,
 )
-from ogrlab.ideal_gens import is_isotropic, plucker_relations
+from ogrlab.ideal_gens import plucker_relations
 from ogrlab.parity_duality import (
     admissible_bijection_check,
     all_matchings,
