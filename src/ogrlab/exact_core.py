@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from operator import mul
 from types import MappingProxyType
 
@@ -268,38 +268,34 @@ class GaussianInteger:
         return f"GaussianInteger({self.re}, {self.im})"
 
 
-def clear_denominators(values) -> tuple[int, list]:
-    """(D, numerators): D is the least common multiple of the denominators
-    of the exact scalars (of both parts over Q(i)), and each numerator is
-    D times its value, an int for a rational and a GaussianInteger for a
-    GaussianRational."""
+def clear_denominators(values) -> tuple[int, list, list | None]:
+    """(D, re, im): D is the least common multiple of the denominators of
+    the exact scalars (of both parts over Q(i)), and re and im list the
+    integer real and imaginary parts of D times each value; im is None
+    when no value is a GaussianRational."""
     values = [coerce_scalar(x) for x in values]
-    dens = []
-    for x in values:
-        if isinstance(x, GaussianRational):
-            dens += (x.re.denominator, x.im.denominator)
-        else:
-            dens.append(x.denominator)
-    D = math.lcm(*dens)
-    out = []
-    for x in values:
-        if isinstance(x, GaussianRational):
-            out.append(GaussianInteger(x.re.numerator * (D // x.re.denominator),
-                                       x.im.numerator * (D // x.im.denominator)))
-        else:
-            out.append(x.numerator * (D // x.denominator))
-    return D, out
+    re, im = values, ()
+    if any(isinstance(x, GaussianRational) for x in values):
+        re = [x.re if isinstance(x, GaussianRational) else x for x in values]
+        im = [x.im if isinstance(x, GaussianRational) else 0 for x in values]
+    D = math.lcm(*(x.denominator for x in chain(re, im)))
+    re, im = ([x.numerator * (D // x.denominator) for x in part] for part in (re, im))
+    return D, re, im or None
 
 
 def _cleared_rows(rows):
     """(scale, rows over Z or Z[i]): each row times the lcm of its own
-    denominators; scale is the product of those multipliers."""
+    denominators, a GaussianRational entry becoming a GaussianInteger and a
+    rational one an int; scale is the product of those multipliers."""
     scale = 1
     cleared = []
     for row in rows:
-        s, ints = clear_denominators(row)
+        s, re, im = clear_denominators(row)
         scale *= s
-        cleared.append(ints)
+        if im is not None:
+            re = [GaussianInteger(a, b) if isinstance(x, GaussianRational) else a
+                  for x, a, b in zip(row, re, im)]
+        cleared.append(re)
     return scale, cleared
 
 
@@ -331,19 +327,8 @@ def _bareiss(m):
     return sign * m[n - 1][n - 1] if n else 1
 
 
-def _cleared_parts(values):
-    """(scale, re, im) of a row or column: scale is the lcm of its
-    denominators and re, im list the integer parts of scale times each
-    entry; im is None when no entry is a GaussianRational."""
-    scale, nums = clear_denominators(values)
-    if not any(isinstance(x, GaussianInteger) for x in nums):
-        return scale, nums, None
-    return (scale, [x.re if isinstance(x, GaussianInteger) else x for x in nums],
-            [x.im if isinstance(x, GaussianInteger) else 0 for x in nums])
-
-
 def _product_entry(row, col):
-    """Entry of a matrix product from the cleared parts of its row and
+    """Entry of a matrix product from the cleared forms of its row and
     column: summed over Z, or over Z[i] as (re, im) pairs, and divided once.
     It is a GaussianRational exactly when the row or the column holds one."""
     rs, rre, rim = row
@@ -413,8 +398,8 @@ class Mat:
             return NotImplemented
         if self.ncols != other.nrows:
             raise SizeMismatchError("matrix product shape mismatch")
-        left = [_cleared_parts(r) for r in self.rows]
-        right = [_cleared_parts(c) for c in zip(*other.rows)]
+        left = [clear_denominators(r) for r in self.rows]
+        right = [clear_denominators(c) for c in zip(*other.rows)]
         out = object.__new__(Mat)  # the entries are exact scalars already
         out.rows = [[_product_entry(r, c) for c in right] for r in left]
         return out

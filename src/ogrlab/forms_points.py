@@ -23,7 +23,6 @@ from .errors import (
     UnsupportedFormError,
 )
 from .exact_core import (
-    GaussianInteger,
     GaussianRational,
     I_UNIT,
     Mat,
@@ -130,20 +129,15 @@ class PluckerVector:
         """
         if self._cleared is None:
             rank = colex_ranks(self.n, self.k)
-            D, nums = clear_denominators(self.coords.values())
-            re = [0] * len(rank) + [D]
-            im = [0] * len(re)
+            dense = [0] * len(rank) + [1]
             gaussian = set()
-            for I, v in zip(self.coords, nums):
+            for I, v in self.coords.items():
                 if I not in rank:
                     raise InputError(f"{I} is not a sorted {self.k}-subset of [1, {self.n}]")
-                r = rank[I]
-                if isinstance(v, GaussianInteger):
-                    re[r], im[r] = v.re, v.im
-                    gaussian.add(r)
-                else:
-                    re[r] = v
-            self._cleared = (D, re, im if gaussian else None, frozenset(gaussian))
+                dense[rank[I]] = v
+                if isinstance(v, GaussianRational):
+                    gaussian.add(rank[I])
+            self._cleared = (*clear_denominators(dense), frozenset(gaussian))
         return self._cleared
 
     def scale(self, c) -> "PluckerVector":
@@ -298,6 +292,8 @@ def sample_isotropic(k: int, n: int, form: QuadraticForm, seed: int,
     """
     if n < 2 * k:
         raise EmptinessError(f"no isotropic {k}-planes in {n}-space")
+    if not 1 <= k <= n:
+        raise InputError("need 1 <= k <= n")
     if form.n != n:
         raise SizeMismatchError("form dimension mismatch")
     rng = random.Random(seed)

@@ -75,7 +75,7 @@ class Polynomial:
         terms = {m: c for m, c in terms.items() if c} if terms else {}
         if not all(isinstance(c, (int, Fraction)) for c in terms.values()):
             raise InputError("polynomial coefficients must be rational")
-        L, coeffs = clear_denominators(terms.values())
+        L, coeffs, _ = clear_denominators(terms.values())
         rank = colex_ranks(n, k)
         degree = max(map(len, terms), default=0)
         pad = (len(rank),)
@@ -631,21 +631,14 @@ class Degree2Span:
         )
 
 
-def relation_span(k: int, n: int, form: QuadraticForm | None = None) -> Degree2Span:
-    """A new span of the shuffle quadrics, then the orthogonality quadrics
-    of the form (standard by default)."""
-    if form is None:
-        form = QuadraticForm.standard(n)
+@lru_cache(maxsize=None)
+def _relation_span(k: int, n: int, form: QuadraticForm) -> Degree2Span:
+    """The span of the shuffle quadrics, then the orthogonality quadrics of
+    the form, built once per key: callers only read it, or add to a copy."""
     span = Degree2Span(k, n)
     for poly in plucker_relations(k, n) + orthogonality_relations(k, n, form):
         span.add(poly)
     return span
-
-
-@lru_cache(maxsize=None)
-def _relation_span(k: int, n: int, form: QuadraticForm) -> Degree2Span:
-    """relation_span, built once per key; callers only read it."""
-    return relation_span(k, n, form)
 
 
 class MembershipResult:

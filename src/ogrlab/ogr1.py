@@ -177,12 +177,18 @@ def quadric_residual(p: PluckerVector) -> Fraction:
 # Canonical form numerics (pluses-first chart)
 # ---------------------------------------------------------------------------
 
-def canonical_coeff(us, p: int):
+RESIDUE_TRIALS = 20
+RESIDUE_APPROACH = 1e-4
+RESIDUE_REL_TOL = 1e-6
+INTERIOR_POINTS = 100
+
+
+def canonical_coeff(us):
     """Coefficient of the canonical form in the chart x_1 = 1.
 
     us maps j to the chart coordinate u_j = x_j / x_1 for 2 <= j <= n, the
-    p plus-signature coordinates first; the coefficient is
-    (1 + u_2^2 + ... + u_p^2) / (u_2 ... u_{n-1} u_n^2).  Exact on
+    p = (n + 1) / 2 (rounded down) plus-signature coordinates first; the
+    coefficient is (1 + u_2^2 + ... + u_p^2) / (u_2 ... u_{n-1} u_n^2).  Exact on
     Fractions; on floats the operations run in this fixed order.  The
     denominator vanishes on the chart divisors, so a zero coordinate raises
     PoleError.
@@ -190,19 +196,20 @@ def canonical_coeff(us, p: int):
     if any(u == 0 for u in us.values()):
         raise PoleError("canonical coefficient has a pole at zero coordinates")
     n = max(us)
+    p = (n + 1) // 2
     num = 1 + sum(us[j] ** 2 for j in range(2, p + 1))
     return num / (_prod(us, range(2, n)) * us[n] ** 2)
 
 
-def residue_check(n: int, i: int, seed: int = 0, trials: int = 20,
-                  rel_tol: float = 1e-6, approach: float = 1e-4) -> dict:
+def residue_check(n: int, i: int, seed: int = 0) -> dict:
     """Numeric residue of the canonical form at the divisor u_i = 0.
 
     Approaches the divisor along on-quadric points and compares the scalar
     residue with the boundary coefficient displayed by the recursive
     structure: u_i * coeff for simple poles, and the u_2-corrected double
-    pole at the last coordinate.  Wedge-orientation signs are not part of
-    the scalar comparison.
+    pole at the last coordinate, RESIDUE_TRIALS times at a distance of about
+    RESIDUE_APPROACH; it passes below relative error RESIDUE_REL_TOL.
+    Wedge-orientation signs are not part of the scalar comparison.
     """
     p = (n + 1) // 2
     if not 2 <= i <= n:
@@ -213,14 +220,14 @@ def residue_check(n: int, i: int, seed: int = 0, trials: int = 20,
             "coordinate before u_n")
     rng = random.Random(seed)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(RESIDUE_TRIALS):
         us = {}
         if i == n:
             for j in range(2, p + 1):
                 us[j] = rng.uniform(0.1, 0.4)
             for j in range(p + 1, n):
                 us[j] = rng.uniform(1.5, 2.5)
-            t = approach * rng.uniform(0.5, 1.5)
+            t = RESIDUE_APPROACH * rng.uniform(0.5, 1.5)
 
             def solve_u2(un):
                 rhs = sum(us[j] ** 2 for j in range(p + 1, n)) + un ** 2 - 1.0
@@ -229,7 +236,7 @@ def residue_check(n: int, i: int, seed: int = 0, trials: int = 20,
 
             us[n] = t
             us[2] = solve_u2(t)
-            observed = us[n] ** 2 * canonical_coeff(us, p) / us[2]
+            observed = us[n] ** 2 * canonical_coeff(us) / us[2]
             us[n] = 0.0
             us[2] = solve_u2(0.0)
             target = (1 + sum(us[j] ** 2 for j in range(2, p + 1))) / (
@@ -240,7 +247,7 @@ def residue_check(n: int, i: int, seed: int = 0, trials: int = 20,
                 us[j] = rng.uniform(1.0, 2.0)
             for j in range(p + 1, n):
                 us[j] = rng.uniform(0.1, 0.5)
-            t = approach * rng.uniform(0.5, 1.5)
+            t = RESIDUE_APPROACH * rng.uniform(0.5, 1.5)
             us[i] = t
 
             def solve_un():
@@ -249,7 +256,7 @@ def residue_check(n: int, i: int, seed: int = 0, trials: int = 20,
                 return math.sqrt(rhs)
 
             us[n] = solve_un()
-            observed = t * canonical_coeff(us, p)
+            observed = t * canonical_coeff(us)
             us[i] = 0.0
             us[n] = solve_un()
             target = (1 + sum(us[j] ** 2 for j in range(2, p + 1))) / (
@@ -257,7 +264,7 @@ def residue_check(n: int, i: int, seed: int = 0, trials: int = 20,
             )
         err = abs(observed - target) / abs(target)
         worst = max(worst, err)
-    return {"n": n, "divisor": i, "max_rel_err": worst, "ok": worst < rel_tol}
+    return {"n": n, "divisor": i, "max_rel_err": worst, "ok": worst < RESIDUE_REL_TOL}
 
 
 def _prod(us, idxs):
@@ -267,12 +274,13 @@ def _prod(us, idxs):
     return out
 
 
-def interior_points(n: int, seed: int, count: int):
-    """Random on-quadric chart points (pluses first), as dicts u_2..u_n."""
+def interior_points(n: int, seed: int):
+    """INTERIOR_POINTS random on-quadric chart points (pluses first), as
+    dicts u_2..u_n."""
     p = (n + 1) // 2
     rng = random.Random(seed)
     out = []
-    while len(out) < count:
+    while len(out) < INTERIOR_POINTS:
         us = {j: rng.uniform(0.8, 1.8) for j in range(2, p + 1)}
         for j in range(p + 1, n):
             us[j] = rng.uniform(0.2, 0.8)

@@ -5,7 +5,7 @@ from the Grassmann necklace by the cyclic Gale-order rule, so enumeration
 and the orthopositroid sign test are purely combinatorial.  Realization uses
 a bridge decomposition of the decorated permutation: each cell is swept out
 by positive column operations applied to a coordinate subspace, which gives
-both exact sample points and the parameter count for the numeric dimension
+the parameter count and the float Plucker model of the numeric dimension
 estimate of the isotropic slice of each cell.
 """
 from __future__ import annotations
@@ -86,14 +86,15 @@ class DecoratedPermutation:
         return {"word": list(self.word), "coloops": sorted(self.coloops)}
 
 
-def necklace_of(dp: DecoratedPermutation, k: int | None = None) -> tuple[tuple[int, ...], ...]:
-    """Grassmann necklace of dp, of type k: I_1 holds the anti-exceedance
-    values and the coloops, and I_{a+1} = (I_a - {a}) + {pi(a)} when a is in
-    I_a, else I_a (the recurrence dperm_from_necklace inverts), on masks."""
-    k = dp.type_k() if k is None else k
+def necklace_of(dp: DecoratedPermutation) -> tuple[tuple[int, ...], ...]:
+    """Grassmann necklace of dp: I_1 holds the anti-exceedance values and
+    the coloops, so its size is dp's type k, and I_{a+1} = (I_a - {a}) +
+    {pi(a)} when a is in I_a, else I_a (the recurrence dperm_from_necklace
+    inverts), on masks."""
+    entry = subset_mask(v for i, v in enumerate(dp.word, 1) if v < i) | subset_mask(dp.coloops)
+    k = entry.bit_count()
     _require_desk_scale(k, dp.n)
     subs, ranks = ksubsets(dp.n, k), colex_mask_ranks(dp.n, k)
-    entry = subset_mask(v for i, v in enumerate(dp.word, 1) if v < i) | subset_mask(dp.coloops)
     out = []
     for a, v in enumerate(dp.word, 1):
         if entry not in ranks:
@@ -172,7 +173,7 @@ class Positroid:
     @classmethod
     def from_dperm(cls, dp: DecoratedPermutation) -> "Positroid":
         k = dp.type_k()
-        neck = necklace_of(dp, k)
+        neck = necklace_of(dp)
         return cls(k, dp.n, dp, neck, bases_from_necklace(neck, k, dp.n))
 
     @classmethod
@@ -334,22 +335,15 @@ def _ascending(mask: int) -> tuple[int, ...]:
 
 class OrthoReport:
     """The verdict of the pair test and its failures, (I, J, A_plus, A_minus)
-    for each one-sided pair; given undecoded pairs instead, it decodes them
-    on first read of failures."""
+    for each one-sided pair, decoded from the pairs' bitmasks on first read."""
 
-    def __init__(self, verdict: bool, failures=None, pairs=()):
+    def __init__(self, verdict: bool, pairs=()):
         self.verdict, self._pairs = verdict, pairs
-        if failures is not None:
-            self.failures = tuple(failures)
 
     @cached_property
     def failures(self) -> tuple:
         return tuple((I, J, _ascending(plus), _ascending(minus))
                      for I, J, plus, minus in self._pairs)
-
-    def __eq__(self, other):
-        return isinstance(other, OrthoReport) and \
-            (self.verdict, self.failures) == (other.verdict, other.failures)
 
 
 def is_orthopositroid(positroid_or_bases, k: int | None = None,
@@ -367,8 +361,8 @@ def is_orthopositroid(positroid_or_bases, k: int | None = None,
     pairs = _one_sided(_extension_masks(bases, k, n), k, n)
     first = next(pairs, None)
     if first is None:
-        return OrthoReport(True, ())
-    return OrthoReport(False, pairs=chain((first,), pairs))
+        return OrthoReport(True)
+    return OrthoReport(False, chain((first,), pairs))
 
 
 @lru_cache(maxsize=None)
@@ -552,12 +546,21 @@ def cell_dim_in_ogr_numeric(positroid: Positroid, tol: float = 1e-8,
     interior point the slice dimension is (parameter count) - rank of the
     residual Jacobian, with singular values below the cutoff treated as
     zero.  The Jacobian is taken with respect to log-parameters, the natural
-    scale for positive parameters.  It stops after 3 such points.
+    scale for positive parameters.  It stops after 3 such points.  A model
+    that is not positive exactly on the bases at t = 1 raises
+    InternalInvariantError before any solve.
     """
     decomp = bridge_decomposition(positroid.dperm)
     model = _ResidualModel(decomp, QuadraticForm.alternating(positroid.n))
     d = decomp.dim
     tol_sq = tol * tol
+    # at t = 1 the model must be positive exactly on the bases, or a bridge
+    # sign is wrong; its entries are small integers there, so this is exact
+    on_bases = np.array([I in positroid.bases for I in ksubsets(positroid.n, positroid.k)])
+    p = model.plucker(np.ones(d))
+    if not (p[on_bases] > 0).all() or p[~on_bases].any():
+        raise InternalInvariantError(f"the bridge model of {positroid.dperm} is not "
+                                     "positive exactly on its bases")
 
     if d == 0:
         r = model.residual(np.zeros(0))
@@ -581,13 +584,7 @@ def cell_dim_in_ogr_numeric(positroid: Positroid, tol: float = 1e-8,
         if ssq >= tol_sq:
             continue
         p = model.plucker(sol.x)
-        scale = np.abs(p).max()
-        basis_vals = [
-            abs(p[i])
-            for i, I in enumerate(ksubsets(positroid.n, positroid.k))
-            if I in positroid.bases
-        ]
-        if min(basis_vals) < 1e-9 * scale:
+        if np.abs(p[on_bases]).min() < 1e-9 * np.abs(p).max():
             continue  # drifted to the cell boundary
         J = sol.jac * sol.x[None, :]
         sv = np.linalg.svd(J, compute_uv=False)
@@ -606,7 +603,7 @@ def cell_dim_in_ogr_numeric(positroid: Positroid, tol: float = 1e-8,
                          chosen[2], len(outcomes), False)
 
 
-def dims_report(k: int = 2, n: int = 6, tol: float = 1e-8,
+def dims_report(k: int, n: int, tol: float = 1e-8,
                 cutoff: float = 1e-4, seed: int = 0, starts: int = 32,
                 retry_starts: int = 128, workers: int = 1) -> dict:
     """Dimension histogram over all orthopositroids of the given type.
@@ -618,11 +615,12 @@ def dims_report(k: int = 2, n: int = 6, tol: float = 1e-8,
     """
     if workers != 1:
         raise InputError("the dimension sweep is sequential: workers must be 1")
-    # (3,7), the largest size admitted, sweeps its 105 cells in 21 to 24 s
-    # of CPU time on a 2-vCPU VM
-    if not 0 <= k <= n <= 2 * k + 2 or binom(n, k) > 35:
+    # (3,7), the largest admitted size with cells ((4,7) has none), sweeps
+    # its 105 cells in 13.8 to 14.8 s of CPU time (three runs on a 2-vCPU
+    # VM, one BLAS thread)
+    if not 1 <= k <= n <= 2 * k + 2 or binom(n, k) > 35:
         raise InputError("the dimension sweep is desk-scale: "
-                         "0 <= k <= n <= 2k + 2 and C(n, k) <= 35")
+                         "1 <= k <= n <= 2k + 2 and C(n, k) <= 35")
     # past these, cells get wrong dimensions yet count as resolved
     if not (0 < tol < np.inf and tol * tol > 0 and 0 < cutoff < np.inf):
         raise InputError("tol and cutoff must be finite and positive, "

@@ -205,6 +205,17 @@ def test_phi_map_refuses_k_0_as_the_isotropy_check_does(capsys):
     assert capsys.readouterr().err == "input error: need 1 <= k <= n\n"
 
 
+@pytest.mark.parametrize("command,message", [
+    ("sample --k 0 --n 3", "need 1 <= k <= n"),
+    ("orthopositroids dims --k 0 --n 2",
+     "the dimension sweep is desk-scale: 1 <= k <= n <= 2k + 2 and C(n, k) <= 35"),
+])
+def test_k_0_is_refused_by_its_bound(command, message, monkeypatch, capsys):
+    monkeypatch.setattr(orthopositroids, "enumerate_orthopositroids", _sweep_started)
+    assert main(command.split()) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
 def test_sample_and_phi_map_build_no_quadric(capsys):
     before = ideal_gens.orthogonality_relations.cache_info()
     for argv in ("sample --k 3 --n 7 --form standard --field gaussian --seed 1",

@@ -186,10 +186,10 @@ def test_minors_rank_deficient_gaussian():
 
 
 def test_clear_denominators():
-    D, nums = clear_denominators([Fraction(1, 6), 2, GaussianRational(Fraction(1, 4), -1)])
-    assert D == 12
-    assert nums[:2] == [2, 24]
-    assert (nums[2].re, nums[2].im) == (3, -12)
+    values = [Fraction(1, 6), 2, GaussianRational(Fraction(1, 4), -1)]
+    assert clear_denominators(values) == (12, [2, 24, 3], [0, 0, -12])
+    assert clear_denominators(values[:2]) == (6, [1, 12], None)
+    assert clear_denominators([]) == (1, [], None)
 
 
 def test_minors_identity_block():

@@ -35,7 +35,6 @@ from ogrlab.ideal_gens import (
     leading_term_universal,
     orthogonality_relations,
     plucker_relations,
-    relation_span,
     straightening_lambda,
     straightening_mu,
     straightening_mu_canonical,
@@ -578,6 +577,11 @@ def first_standard_monomial(k, n):
     return _mono(tuple(range(1, k + 1)), tuple(range(k + 1, 2 * k + 1)))
 
 
+def fresh_span(k, n):
+    """A copy of the cached span of the standard form, to add to."""
+    return _relation_span(k, n, QuadraticForm.standard(n)).copy()
+
+
 @pytest.mark.parametrize("k,n", [(2, 6), (3, 7)])
 def test_generator_combinations_are_members(k, n):
     """Sums of generators with rational multipliers, some with
@@ -600,8 +604,7 @@ def test_generator_combinations_are_members(k, n):
         assert res.residual == span.reduce(g) and not res.residual.is_zero()
 
 
-def test_relation_span_is_fresh_and_cached_span_unchanged():
-    assert relation_span(2, 6) is not relation_span(2, 6)
+def test_cached_span_is_unchanged_by_its_readers():
     std = QuadraticForm.standard(6)
     f = straightening_lambda((1, 2), (1, 3, 5, 6), 6)
     assert degree2_membership(f, 2, 6)
@@ -614,7 +617,7 @@ def test_relation_span_is_fresh_and_cached_span_unchanged():
 
 
 def test_span_copy_adds_without_changing_the_original():
-    span = relation_span(2, 6)
+    span = fresh_span(2, 6)
     square = Polynomial(2, 6, {_mono((1, 2), (1, 2)): 1})
     copy = span.copy()
     assert copy.rank == span.rank and copy.rows == span.rows
@@ -674,7 +677,7 @@ def test_span_refuses_other_size():
     g = plucker_relations(2, 6)[-1]
     with pytest.raises(SizeMismatchError):
         degree2_membership(g, 2, 5)
-    span = relation_span(2, 5)
+    span = fresh_span(2, 5)
     for method in (span.add, span.reduce):
         with pytest.raises(SizeMismatchError):
             method(g)
@@ -683,7 +686,7 @@ def test_span_refuses_other_size():
 def test_span_refuses_monomial_outside_degree_2_basis():
     linear = Polynomial(2, 6, {((1, 2),): 1})
     unsorted = Polynomial(2, 6, {((3, 4), (1, 2)): 1})
-    span, fresh = relation_span(2, 6), relation_span(2, 6)
+    span, fresh = fresh_span(2, 6), fresh_span(2, 6)
     for poly in (linear, unsorted):
         with pytest.raises(InputError):
             degree2_membership(poly, 2, 6)
@@ -694,14 +697,14 @@ def test_span_refuses_monomial_outside_degree_2_basis():
 
 
 def test_span_rank_against_counts():
-    span = relation_span(2, 6)
+    span = _relation_span(2, 6, QuadraticForm.standard(6))
     assert span.rank == 36
     assert len(degree2_monomials(2, 6)) == 120
 
 
 @pytest.mark.parametrize("k,n", [(2, 5), (2, 6)])
 def test_add_reports_whether_the_rank_grew(k, n):
-    span = relation_span(k, n)
+    span = fresh_span(k, n)
     rows, rank = [dict(r) for r in span.rows], span.rank
     gens = plucker_relations(k, n) + orthogonality_relations(k, n, QuadraticForm.standard(n))
     assert not any(span.add(g) for g in gens)
@@ -752,7 +755,7 @@ def test_rank_splits_into_pair_families(k, n):
     from ogrlab.posets import incomparable_pairs
 
     yy, mixed = incomparable_pairs(k, n)
-    span = relation_span(k, n)
+    span = _relation_span(k, n, QuadraticForm.standard(n))
     assert span.rank == len(yy) + len(mixed)
 
 

@@ -144,28 +144,27 @@ def test_top_dimension_matches_variety():
 
 def test_canonical_coeff_example():
     one = Fraction(1)
-    value = canonical_coeff({2: one, 3: one, 4: one}, 2)
+    value = canonical_coeff({2: one, 3: one, 4: one})
     assert value == 2 and isinstance(value, Fraction)
     # (1 + u_2^2 + u_3^2) / (u_2 u_3 u_4 u_5^2) = (21/4) / (1/3)
     us = {2: Fraction(1, 2), 3: Fraction(2), 4: Fraction(3), 5: Fraction(1, 3)}
-    assert canonical_coeff(us, 3) == Fraction(63, 4)
+    assert canonical_coeff(us) == Fraction(63, 4)
     floats = {j: float(u) for j, u in us.items()}
-    assert canonical_coeff(floats, 3) == pytest.approx(float(canonical_coeff(us, 3)))
+    assert canonical_coeff(floats) == pytest.approx(float(canonical_coeff(us)))
 
 
 def test_canonical_coeff_pole():
     with pytest.raises(PoleError):
-        canonical_coeff({2: Fraction(0), 3: Fraction(1), 4: Fraction(1)}, 2)
+        canonical_coeff({2: Fraction(0), 3: Fraction(1), 4: Fraction(1)})
     with pytest.raises(PoleError):
-        canonical_coeff({2: 1.0, 3: 1.0, 4: 0.0}, 2)
+        canonical_coeff({2: 1.0, 3: 1.0, 4: 0.0})
 
 
 def test_interior_positivity():
     for n in (4, 5, 6):
-        pts = interior_points(n, seed=n, count=100)
+        pts = interior_points(n, seed=n)
         assert len(pts) == 100
-        p = (n + 1) // 2
-        assert all(canonical_coeff(us, p) > 0 for us in pts)
+        assert all(canonical_coeff(us) > 0 for us in pts)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -81,9 +82,10 @@ def signed_extensions(k, n) -> tuple:
     return tuple(out)
 
 
-def reference_report(bases, k, n) -> OrthoReport:
+def reference_report(bases, k, n) -> tuple:
     """The pair test as a loop over the signed extensions of every pair
-    I <= J: the l of each sign whose extensions I+l and J+l are both bases."""
+    I <= J: the l of each sign whose extensions I+l and J+l are both bases.
+    Returns (verdict, failures), as outcome reads them off a report."""
     def both_bases(I, J, side):
         return tuple(
             l for l in side
@@ -95,7 +97,11 @@ def reference_report(bases, k, n) -> OrthoReport:
         plus, minus = both_bases(I, J, every_plus), both_bases(I, J, every_minus)
         if bool(plus) != bool(minus):
             failures.append((I, J, plus, minus))
-    return OrthoReport(verdict=not failures, failures=tuple(failures))
+    return not failures, tuple(failures)
+
+
+def outcome(report: OrthoReport) -> tuple:
+    return report.verdict, report.failures
 
 
 def reference_necklace(dp) -> tuple:
@@ -218,12 +224,12 @@ def test_pair_table_signs_are_the_alternating_quadrics(k, n):
 def test_compiled_pair_test_matches_a_sets_loop(k, n):
     failing = 0
     for pos in enumerate_positroids(k, n)[::PAIR_TEST_STRIDE.get((k, n), 1)]:
-        want = reference_report(pos.bases, k, n)
-        assert is_orthopositroid(pos) == want
-        assert is_orthopositroid(pos.bases, k, n) == want
-        for I, J, plus, minus in want.failures:
+        verdict, failures = want = reference_report(pos.bases, k, n)
+        assert outcome(is_orthopositroid(pos)) == want
+        assert outcome(is_orthopositroid(pos.bases, k, n)) == want
+        for I, J, plus, minus in failures:
             assert a_sets(pos.bases, I, J, n) == a_sets(pos.bases, J, I, n) == (plus, minus)
-        failing += not want.verdict
+        failing += not verdict
     assert failing  # the failure lists, order included, were compared
 
 
@@ -238,11 +244,11 @@ def test_verdict_alone_decodes_no_failure(monkeypatch):
     positroids = enumerate_positroids(2, 6)
     wants = [reference_report(pos.bases, 2, 6) for pos in positroids]
     reports = [is_orthopositroid(pos) for pos in positroids]
-    assert [report.verdict for report in reports] == [want.verdict for want in wants]
+    assert [report.verdict for report in reports] == [verdict for verdict, _ in wants]
     assert not decoded
     failing = [report for report in reports if not report.verdict]
     assert failing and not any("failures" in vars(report) for report in failing)
-    assert reports == wants
+    assert [outcome(report) for report in reports] == wants
     assert decoded
 
 
@@ -255,8 +261,8 @@ def test_gale_upsets_match_sorted_rank_rule(k, n):
 
 def test_raw_bases_ignore_non_subsets_and_k_zero_passes():
     extra = M2 | {(1, 9), (2, 3, 4)}
-    assert is_orthopositroid(extra, 2, 5) == is_orthopositroid(M2, 2, 5)
-    assert is_orthopositroid([()], 0, 4) == OrthoReport(True, ())
+    assert outcome(is_orthopositroid(extra, 2, 5)) == outcome(is_orthopositroid(M2, 2, 5))
+    assert outcome(is_orthopositroid([()], 0, 4)) == (True, ())
 
 
 def test_size_guard_precedes_work():
@@ -584,6 +590,45 @@ def test_cell_dim_reads_solution_values_from_the_solver():
         res = cell_dim_in_ogr_numeric(cells[idx], seed=idx)
         assert res.param_count > 0 and not res.failed
         assert res == recomputed_cell_dim(cells[idx], seed=idx)
+
+
+class Solving(Exception):
+    """Raised in place of the solver: the cell's checks are done."""
+
+
+def solving(*args, **kwargs):
+    raise Solving
+
+
+@pytest.mark.parametrize("k,n", [(2, 4), (2, 5), (2, 6), (3, 6), (3, 7)])
+def test_every_bridge_model_is_positive_exactly_on_its_bases(k, n, monkeypatch):
+    # an InternalInvariantError here is a wrong bridge sign
+    monkeypatch.setattr(orthopositroids, "least_squares", solving)
+    solved = 0
+    for pos in enumerate_positroids(k, n):
+        try:
+            cell_dim_in_ogr_numeric(pos)
+        except Solving:
+            solved += 1
+    assert solved == sum(bridge_decomposition(pos.dperm).dim > 0
+                         for pos in enumerate_positroids(k, n))
+
+
+@pytest.mark.parametrize("flip", ["first", "every"])
+def test_a_flipped_bridge_sign_fails_before_any_solve(flip, monkeypatch):
+    def flipped(dp):
+        decomp = bridge_decomposition(dp)
+        bridges = [(a, b, -sign if flip == "every" or t == 0 else sign)
+                   for t, (a, b, sign) in enumerate(decomp.bridges)]
+        return dataclasses.replace(decomp, bridges=tuple(bridges))
+
+    monkeypatch.setattr(orthopositroids, "bridge_decomposition", flipped)
+    monkeypatch.setattr(orthopositroids, "least_squares", solving)
+    top = Positroid.from_dperm(top_cell_dperm(2, 4))
+    with pytest.raises(InternalInvariantError, match=r"word=\(3, 4, 1, 2\)"):
+        cell_dim_in_ogr_numeric(top)
+    with pytest.raises(InternalInvariantError):
+        dims_report(2, 4)
 
 
 def test_cell_dim_lets_solver_errors_escape(monkeypatch):
