@@ -65,10 +65,13 @@ from numpy.linalg import LinAlgError  # the class scipy.linalg raises too
 EPS = np.finfo(float).eps
 
 
+@lru_cache(maxsize=None)
 def _load_flapack():
     """scipy's LAPACK extension that get_lapack_funcs(..., ilp64="preferred")
     picks for float64 (the 64-bit-integer build where scipy ships one), and
-    the integer type of its arguments."""
+    the integer type of its arguments.  Loaded at the first solve, not at
+    import: it loads scipy's OpenBLAS, whose worker threads spin for a while
+    after they start and share the CPUs with whatever runs next."""
     path = [os.path.join(scipy.__path__[0], "linalg")]
     for name, int_dtype in (("_flapack_64", np.int64), ("_flapack", np.intc)):
         spec = PathFinder.find_spec("scipy.linalg." + name, path)
@@ -79,10 +82,6 @@ def _load_flapack():
     raise ImportError(f"scipy's LAPACK extension scipy.linalg._flapack is not in {path[0]}")
 
 
-_FLAPACK, _INT_DTYPE = _load_flapack()
-_GESDD, _GESDD_LWORK = _FLAPACK.dgesdd, _FLAPACK.dgesdd_lwork
-
-
 def _norm(v):
     return np.sqrt(v.dot(v))
 
@@ -91,13 +90,14 @@ def _norm(v):
 def _gesdd_lwork(m, n):
     """scipy.linalg.lapack._compute_lwork(gesdd_lwork, m, n, compute_uv=1,
     full_matrices=0) for float64: the workspace scipy.linalg.svd asks for."""
-    work, info = _GESDD_LWORK(m, n, compute_uv=1, full_matrices=0)
+    flapack, int_dtype = _load_flapack()
+    work, info = flapack.dgesdd_lwork(m, n, compute_uv=1, full_matrices=0)
     if info != 0:
         raise ValueError(f"Internal work array size computation failed: {info}")
     lwork = int(work.real)
-    if not 0 <= lwork <= np.iinfo(_INT_DTYPE).max:
+    if not 0 <= lwork <= np.iinfo(int_dtype).max:
         raise ValueError(f"Too large work array required -- computation cannot be "
-                         f"performed with standard {8 * _INT_DTYPE.itemsize}-bit LAPACK.")
+                         f"performed with standard {8 * int_dtype.itemsize}-bit LAPACK.")
     return lwork
 
 
@@ -106,8 +106,8 @@ def svd(a):
     same gesdd call, workspace and checks, without the per-call wrapper."""
     if not np.isfinite(a).all():
         raise ValueError("array must not contain infs or NaNs")
-    u, s, vt, info = _GESDD(a, compute_uv=1, lwork=_gesdd_lwork(*a.shape),
-                            full_matrices=0, overwrite_a=0)
+    u, s, vt, info = _load_flapack()[0].dgesdd(a, compute_uv=1, lwork=_gesdd_lwork(*a.shape),
+                                               full_matrices=0, overwrite_a=0)
     if info > 0:
         raise LinAlgError("SVD did not converge")
     if info < 0:

@@ -14,7 +14,9 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import chain, combinations, permutations
+from itertools import accumulate, chain, combinations, permutations
+from operator import or_
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from .errors import (
     SizeMismatchError,
 )
 from .exact_core import (
-    Mat, binom, colex_key, colex_mask_ranks, colex_ranks, ksubsets,
+    Mat, binom, colex_mask_ranks, colex_ranks, ksubsets,
     signed_extensions, subset_mask,
 )
 from .forms_points import (
@@ -87,22 +89,34 @@ class DecoratedPermutation:
 
 
 def necklace_of(dp: DecoratedPermutation) -> tuple[tuple[int, ...], ...]:
-    """Grassmann necklace of dp: I_1 holds the anti-exceedance values and
-    the coloops, so its size is dp's type k, and I_{a+1} = (I_a - {a}) +
-    {pi(a)} when a is in I_a, else I_a (the recurrence dperm_from_necklace
-    inverts), on masks."""
-    entry = subset_mask(v for i, v in enumerate(dp.word, 1) if v < i) | subset_mask(dp.coloops)
-    k = entry.bit_count()
-    _require_desk_scale(k, dp.n)
-    subs, ranks = ksubsets(dp.n, k), colex_mask_ranks(dp.n, k)
-    out = []
+    """Grassmann necklace of dp, decoded from the entry masks that
+    _necklace_masks walks."""
+    n = dp.n
+    k, entries = _necklace_masks(dp)
+    _require_desk_scale(k, n)
+    subs, ranks = ksubsets(n, k), colex_mask_ranks(n, k)
+    if not all(entry in ranks for entry in entries):
+        raise InternalInvariantError("necklace entry of wrong size")
+    return tuple(subs[ranks[entry]] for entry in entries)
+
+
+def _necklace_masks(dp: DecoratedPermutation) -> tuple[int, list[int]]:
+    """dp's type k and the subset_masks of its necklace: I_1 holds the
+    anti-exceedance values and the coloops, so its size is k, and I_{a+1} =
+    (I_a - {a}) + {pi(a)} when a is in I_a, else I_a (the recurrence
+    dperm_from_necklace inverts)."""
+    entry = 0
+    for i, v in enumerate(dp.word, 1):
+        if v < i:
+            entry |= 1 << v
+    for c in dp.coloops:
+        entry |= 1 << c
+    k, out = entry.bit_count(), []
     for a, v in enumerate(dp.word, 1):
-        if entry not in ranks:
-            raise InternalInvariantError("necklace entry of wrong size")
-        out.append(subs[ranks[entry]])
+        out.append(entry)
         if entry >> a & 1:
             entry = entry ^ (1 << a) | (1 << v)
-    return tuple(out)
+    return k, out
 
 
 def _require_desk_scale(k: int, n: int) -> None:
@@ -113,31 +127,46 @@ def _require_desk_scale(k: int, n: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _gale_upset(I, a: int, k: int, n: int) -> int:
-    """Bitmask over the colex ranks of ksubsets(n, k) of the B with I <= B
-    in the Gale order of the cyclic order starting at a."""
-    low = sorted((x - a) % n for x in I)
-    mask = 0
-    for r, B in enumerate(ksubsets(n, k)):
-        if all(i <= b for i, b in zip(low, sorted((x - a) % n for x in B))):
-            mask |= 1 << r
-    return mask
+def _gale_upsets(k: int, n: int) -> tuple[dict[int, int], ...]:
+    """Entry a - 1 maps the subset_mask of each k-subset I to the bitmask
+    over the colex ranks of ksubsets(n, k) of the B with I <= B in the Gale
+    order of the cyclic order a < a + 1 < ... < a - 1: the B with at most as
+    many elements as I in every initial segment of that order.  Refuses
+    sizes past the desk scale before building."""
+    _require_desk_scale(k, n)
+    masks = [subset_mask(B) for B in ksubsets(n, k)]
+    table = []
+    for a in range(1, n + 1):
+        segments = list(accumulate((1 << (a - 1 + p) % n + 1 for p in range(n)), or_))
+        # at_most[p][c]: the B with at most c elements in segments[p]
+        at_most = []
+        for segment in segments:
+            by_count = [0] * (k + 1)
+            for r, m in enumerate(masks):
+                by_count[(m & segment).bit_count()] |= 1 << r
+            at_most.append(list(accumulate(by_count, or_)))
+        upsets = {}
+        for m in masks:
+            upset = (1 << len(masks)) - 1
+            for segment, row in zip(segments, at_most):
+                upset &= row[(m & segment).bit_count()]
+            upsets[m] = upset
+        table.append(upsets)
+    return tuple(table)
+
+
+def _colex_subsets(mask: int, k: int, n: int) -> list[tuple[int, ...]]:
+    """The k-subsets whose colex ranks are the set bits of mask, in colex order."""
+    return [I for r, I in enumerate(ksubsets(n, k)) if mask >> r & 1]
 
 
 def bases_from_necklace(necklace, k: int, n: int) -> frozenset:
-    """Oh's rule: B is a basis iff I_a is below B in every cyclic Gale order.
-    Only the set bits of the resulting mask are decoded."""
-    _require_desk_scale(k, n)
-    subs = ksubsets(n, k)
-    mask = (1 << len(subs)) - 1
-    for a, Ia in enumerate(necklace, 1):
-        mask &= _gale_upset(tuple(Ia), a, k, n)
-    bases = []
-    while mask:
-        low = mask & -mask
-        bases.append(subs[low.bit_length() - 1])
-        mask ^= low
-    return frozenset(bases)
+    """Oh's rule: B is a basis iff I_a is below B in every cyclic Gale order."""
+    upsets = _gale_upsets(k, n)
+    mask = (1 << binom(n, k)) - 1
+    for up, Ia in zip(upsets, necklace):
+        mask &= up[subset_mask(Ia)]
+    return frozenset(_colex_subsets(mask, k, n))
 
 
 def dperm_from_necklace(necklace, n: int) -> DecoratedPermutation:
@@ -164,17 +193,25 @@ def dperm_from_necklace(necklace, n: int) -> DecoratedPermutation:
 
 @dataclass(frozen=True)
 class Positroid:
+    """A positroid of type (k, n) with its decorated permutation; its bases
+    are mask, a bitmask over the colex ranks of ksubsets(n, k).  The bases
+    as subsets and the necklace are decoded on first read."""
+
     k: int
     n: int
     dperm: DecoratedPermutation
-    necklace: tuple
-    bases: frozenset
+    mask: int
 
     @classmethod
     def from_dperm(cls, dp: DecoratedPermutation) -> "Positroid":
-        k = dp.type_k()
-        neck = necklace_of(dp)
-        return cls(k, dp.n, dp, neck, bases_from_necklace(neck, k, dp.n))
+        """Oh's rule along the necklace walk: the AND of the Gale up-sets of
+        the necklace entries."""
+        k, entries = _necklace_masks(dp)
+        n = dp.n
+        mask = (1 << binom(n, k)) - 1
+        for up, entry in zip(_gale_upsets(k, n), entries):
+            mask &= up[entry]
+        return cls(k, n, dp, mask)
 
     @classmethod
     def from_bases(cls, bases, k: int, n: int) -> "Positroid":
@@ -193,12 +230,18 @@ class Positroid:
             ):
                 raise InputError("bases have no Gale minimum; not a positroid")
             neck.append(tuple(sorted(best)))
-        neck = tuple(neck)
-        pos = cls(k, n, dperm_from_necklace(neck, n), neck,
-                  bases_from_necklace(neck, k, n))
-        if pos.bases != bs:
+        pos = cls.from_dperm(dperm_from_necklace(neck, n))
+        if pos.k != k or pos.bases != bs:
             raise InputError("bases do not satisfy the necklace hull; not a positroid")
         return pos
+
+    @cached_property
+    def bases(self) -> frozenset:
+        return frozenset(_colex_subsets(self.mask, self.k, self.n))
+
+    @cached_property
+    def necklace(self) -> tuple[tuple[int, ...], ...]:
+        return necklace_of(self.dperm)
 
     def sort_key(self):
         return self.dperm.sort_key()
@@ -207,23 +250,25 @@ class Positroid:
         return {
             "perm": list(self.dperm.word),
             "coloops": sorted(self.dperm.coloops),
-            "bases": [list(b) for b in sorted(self.bases, key=colex_key)],
+            "bases": [list(B) for B in _colex_subsets(self.mask, self.k, self.n)],
         }
 
 
 def enumerate_decorated_permutations(k: int, n: int) -> list[DecoratedPermutation]:
+    """Every decorated permutation of type k, in sort_key order: words come
+    from permutations in lexicographic order, and the coloops of a word from
+    combinations of its fixed points in lexicographic order."""
     out = []
     for word in permutations(range(1, n + 1)):
-        anti = sum(1 for i in range(1, n + 1) if word[i - 1] < i)
-        if anti > k:
-            continue
-        fixed = [i for i in range(1, n + 1) if word[i - 1] == i]
-        need = k - anti
-        if need > len(fixed):
-            continue
-        for chosen in combinations(fixed, need):
-            out.append(DecoratedPermutation(tuple(word), frozenset(chosen)))
-    out.sort(key=lambda dp: dp.sort_key())
+        anti, fixed = 0, []
+        for i, v in enumerate(word, 1):
+            if v < i:
+                anti += 1
+            elif v == i:
+                fixed.append(i)
+        if 0 <= k - anti <= len(fixed):
+            for chosen in combinations(fixed, k - anti):
+                out.append(DecoratedPermutation(word, frozenset(chosen)))
     return out
 
 
@@ -233,10 +278,9 @@ def enumerate_positroids(k: int, n: int) -> tuple[Positroid, ...]:
     if n > 10:
         raise InputError("enumeration scans all n! permutations: n <= 10")
     _require_desk_scale(k, n)
-    out = tuple(
+    return tuple(
         Positroid.from_dperm(dp) for dp in enumerate_decorated_permutations(k, n)
     )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -258,33 +302,27 @@ def a_sets(bases, I, J, n: int):
         raise InputError(f"{I} and {J} must be sorted {k - 1}-subsets of [1, {n}]")
     a, b = sorted((rank[I], rank[J]))
     _, _, plus, minus = _pair_table(k, n)[a][1][b - a]
-    both = ext[a] & ext[b]
+    width = _packing(k, n).width
+    both = ext >> a * width & ext >> b * width
     return _ascending(both & plus), _ascending(both & minus)
 
 
-@lru_cache(maxsize=None)
-def _facets(k: int, n: int) -> dict:
-    """For each k-subset B, the pair (colex rank of B - b, 1 << b) for each
-    b in B: B is the extension of the (k-1)-subset B - b by b, read off
-    signed_extensions backwards."""
-    subs = ksubsets(n, k)
-    facets = {B: () for B in subs}
-    for r, ext in enumerate(signed_extensions(n, k - 1)):
-        for l, (rb, _) in ext.items():
-            facets[subs[rb]] += ((r, 1 << l),)
-    return facets
-
-
-def _extension_masks(bases, k: int, n: int) -> list[int]:
-    """ext[r] has bit l exactly when I + l is a basis, for the (k-1)-subset I
-    of colex rank r; members of bases that are not k-subsets are ignored."""
+def _extension_masks(bases, k: int, n: int) -> int:
+    """The packed extension masks of a raw bases set; members that are not
+    sorted k-subsets of [1, n] are ignored."""
     _require_desk_scale(k, n)
-    facets = _facets(k, n)
-    ext = [0] * len(ksubsets(n, k - 1))
-    for B in bases:
-        for r, bit in facets.get(B, ()):
-            ext[r] |= bit
-    return ext
+    ranks = colex_ranks(n, k)
+    return _packed_extensions(sum(1 << ranks[B] for B in set(bases) if B in ranks), k, n)
+
+
+def _packed_extensions(mask: int, k: int, n: int) -> int:
+    """The extension masks of the bases at the set bits of mask (colex
+    ranks), packed as _Packing says, read off mask a byte at a time."""
+    packed = 0
+    for table in _packing(k, n).tables:
+        packed |= table[mask & 255]
+        mask >>= 8
+    return packed
 
 
 @lru_cache(maxsize=None)
@@ -313,19 +351,77 @@ def _pair_table(k: int, n: int) -> tuple:
     return tuple(table)
 
 
-def _one_sided(ext, k: int, n: int):
+class _Packing(NamedTuple):
+    """The pair test of type (k, n) on packed masks.  The extension masks
+    ext[r] (bit l set exactly when I + l is a basis, for the (k-1)-subset I
+    of colex rank r) sit in one int, ext[r] in the slot of width bits from
+    bit r * width up; width = n + 2 keeps the slot's top bit, above every l
+    in [1, n], clear."""
+
+    width: int
+    # tables[j][v]: the packed extension masks of the bases whose colex
+    # ranks are the set bits of v << 8 j
+    tables: tuple
+    # one (I, plus, minus) per row of the pair table: slot b of plus (minus)
+    # holds the plus (minus) mask of the pair (I, J) with J of colex rank b,
+    # for each J >= I; the slots below I's rank are 0
+    rows: tuple
+    # 1 and 2^(n+1) - 1 in every slot: ea * ones copies ea into every slot,
+    # and x + fill carries into the top bit of exactly the nonzero slots of x
+    ones: int
+    fill: int
+
+
+@lru_cache(maxsize=None)
+def _packing(k: int, n: int) -> _Packing:
+    """The packing of type (k, n); each basis B sets bit l of ext[r] for each
+    facet B - l of colex rank r, read off signed_extensions backwards.
+    Refuses sizes past the desk scale before building."""
+    _require_desk_scale(k, n)
+    width = n + 2
+    packed = [0] * len(ksubsets(n, k))
+    for r, ext in enumerate(signed_extensions(n, k - 1)):
+        for l, (rb, _) in ext.items():
+            packed[rb] |= 1 << (r * width + l)
+    tables = []
+    for j in range(0, len(packed), 8):
+        chunk = packed[j:j + 8] + [0] * 8
+        table = [0] * 256
+        for v in range(1, 256):
+            table[v] = table[v & (v - 1)] | chunk[(v & -v).bit_length() - 1]
+        tables.append(tuple(table))
+    rows = tuple(
+        (I, sum(plus << b * width for b, _, plus, _ in pairs),
+         sum(minus << b * width for b, _, _, minus in pairs))
+        for I, pairs in _pair_table(k, n)
+    )
+    ones = sum(1 << r * width for r in range(len(rows)))
+    return _Packing(width, tuple(tables), rows, ones, ones * ((1 << n + 1) - 1))
+
+
+def _one_sided(ext: int, k: int, n: int):
     """(I, J, plus bits, minus bits) of the extension sets of each pair whose
-    two sides are not empty or nonempty together, given the extension masks
-    of a bases set; lazily, so a verdict can stop early.  The row of an I
-    with ext 0 is skipped: every pair through it is two-sided."""
-    for a, (I, pairs) in enumerate(_pair_table(k, n)):
-        ea = ext[a]
+    two sides are not empty or nonempty together, given the packed extension
+    masks of a bases set; lazily, so a verdict can stop early.  Each row of
+    the pair table is tested on every slot at once: e holds ext[a] & ext[b]
+    in slot b, and a slot fails when exactly one of e & plus and e & minus
+    is nonzero there.  The row of an I with ext 0 is skipped: every pair
+    through it is two-sided."""
+    width, _, rows, ones, fill = _packing(k, n)
+    full, high = (1 << n + 1) - 1, ones << n + 1
+    subs = ksubsets(n, k - 1)
+    for a, (I, plus, minus) in enumerate(rows):
+        ea = ext >> a * width & full
         if not ea:
             continue
-        for b, J, plus, minus in pairs:
-            e = ea & ext[b]
-            if (e & plus == 0) != (e & minus == 0):
-                yield I, J, e & plus, e & minus
+        e = ea * ones & ext
+        ep, em = e & plus, e & minus
+        fail = ((ep + fill) ^ (em + fill)) & high
+        while fail:
+            top = fail & -fail
+            at = top.bit_length() - 2 - n  # the slot's first bit
+            yield I, subs[at // width], ep >> at & full, em >> at & full
+            fail ^= top
 
 
 def _ascending(mask: int) -> tuple[int, ...]:
@@ -352,13 +448,13 @@ def is_orthopositroid(positroid_or_bases, k: int | None = None,
     empty or nonempty together; the verdict is decided at the first
     one-sided pair, and the failures are decoded only when read."""
     if isinstance(positroid_or_bases, Positroid):
-        bases = positroid_or_bases.bases
         k, n = positroid_or_bases.k, positroid_or_bases.n
+        ext = _packed_extensions(positroid_or_bases.mask, k, n)
     else:
         if k is None or n is None:
             raise InputError("k and n are required with a raw bases set")
-        bases = frozenset(tuple(sorted(b)) for b in positroid_or_bases)
-    pairs = _one_sided(_extension_masks(bases, k, n), k, n)
+        ext = _extension_masks((tuple(sorted(b)) for b in positroid_or_bases), k, n)
+    pairs = _one_sided(ext, k, n)
     first = next(pairs, None)
     if first is None:
         return OrthoReport(True)
@@ -556,7 +652,7 @@ def cell_dim_in_ogr_numeric(positroid: Positroid, tol: float = 1e-8,
     tol_sq = tol * tol
     # at t = 1 the model must be positive exactly on the bases, or a bridge
     # sign is wrong; its entries are small integers there, so this is exact
-    on_bases = np.array([I in positroid.bases for I in ksubsets(positroid.n, positroid.k)])
+    on_bases = np.array([positroid.mask >> r & 1 for r in range(len(model.start))], dtype=bool)
     p = model.plucker(np.ones(d))
     if not (p[on_bases] > 0).all() or p[~on_bases].any():
         raise InternalInvariantError(f"the bridge model of {positroid.dperm} is not "

@@ -542,6 +542,10 @@ OUTPUT_DIGESTS = {
         "c03b50f9028e83039e4f391e0cc0e3ee717c2e6a461383c39d5191dc0e74b759",
     "orthopositroids enumerate --k 3 --n 6":
         "89ee95cab198d14be0ed1adb4232b8d3a71eafff91a6ff82814b193327c4c74f",
+    "orthopositroids enumerate --k 3 --n 7 --format csv":
+        "1fba8a52852205e4d3e54e3b08667de7c9c4d0aef3cae70a94ee2e384a15f0d2",
+    "orthopositroids enumerate --k 1 --n 5":
+        "80be53d5ff1d0ab7b1aaab80e4c319577e774fc74f028c8517418a01be22b067",
     "orthopositroids test --k 2 --n 5 --bases 12,14,25,45":
         "0f007c8c44d63571708edc6f7b4ddde8b0791194d5694bf9c0c91d473f2fe5e4",
     "orthopositroids test --k 3 --n 7 --perm 4,1,6,5,7,2,3":

@@ -128,11 +128,13 @@ def test_tight_bounds_start_at_the_midpoint():
 
 
 def test_import_does_not_load_scipy_optimize():
-    # nor scipy.linalg, whose package import loads scipy's array-API layer
+    # nor scipy.linalg, whose package import loads scipy's array-API layer,
+    # nor scipy's LAPACK extension, which loads scipy's OpenBLAS, whose
+    # spinning worker threads would slow every command that never solves
     src = os.path.dirname(os.path.dirname(ogrlab.__file__))
     code = ("import sys, ogrlab, ogrlab.acceptance, ogrlab.cli; "
-            "print([m for m in ('scipy.optimize', 'scipy.linalg', 'scipy._lib._array_api') "
-            "if m in sys.modules])")
+            "print([m for m in ('scipy.optimize', 'scipy.linalg', 'scipy._lib._array_api', "
+            "'scipy.linalg._flapack', 'scipy.linalg._flapack_64') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), check=True)
     assert out.stdout.strip() == "[]"
@@ -141,8 +143,9 @@ def test_import_does_not_load_scipy_optimize():
 def test_gesdd_is_scipys_routine_with_scipys_workspace():
     ref, ref_lwork = get_lapack_funcs(("gesdd", "gesdd_lwork"), dtype=np.float64,
                                       ilp64="preferred")
-    assert lsq._FLAPACK.__name__ == "scipy.linalg._" + ref.module_name
-    assert lsq._INT_DTYPE == ref.int_dtype
+    flapack, int_dtype = lsq._load_flapack()
+    assert flapack.__name__ == "scipy.linalg._" + ref.module_name
+    assert int_dtype == ref.int_dtype
     assert lsq.LinAlgError is scipy.linalg.LinAlgError
     # every augmented Jacobian shape (m + n, n) the sweep factors at (2,4) to
     # (3,6), and a few edge shapes

@@ -170,6 +170,31 @@ def test_necklace_recurrence_matches_definition(k, n):
     assert any(dp.coloops for dp in dperms) == (k > 0)
 
 
+@pytest.mark.parametrize("n", range(8))
+def test_decorated_permutations_come_in_sort_key_order(n):
+    for k in range(n + 1):
+        dperms = enumerate_decorated_permutations(k, n)
+        assert dperms == sorted(dperms, key=lambda dp: dp.sort_key())
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (2, 6)])
+def test_from_bases_rebuilds_each_enumerated_positroid(k, n):
+    for pos in enumerate_positroids(k, n):
+        again = Positroid.from_bases(pos.bases, k, n)
+        assert again == pos and hash(again) == hash(pos)
+
+
+def test_pair_test_reads_the_mask_without_decoding_bases():
+    enumerate_positroids.cache_clear()
+    enumerate_orthopositroids.cache_clear()
+    cells = enumerate_orthopositroids(3, 7)
+    positroids = enumerate_positroids(3, 7)
+    assert (len(positroids), len(cells)) == (5111, 105)
+    assert not any("bases" in vars(pos) or "necklace" in vars(pos) for pos in positroids)
+    assert [is_orthopositroid(pos).verdict for pos in positroids] == \
+        [is_orthopositroid(pos.bases, 3, 7).verdict for pos in positroids]
+
+
 def test_oh_rule_round_trip_through_bases():
     pos = Positroid.from_bases(M2, 2, 5)
     assert pos.dperm.word == (4, 3, 2, 1, 5)
