@@ -160,15 +160,6 @@ def _colex_subsets(mask: int, k: int, n: int) -> list[tuple[int, ...]]:
     return [I for r, I in enumerate(ksubsets(n, k)) if mask >> r & 1]
 
 
-def bases_from_necklace(necklace, k: int, n: int) -> frozenset:
-    """Oh's rule: B is a basis iff I_a is below B in every cyclic Gale order."""
-    upsets = _gale_upsets(k, n)
-    mask = (1 << binom(n, k)) - 1
-    for up, Ia in zip(upsets, necklace):
-        mask &= up[subset_mask(Ia)]
-    return frozenset(_colex_subsets(mask, k, n))
-
-
 def dperm_from_necklace(necklace, n: int) -> DecoratedPermutation:
     """Invert the necklace construction, fixing decorations from membership."""
     word = [0] * n
@@ -204,8 +195,9 @@ class Positroid:
 
     @classmethod
     def from_dperm(cls, dp: DecoratedPermutation) -> "Positroid":
-        """Oh's rule along the necklace walk: the AND of the Gale up-sets of
-        the necklace entries."""
+        """Oh's rule along the necklace walk: B is a basis iff each entry
+        I_a is below B in the cyclic Gale order starting at a, so the bases
+        are the AND of the Gale up-sets of the necklace entries."""
         k, entries = _necklace_masks(dp)
         n = dp.n
         mask = (1 << binom(n, k)) - 1
@@ -366,10 +358,8 @@ class _Packing(NamedTuple):
     # holds the plus (minus) mask of the pair (I, J) with J of colex rank b,
     # for each J >= I; the slots below I's rank are 0
     rows: tuple
-    # 1 and 2^(n+1) - 1 in every slot: ea * ones copies ea into every slot,
-    # and x + fill carries into the top bit of exactly the nonzero slots of x
+    # 1 in every slot: ea * ones copies ea into every slot
     ones: int
-    fill: int
 
 
 @lru_cache(maxsize=None)
@@ -396,7 +386,7 @@ def _packing(k: int, n: int) -> _Packing:
         for I, pairs in _pair_table(k, n)
     )
     ones = sum(1 << r * width for r in range(len(rows)))
-    return _Packing(width, tuple(tables), rows, ones, ones * ((1 << n + 1) - 1))
+    return _Packing(width, tuple(tables), rows, ones)
 
 
 def _one_sided(ext: int, k: int, n: int):
@@ -407,8 +397,11 @@ def _one_sided(ext: int, k: int, n: int):
     in slot b, and a slot fails when exactly one of e & plus and e & minus
     is nonzero there.  The row of an I with ext 0 is skipped: every pair
     through it is two-sided."""
-    width, _, rows, ones, fill = _packing(k, n)
-    full, high = (1 << n + 1) - 1, ones << n + 1
+    width, _, rows, ones = _packing(k, n)
+    # 2^(n+1) - 1 in every slot: x + fill carries into the top bit of
+    # exactly the nonzero slots of x
+    full = (1 << n + 1) - 1
+    fill, high = ones * full, ones << n + 1
     subs = ksubsets(n, k - 1)
     for a, (I, plus, minus) in enumerate(rows):
         ea = ext >> a * width & full

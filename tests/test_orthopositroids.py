@@ -27,7 +27,6 @@ from ogrlab.orthopositroids import (
     OrthoReport,
     Positroid,
     a_sets,
-    bases_from_necklace,
     bridge_decomposition,
     CellDimResult,
     _ResidualModel,
@@ -280,7 +279,7 @@ def test_verdict_alone_decodes_no_failure(monkeypatch):
 @pytest.mark.parametrize("k,n", COMPILED_SIZES)
 def test_gale_upsets_match_sorted_rank_rule(k, n):
     for pos in enumerate_positroids(k, n):
-        assert bases_from_necklace(pos.necklace, k, n) == \
+        assert Positroid.from_dperm(pos.dperm).bases == \
             reference_bases_from_necklace(pos.necklace, k, n)
 
 
@@ -300,7 +299,9 @@ def test_size_guard_precedes_work():
     with pytest.raises(InputError):
         is_orthopositroid([(1, 2, 3, 4)], 4, 9)
     with pytest.raises(InputError):
-        bases_from_necklace(necklace_of(top_cell_dperm(4, 9)), 4, 9)
+        Positroid.from_dperm(top_cell_dperm(4, 9))
+    with pytest.raises(InputError):
+        necklace_of(top_cell_dperm(4, 9))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
