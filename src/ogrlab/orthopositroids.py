@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, combinations, permutations
+from itertools import accumulate, combinations, permutations
 from operator import or_
 from typing import NamedTuple
 
@@ -293,10 +293,16 @@ def a_sets(bases, I, J, n: int):
     if I not in rank or J not in rank:
         raise InputError(f"{I} and {J} must be sorted {k - 1}-subsets of [1, {n}]")
     a, b = sorted((rank[I], rank[J]))
-    _, _, plus, minus = _pair_table(k, n)[a][1][b - a]
-    width = _packing(k, n).width
+    plus, minus = _pair_sides(ext, a, _pair_table(k, n)[a][1][b - a], _packing(k, n).width)
+    return _ascending(plus), _ascending(minus)
+
+
+def _pair_sides(ext: int, a: int, pair, width: int) -> tuple[int, int]:
+    """The plus and minus bits of the extension sets of the pair (I, J) of
+    row a of the pair table, given the packed extension masks."""
+    b, _, plus, minus = pair
     both = ext >> a * width & ext >> b * width
-    return _ascending(both & plus), _ascending(both & minus)
+    return both & plus, both & minus
 
 
 def _extension_masks(bases, k: int, n: int) -> int:
@@ -304,16 +310,19 @@ def _extension_masks(bases, k: int, n: int) -> int:
     sorted k-subsets of [1, n] are ignored."""
     _require_desk_scale(k, n)
     ranks = colex_ranks(n, k)
-    return _packed_extensions(sum(1 << ranks[B] for B in set(bases) if B in ranks), k, n)
+    mask = sum(1 << ranks[B] for B in set(bases) if B in ranks)
+    return _packed_extensions(mask, _packing(k, n))
 
 
-def _packed_extensions(mask: int, k: int, n: int) -> int:
+def _packed_extensions(mask: int, packing: "_Packing") -> int:
     """The extension masks of the bases at the set bits of mask (colex
     ranks), packed as _Packing says, read off mask a byte at a time."""
-    packed = 0
-    for table in _packing(k, n).tables:
-        packed |= table[mask & 255]
+    tables = packing.tables
+    packed = j = 0
+    while mask:
+        packed |= tables[j][mask & 255]
         mask >>= 8
+        j += 1
     return packed
 
 
@@ -354,19 +363,35 @@ class _Packing(NamedTuple):
     # tables[j][v]: the packed extension masks of the bases whose colex
     # ranks are the set bits of v << 8 j
     tables: tuple
-    # one (I, plus, minus) per row of the pair table: slot b of plus (minus)
+    # one (plus, minus) per row of the pair table: slot b of plus (minus)
     # holds the plus (minus) mask of the pair (I, J) with J of colex rank b,
     # for each J >= I; the slots below I's rank are 0
     rows: tuple
     # 1 in every slot: ea * ones copies ea into every slot
     ones: int
+    # 2^(n+1) - 1, the bits of one slot below its top bit
+    full: int
+    # full in every slot: x + fill carries into the top bit of exactly the
+    # nonzero slots of x
+    fill: int
+    # the top bit of every slot
+    high: int
 
 
-@lru_cache(maxsize=None)
+# the packings built so far, by n and then k: two int lookups, where a
+# (k, n) key or an lru_cache's argument tuple would allocate a tuple on
+# every pair test
+_PACKINGS: dict[int, dict[int, _Packing]] = {}
+
+
 def _packing(k: int, n: int) -> _Packing:
-    """The packing of type (k, n); each basis B sets bit l of ext[r] for each
-    facet B - l of colex rank r, read off signed_extensions backwards.
-    Refuses sizes past the desk scale before building."""
+    """The packing of type (k, n), built on first use; each basis B sets
+    bit l of ext[r] for each facet B - l of colex rank r, read off
+    signed_extensions backwards.  Refuses sizes past the desk scale before
+    building."""
+    packings = _PACKINGS.get(n)
+    if packings is not None and k in packings:
+        return packings[k]
     _require_desk_scale(k, n)
     width = n + 2
     packed = [0] * len(ksubsets(n, k))
@@ -381,40 +406,50 @@ def _packing(k: int, n: int) -> _Packing:
             table[v] = table[v & (v - 1)] | chunk[(v & -v).bit_length() - 1]
         tables.append(tuple(table))
     rows = tuple(
-        (I, sum(plus << b * width for b, _, plus, _ in pairs),
+        (sum(plus << b * width for b, _, plus, _ in pairs),
          sum(minus << b * width for b, _, _, minus in pairs))
-        for I, pairs in _pair_table(k, n)
+        for _, pairs in _pair_table(k, n)
     )
     ones = sum(1 << r * width for r in range(len(rows)))
-    return _Packing(width, tuple(tables), rows, ones)
+    full = (1 << n + 1) - 1
+    packing = _Packing(width, tuple(tables), rows, ones, full, ones * full, ones << n + 1)
+    _PACKINGS.setdefault(n, {})[k] = packing
+    return packing
+
+
+def _first_one_sided_row(ext: int, packing: _Packing) -> int:
+    """The first row of the pair table with a pair whose two sides are not
+    empty or nonempty together, or -1, given the packed extension masks.
+    Each row is tested on every slot at once: e holds ext[a] & ext[b] in
+    slot b, and a slot fails when exactly one of e & plus and e & minus is
+    nonzero there.  The row of an I with ext 0 is skipped: every pair
+    through it is two-sided.  An index loop over ints: no iterator, tuple
+    or generator is made."""
+    width, rows, ones = packing.width, packing.rows, packing.ones
+    full, fill, high = packing.full, packing.fill, packing.high
+    for a in range(len(rows)):
+        ea = ext >> a * width & full
+        if ea:
+            plus, minus = rows[a]
+            e = ea * ones & ext
+            if ((e & plus) + fill ^ (e & minus) + fill) & high:
+                return a
+    return -1
 
 
 def _one_sided(ext: int, k: int, n: int):
-    """(I, J, plus bits, minus bits) of the extension sets of each pair whose
-    two sides are not empty or nonempty together, given the packed extension
-    masks of a bases set; lazily, so a verdict can stop early.  Each row of
-    the pair table is tested on every slot at once: e holds ext[a] & ext[b]
-    in slot b, and a slot fails when exactly one of e & plus and e & minus
-    is nonzero there.  The row of an I with ext 0 is skipped: every pair
-    through it is two-sided."""
-    width, _, rows, ones = _packing(k, n)
-    # 2^(n+1) - 1 in every slot: x + fill carries into the top bit of
-    # exactly the nonzero slots of x
-    full = (1 << n + 1) - 1
-    fill, high = ones * full, ones << n + 1
-    subs = ksubsets(n, k - 1)
-    for a, (I, plus, minus) in enumerate(rows):
-        ea = ext >> a * width & full
-        if not ea:
-            continue
-        e = ea * ones & ext
-        ep, em = e & plus, e & minus
-        fail = ((ep + fill) ^ (em + fill)) & high
-        while fail:
-            top = fail & -fail
-            at = top.bit_length() - 2 - n  # the slot's first bit
-            yield I, subs[at // width], ep >> at & full, em >> at & full
-            fail ^= top
+    """(I, J, plus bits, minus bits) of each one-sided pair, in pair table
+    order, read pair by pair from the first row the packed test flags."""
+    packing, table = _packing(k, n), _pair_table(k, n)
+    first = _first_one_sided_row(ext, packing)
+    if first < 0:
+        return
+    for a in range(first, len(table)):
+        I, pairs = table[a]
+        for pair in pairs:
+            plus, minus = _pair_sides(ext, a, pair, packing.width)
+            if (not plus) != (not minus):
+                yield I, pair[1], plus, minus
 
 
 def _ascending(mask: int) -> tuple[int, ...]:
@@ -424,34 +459,32 @@ def _ascending(mask: int) -> tuple[int, ...]:
 
 class OrthoReport:
     """The verdict of the pair test and its failures, (I, J, A_plus, A_minus)
-    for each one-sided pair, decoded from the pairs' bitmasks on first read."""
+    for each one-sided pair, decoded from the packed extension masks ext of
+    type (k, n) on first read."""
 
-    def __init__(self, verdict: bool, pairs=()):
-        self.verdict, self._pairs = verdict, pairs
+    def __init__(self, verdict: bool, ext: int, k: int, n: int):
+        self.verdict, self._ext, self._k, self._n = verdict, ext, k, n
 
     @cached_property
     def failures(self) -> tuple:
         return tuple((I, J, _ascending(plus), _ascending(minus))
-                     for I, J, plus, minus in self._pairs)
+                     for I, J, plus, minus in _one_sided(self._ext, self._k, self._n))
 
 
 def is_orthopositroid(positroid_or_bases, k: int | None = None,
                       n: int | None = None) -> OrthoReport:
     """A positroid passes when every pair (I, J) has its two extension sets
-    empty or nonempty together; the verdict is decided at the first
-    one-sided pair, and the failures are decoded only when read."""
+    empty or nonempty together; the verdict is decided at the first row
+    with a one-sided pair, and the failures are decoded only when read.  On
+    a Positroid the report is the only object the test allocates."""
     if isinstance(positroid_or_bases, Positroid):
         k, n = positroid_or_bases.k, positroid_or_bases.n
-        ext = _packed_extensions(positroid_or_bases.mask, k, n)
+        ext = _packed_extensions(positroid_or_bases.mask, _packing(k, n))
     else:
         if k is None or n is None:
             raise InputError("k and n are required with a raw bases set")
         ext = _extension_masks((tuple(sorted(b)) for b in positroid_or_bases), k, n)
-    pairs = _one_sided(ext, k, n)
-    first = next(pairs, None)
-    if first is None:
-        return OrthoReport(True)
-    return OrthoReport(False, chain((first,), pairs))
+    return OrthoReport(_first_one_sided_row(ext, _packing(k, n)) < 0, ext, k, n)
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import random
 from collections import Counter
@@ -274,6 +275,39 @@ def test_verdict_alone_decodes_no_failure(monkeypatch):
     assert failing and not any("failures" in vars(report) for report in failing)
     assert [outcome(report) for report in reports] == wants
     assert decoded
+
+
+def test_verdict_on_a_positroid_allocates_only_its_report():
+    """The report is the one allocation on a Positroid's way to its verdict
+    that the cyclic collector counts: with the gen-0 threshold at 1, a
+    second one would start a collection inside the call."""
+    positroids = enumerate_positroids(3, 7)
+    sample = positroids[::511] + enumerate_orthopositroids(3, 7)[::21]
+    is_orthopositroid(sample[0])  # builds the tables
+    started, verdicts, held = [], [], []
+
+    def callback(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    threshold = gc.get_threshold()
+    try:
+        for pos in sample:
+            # a caller that keeps the pairs it makes, as a loop of
+            # (positroid, verdict) does, leaves the pair freelist empty
+            held.append([(pos, j) for j in range(2001)])
+            gc.collect(0)  # gen-0 count to 0; a full collection would empty the freelists
+            gc.callbacks.append(callback)
+            gc.set_threshold(1)
+            verdicts.append(is_orthopositroid(pos).verdict)
+            gc.set_threshold(*threshold)
+            gc.callbacks.remove(callback)
+    finally:
+        gc.set_threshold(*threshold)
+        if callback in gc.callbacks:
+            gc.callbacks.remove(callback)
+    assert not started
+    assert True in verdicts and False in verdicts
 
 
 @pytest.mark.parametrize("k,n", COMPILED_SIZES)
