@@ -58,8 +58,8 @@ def criterion_02_dimension_histogram():
 def criterion_03_example_verdicts():
     m1 = frozenset([(1, 2), (1, 4), (2, 5), (4, 5)])
     m2 = frozenset([(1, 2), (1, 3), (2, 4), (3, 4)])
-    r1 = orthopositroids.is_orthopositroid(m1, 2, 5)
-    r2 = orthopositroids.is_orthopositroid(m2, 2, 5)
+    r1 = orthopositroids.is_orthopositroid(orthopositroids.Positroid.from_bases(m1, 2, 5))
+    r2 = orthopositroids.is_orthopositroid(orthopositroids.Positroid.from_bases(m2, 2, 5))
     ok = (not r1.verdict) and r2.verdict
     return ok, f"first family verdict={r1.verdict} (want False), second={r2.verdict} (want True)"
 

@@ -26,8 +26,7 @@ from .errors import (
     SizeMismatchError,
 )
 from .exact_core import (
-    Mat, binom, colex_mask_ranks, colex_ranks, ksubsets,
-    signed_extensions, subset_mask,
+    Mat, binom, colex_ranks, ksubsets, signed_extensions, subset_mask,
 )
 from .forms_points import (
     PluckerVector,
@@ -88,23 +87,11 @@ class DecoratedPermutation:
         return {"word": list(self.word), "coloops": sorted(self.coloops)}
 
 
-def necklace_of(dp: DecoratedPermutation) -> tuple[tuple[int, ...], ...]:
-    """Grassmann necklace of dp, decoded from the entry masks that
-    _necklace_masks walks."""
-    n = dp.n
-    k, entries = _necklace_masks(dp)
-    _require_desk_scale(k, n)
-    subs, ranks = ksubsets(n, k), colex_mask_ranks(n, k)
-    if not all(entry in ranks for entry in entries):
-        raise InternalInvariantError("necklace entry of wrong size")
-    return tuple(subs[ranks[entry]] for entry in entries)
-
-
 def _necklace_masks(dp: DecoratedPermutation) -> tuple[int, list[int]]:
     """dp's type k and the subset_masks of its necklace: I_1 holds the
     anti-exceedance values and the coloops, so its size is k, and I_{a+1} =
     (I_a - {a}) + {pi(a)} when a is in I_a, else I_a (the recurrence
-    dperm_from_necklace inverts)."""
+    _dperm_from_necklace inverts)."""
     entry = 0
     for i, v in enumerate(dp.word, 1):
         if v < i:
@@ -160,33 +147,33 @@ def _colex_subsets(mask: int, k: int, n: int) -> list[tuple[int, ...]]:
     return [I for r, I in enumerate(ksubsets(n, k)) if mask >> r & 1]
 
 
-def dperm_from_necklace(necklace, n: int) -> DecoratedPermutation:
-    """Invert the necklace construction, fixing decorations from membership."""
-    word = [0] * n
-    coloops = set()
-    for i in range(1, n + 1):
-        Ii = set(necklace[i - 1])
-        Inext = set(necklace[i % n])
-        if i in Ii:
-            added = Inext - (Ii - {i})
-            if len(added) != 1:
+def _dperm_from_necklace(entries: list[int], n: int) -> DecoratedPermutation:
+    """Invert _necklace_masks on the subset_masks of a candidate necklace:
+    a in I_a maps to the one element that I_{a+1} adds to I_a - {a} (a
+    coloop when that is a), and a not in I_a, which needs I_{a+1} = I_a,
+    is a loop."""
+    word, coloops = [], set()
+    for a, entry in enumerate(entries, 1):
+        following = entries[a % n]
+        if entry >> a & 1:
+            added = following & ~(entry ^ 1 << a)
+            if added.bit_count() != 1:
                 raise InputError("not a Grassmann necklace")
-            j = added.pop()
-            word[i - 1] = j
-            if j == i:
-                coloops.add(i)
+            word.append(added.bit_length() - 1)
+            if added == 1 << a:
+                coloops.add(a)
+        elif following != entry:
+            raise InputError("not a Grassmann necklace")
         else:
-            if Inext != Ii:
-                raise InputError("not a Grassmann necklace")
-            word[i - 1] = i
+            word.append(a)
     return DecoratedPermutation(tuple(word), frozenset(coloops))
 
 
 @dataclass(frozen=True)
 class Positroid:
     """A positroid of type (k, n) with its decorated permutation; its bases
-    are mask, a bitmask over the colex ranks of ksubsets(n, k).  The bases
-    as subsets and the necklace are decoded on first read."""
+    are mask, a bitmask over the colex ranks of ksubsets(n, k), decoded
+    into subsets on first read of bases."""
 
     k: int
     n: int
@@ -207,33 +194,34 @@ class Positroid:
 
     @classmethod
     def from_bases(cls, bases, k: int, n: int) -> "Positroid":
-        bs = frozenset(tuple(sorted(b)) for b in bases)
+        """The positroid with these bases: I_a is the basis below every
+        basis in the cyclic Gale order starting at a, the decorated
+        permutation is read off that necklace, and Oh's rule must give the
+        bases back.  Refuses sizes past the desk scale before reading."""
+        upsets = _gale_upsets(k, n)
+        ranks = colex_ranks(n, k)
+        bs = {tuple(sorted(b)) for b in bases}
         if not bs:
             raise InputError("a positroid has at least one basis")
-        neck = []
-        for a in range(1, n + 1):
-            def key(B):
-                return tuple(sorted((x - a) % n for x in B))
-
-            best = min(bs, key=key)
-            if any(
-                any(cb < bb for cb, bb in zip(key(B), key(best)))
-                for B in bs
-            ):
+        if not bs <= ranks.keys():
+            raise InputError(f"bases must be {k}-subsets of [1, {n}]")
+        mask = sum(1 << ranks[B] for B in bs)
+        members = [subset_mask(B) for B in bs]
+        necklace = []
+        for up in upsets:
+            # the Gale order is a partial order: at most one member is below all
+            minimum = [m for m in members if up[m] & mask == mask]
+            if not minimum:
                 raise InputError("bases have no Gale minimum; not a positroid")
-            neck.append(tuple(sorted(best)))
-        pos = cls.from_dperm(dperm_from_necklace(neck, n))
-        if pos.k != k or pos.bases != bs:
+            necklace.append(minimum[0])
+        pos = cls.from_dperm(_dperm_from_necklace(necklace, n))
+        if pos.mask != mask:
             raise InputError("bases do not satisfy the necklace hull; not a positroid")
         return pos
 
     @cached_property
     def bases(self) -> frozenset:
         return frozenset(_colex_subsets(self.mask, self.k, self.n))
-
-    @cached_property
-    def necklace(self) -> tuple[tuple[int, ...], ...]:
-        return necklace_of(self.dperm)
 
     def sort_key(self):
         return self.dperm.sort_key()
@@ -283,35 +271,31 @@ def a_sets(bases, I, J, n: int):
     """Extension sets of a pair of sorted (k-1)-subsets: the l whose two
     extensions I+l and J+l are both bases, split by the sign of p_{I+l}
     p_{J+l} in the alternating orthogonality quadric of (I, J), read off
-    the pair table."""
+    the pair's slot of the packed sign rows.  Members of bases that are not
+    sorted k-subsets of [1, n] are ignored."""
     I, J = tuple(I), tuple(J)
     if len(I) != len(J):
         raise SizeMismatchError("need equal-size subsets")
     k = len(I) + 1
-    ext = _extension_masks(bases, k, n)  # refuses a size past the desk scale
+    packing = _packing(k, n)  # refuses a size past the desk scale
     rank = colex_ranks(n, k - 1)
     if I not in rank or J not in rank:
         raise InputError(f"{I} and {J} must be sorted {k - 1}-subsets of [1, {n}]")
+    ranks = colex_ranks(n, k)
+    ext = _packed_extensions(sum(1 << ranks[B] for B in set(bases) if B in ranks), packing)
     a, b = sorted((rank[I], rank[J]))
-    plus, minus = _pair_sides(ext, a, _pair_table(k, n)[a][1][b - a], _packing(k, n).width)
+    plus, minus = _pair_sides(ext, a, b, packing)
     return _ascending(plus), _ascending(minus)
 
 
-def _pair_sides(ext: int, a: int, pair, width: int) -> tuple[int, int]:
+def _pair_sides(ext: int, a: int, b: int, packing: "_Packing") -> tuple[int, int]:
     """The plus and minus bits of the extension sets of the pair (I, J) of
-    row a of the pair table, given the packed extension masks."""
-    b, _, plus, minus = pair
-    both = ext >> a * width & ext >> b * width
-    return both & plus, both & minus
-
-
-def _extension_masks(bases, k: int, n: int) -> int:
-    """The packed extension masks of a raw bases set; members that are not
-    sorted k-subsets of [1, n] are ignored."""
-    _require_desk_scale(k, n)
-    ranks = colex_ranks(n, k)
-    mask = sum(1 << ranks[B] for B in set(bases) if B in ranks)
-    return _packed_extensions(mask, _packing(k, n))
+    colex ranks a <= b: slot b of the sign rows of I, given the packed
+    extension masks."""
+    width = packing.width
+    both = ext >> a * width & ext >> b * width & packing.full
+    plus, minus = packing.rows[a]
+    return both & plus >> b * width, both & minus >> b * width
 
 
 def _packed_extensions(mask: int, packing: "_Packing") -> int:
@@ -326,32 +310,6 @@ def _packed_extensions(mask: int, packing: "_Packing") -> int:
     return packed
 
 
-@lru_cache(maxsize=None)
-def _pair_table(k: int, n: int) -> tuple:
-    """One row per (k-1)-subset I, in ksubsets order: (I, pairs) with
-    (b, J, plus, minus) for each J >= I, where b is the colex rank of J and
-    plus and minus are the bitmasks of the l outside I and J by the sign of
-    Omega_ll eps(I, l) eps(J, l), the coefficient of p_{I+l} p_{J+l} in the
-    orthogonality quadric of (I, J) under the alternating form Omega."""
-    omega = QuadraticForm.alternating(n).diag
-    subs = ksubsets(n, k - 1)
-    ext = signed_extensions(n, k - 1)
-    table = []
-    for a, I in enumerate(subs):
-        pairs = []
-        for b in range(a, len(subs)):
-            plus = minus = 0
-            for l, (_, s) in ext[a].items():
-                if l in ext[b]:
-                    if omega[l - 1] * s * ext[b][l][1] > 0:
-                        plus |= 1 << l
-                    else:
-                        minus |= 1 << l
-            pairs.append((b, subs[b], plus, minus))
-        table.append((I, tuple(pairs)))
-    return tuple(table)
-
-
 class _Packing(NamedTuple):
     """The pair test of type (k, n) on packed masks.  The extension masks
     ext[r] (bit l set exactly when I + l is a basis, for the (k-1)-subset I
@@ -363,9 +321,11 @@ class _Packing(NamedTuple):
     # tables[j][v]: the packed extension masks of the bases whose colex
     # ranks are the set bits of v << 8 j
     tables: tuple
-    # one (plus, minus) per row of the pair table: slot b of plus (minus)
-    # holds the plus (minus) mask of the pair (I, J) with J of colex rank b,
-    # for each J >= I; the slots below I's rank are 0
+    # one (plus, minus) per (k-1)-subset I, of colex rank a: for each J of
+    # colex rank b >= a, slot b of plus (minus) holds the l outside I and J
+    # whose sign Omega_ll eps(I, l) eps(J, l) is + (-), the sign of the term
+    # p_{I+l} p_{J+l} in the orthogonality quadric of (I, J) under the
+    # alternating form Omega; the slots below a are 0
     rows: tuple
     # 1 in every slot: ea * ones copies ea into every slot
     ones: int
@@ -385,19 +345,39 @@ _PACKINGS: dict[int, dict[int, _Packing]] = {}
 
 
 def _packing(k: int, n: int) -> _Packing:
-    """The packing of type (k, n), built on first use; each basis B sets
-    bit l of ext[r] for each facet B - l of colex rank r, read off
-    signed_extensions backwards.  Refuses sizes past the desk scale before
-    building."""
+    """The packing of type (k, n), built on first use.  The lookup is kept
+    apart from the build, whose comprehensions would make it allocate a
+    closure cell on every call."""
     packings = _PACKINGS.get(n)
     if packings is not None and k in packings:
         return packings[k]
+    packing = _PACKINGS.setdefault(n, {})[k] = _build_packing(k, n)
+    return packing
+
+
+def _build_packing(k: int, n: int) -> _Packing:
+    """Each basis B sets bit l of ext[r] for each facet B - l of colex rank
+    r, and each pair (I, J) sets its signs, both read off signed_extensions
+    (backwards for the facets).  Refuses sizes past the desk scale before
+    building."""
     _require_desk_scale(k, n)
     width = n + 2
+    omega = QuadraticForm.alternating(n).diag
+    exts = signed_extensions(n, k - 1)
     packed = [0] * len(ksubsets(n, k))
-    for r, ext in enumerate(signed_extensions(n, k - 1)):
-        for l, (rb, _) in ext.items():
-            packed[rb] |= 1 << (r * width + l)
+    rows = []
+    for a, ext in enumerate(exts):
+        plus = minus = 0
+        for l, (rb, s) in ext.items():
+            packed[rb] |= 1 << (a * width + l)
+            for b in range(a, len(exts)):
+                if l in exts[b]:
+                    bit = 1 << (b * width + l)
+                    if omega[l - 1] * s * exts[b][l][1] > 0:
+                        plus |= bit
+                    else:
+                        minus |= bit
+        rows.append((plus, minus))
     tables = []
     for j in range(0, len(packed), 8):
         chunk = packed[j:j + 8] + [0] * 8
@@ -405,20 +385,13 @@ def _packing(k: int, n: int) -> _Packing:
         for v in range(1, 256):
             table[v] = table[v & (v - 1)] | chunk[(v & -v).bit_length() - 1]
         tables.append(tuple(table))
-    rows = tuple(
-        (sum(plus << b * width for b, _, plus, _ in pairs),
-         sum(minus << b * width for b, _, _, minus in pairs))
-        for _, pairs in _pair_table(k, n)
-    )
     ones = sum(1 << r * width for r in range(len(rows)))
     full = (1 << n + 1) - 1
-    packing = _Packing(width, tuple(tables), rows, ones, full, ones * full, ones << n + 1)
-    _PACKINGS.setdefault(n, {})[k] = packing
-    return packing
+    return _Packing(width, tuple(tables), tuple(rows), ones, full, ones * full, ones << n + 1)
 
 
 def _first_one_sided_row(ext: int, packing: _Packing) -> int:
-    """The first row of the pair table with a pair whose two sides are not
+    """The first row of sign masks with a pair whose two sides are not
     empty or nonempty together, or -1, given the packed extension masks.
     Each row is tested on every slot at once: e holds ext[a] & ext[b] in
     slot b, and a slot fails when exactly one of e & plus and e & minus is
@@ -437,64 +410,55 @@ def _first_one_sided_row(ext: int, packing: _Packing) -> int:
     return -1
 
 
-def _one_sided(ext: int, k: int, n: int):
-    """(I, J, plus bits, minus bits) of each one-sided pair, in pair table
-    order, read pair by pair from the first row the packed test flags."""
-    packing, table = _packing(k, n), _pair_table(k, n)
-    first = _first_one_sided_row(ext, packing)
-    if first < 0:
-        return
-    for a in range(first, len(table)):
-        I, pairs = table[a]
-        for pair in pairs:
-            plus, minus = _pair_sides(ext, a, pair, packing.width)
-            if (not plus) != (not minus):
-                yield I, pair[1], plus, minus
-
-
 def _ascending(mask: int) -> tuple[int, ...]:
     """The set bits of a mask, in ascending order."""
     return tuple(l for l in range(mask.bit_length()) if mask >> l & 1)
 
 
 class OrthoReport:
-    """The verdict of the pair test and its failures, (I, J, A_plus, A_minus)
-    for each one-sided pair, decoded from the packed extension masks ext of
-    type (k, n) on first read."""
+    """The verdict of the pair test on a positroid, and its failures, (I, J,
+    A_plus, A_minus) for each one-sided pair in row order, decoded on first
+    read.  is_orthopositroid makes it by a call without arguments and then
+    sets its two attributes: the arguments of a class call travel in a
+    tuple, one more allocation."""
 
-    def __init__(self, verdict: bool, ext: int, k: int, n: int):
-        self.verdict, self._ext, self._k, self._n = verdict, ext, k, n
+    verdict: bool
+    positroid: Positroid
 
     @cached_property
     def failures(self) -> tuple:
-        return tuple((I, J, _ascending(plus), _ascending(minus))
-                     for I, J, plus, minus in _one_sided(self._ext, self._k, self._n))
+        if self.verdict:
+            return ()
+        pos = self.positroid
+        packing = _packing(pos.k, pos.n)
+        ext = _packed_extensions(pos.mask, packing)
+        subs = ksubsets(pos.n, pos.k - 1)
+        return tuple(
+            (subs[a], subs[b], _ascending(plus), _ascending(minus))
+            for a in range(_first_one_sided_row(ext, packing), len(subs))
+            for b in range(a, len(subs))
+            for plus, minus in [_pair_sides(ext, a, b, packing)]
+            if (not plus) != (not minus)
+        )
 
 
-def is_orthopositroid(positroid_or_bases, k: int | None = None,
-                      n: int | None = None) -> OrthoReport:
+def is_orthopositroid(positroid: Positroid) -> OrthoReport:
     """A positroid passes when every pair (I, J) has its two extension sets
     empty or nonempty together; the verdict is decided at the first row
-    with a one-sided pair, and the failures are decoded only when read.  On
-    a Positroid the report is the only object the test allocates."""
-    if isinstance(positroid_or_bases, Positroid):
-        k, n = positroid_or_bases.k, positroid_or_bases.n
-        ext = _packed_extensions(positroid_or_bases.mask, _packing(k, n))
-    else:
-        if k is None or n is None:
-            raise InputError("k and n are required with a raw bases set")
-        ext = _extension_masks((tuple(sorted(b)) for b in positroid_or_bases), k, n)
-    return OrthoReport(_first_one_sided_row(ext, _packing(k, n)) < 0, ext, k, n)
+    with a one-sided pair, and the failures are decoded only when read.
+    The report is the one object the test allocates that the cyclic
+    garbage collector tracks."""
+    packing = _packing(positroid.k, positroid.n)
+    ext = _packed_extensions(positroid.mask, packing)
+    report = OrthoReport()
+    report.positroid = positroid
+    report.verdict = _first_one_sided_row(ext, packing) < 0
+    return report
 
 
 @lru_cache(maxsize=None)
 def enumerate_orthopositroids(k: int, n: int) -> tuple[Positroid, ...]:
     return tuple(p for p in enumerate_positroids(k, n) if is_orthopositroid(p).verdict)
-
-
-def top_cell_dperm(k: int, n: int) -> DecoratedPermutation:
-    word = tuple((i - 1 + k) % n + 1 for i in range(1, n + 1))
-    return DecoratedPermutation(word, frozenset())
 
 
 # ---------------------------------------------------------------------------

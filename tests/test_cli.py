@@ -238,6 +238,8 @@ def test_sample_and_phi_map_build_no_quadric(capsys):
     ("--k 2 --n 5 --bases 12,14,22", "'22' is not 2 distinct digits"),
     ("--k 2 --n 5 --bases 12,121", "'121' is not 2 distinct digits"),
     ("--k 2 --n 5 --bases 12,1x", "'1x' is not 2 distinct digits"),
+    ("--k 2 --n 5 --bases 12,34", "bases have no Gale minimum; not a positroid"),
+    ("--k 2 --n 5 --bases 13,24", "not a Grassmann necklace"),
 ])
 def test_orthopositroids_test_refuses_what_it_cannot_read(flags, message, capsys):
     assert main(["orthopositroids", "test", *flags.split()]) == 2
@@ -548,6 +550,10 @@ OUTPUT_DIGESTS = {
         "80be53d5ff1d0ab7b1aaab80e4c319577e774fc74f028c8517418a01be22b067",
     "orthopositroids test --k 2 --n 5 --bases 12,14,25,45":
         "0f007c8c44d63571708edc6f7b4ddde8b0791194d5694bf9c0c91d473f2fe5e4",
+    "orthopositroids test --k 2 --n 5 --bases 12,13,24,34":
+        "3627e3f126405318986c0f4a20f1b248af2a6384d98171cdb68c35776ced3a4f",
+    "orthopositroids test --k 2 --n 6 --perm 3,4,5,6,1,2":
+        "906b1d3539aa77bf2c5f78253614d5e77cc95aceac5b76e16ea0bae19069ce27",
     "orthopositroids test --k 3 --n 7 --perm 4,1,6,5,7,2,3":
         "9d964268ce71bcacae98a3be6636efd77c6a4d17e461823fac3a7ce58f4d19ab",
 }

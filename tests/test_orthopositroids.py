@@ -12,7 +12,7 @@ import pytest
 from scipy.optimize import least_squares
 
 from ogrlab.errors import InputError, InternalInvariantError
-from ogrlab.exact_core import Mat, ksubsets, rand_rational
+from ogrlab.exact_core import Mat, ksubsets, rand_rational, subset_mask
 from ogrlab.forms_points import (
     PluckerVector,
     QuadraticForm,
@@ -31,9 +31,10 @@ from ogrlab.orthopositroids import (
     bridge_decomposition,
     CellDimResult,
     _ResidualModel,
+    _dperm_from_necklace,
+    _necklace_masks,
     cell_dim_in_ogr_numeric,
     dims_report,
-    dperm_from_necklace,
     edge_e,
     enumerate_decorated_permutations,
     enumerate_orthopositroids,
@@ -42,10 +43,8 @@ from ogrlab.orthopositroids import (
     is_orthopositroid,
     m_sigma,
     m_tau,
-    necklace_of,
     printed_e1,
     tau_solution,
-    top_cell_dperm,
 )
 from sign_reference import eps
 
@@ -60,6 +59,12 @@ COMPILED_SIZES = [(1, 4), (2, 5), (2, 6), (3, 6)]
 # PAIR_TEST_STRIDE-th one of (3,7), which keeps that case under a second
 PAIR_TEST_SIZES = COMPILED_SIZES + [(1, 7), (3, 7)]
 PAIR_TEST_STRIDE = {(3, 7): 7}
+
+
+def top_cell_dperm(k: int, n: int) -> DecoratedPermutation:
+    """The decorated permutation i -> i + k (mod n) of the top cell of (k, n)."""
+    word = tuple((i - 1 + k) % n + 1 for i in range(1, n + 1))
+    return DecoratedPermutation(word, frozenset())
 
 
 def relabel_bases(bases, mapping) -> frozenset:
@@ -153,7 +158,8 @@ def test_decorated_permutation_validation():
 
 def test_necklace_of_top_cell():
     dp = top_cell_dperm(2, 4)
-    assert necklace_of(dp) == ((1, 2), (2, 3), (3, 4), (1, 4))
+    necklace = ((1, 2), (2, 3), (3, 4), (1, 4))
+    assert _necklace_masks(dp) == (2, [subset_mask(I) for I in necklace])
 
 
 @pytest.mark.parametrize("k,n", [(0, 3), (1, 1), (1, 4), (2, 5), (2, 6), (3, 6), (3, 7)])
@@ -161,13 +167,20 @@ def test_necklace_recurrence_matches_definition(k, n):
     dperms = enumerate_decorated_permutations(k, n)
     for dp in dperms:
         necklace = reference_necklace(dp)
-        assert necklace_of(dp) == necklace
+        assert _necklace_masks(dp) == (k, [subset_mask(I) for I in necklace])
         pos = Positroid.from_dperm(dp)
-        assert (pos.k, pos.n, pos.dperm, pos.necklace) == (k, n, dp, necklace)
+        assert (pos.k, pos.n, pos.dperm) == (k, n, dp)
         assert pos.bases == reference_bases_from_necklace(necklace, k, n)
     # loops and coloops were both covered
     assert any(set(dp.fixed_points()) - dp.coloops for dp in dperms) == (k < n)
     assert any(dp.coloops for dp in dperms) == (k > 0)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_necklace_walk_inverts_to_its_decorated_permutation(n):
+    for k in range(n + 1):
+        for dp in enumerate_decorated_permutations(k, n):
+            assert _dperm_from_necklace(_necklace_masks(dp)[1], n) == dp
 
 
 @pytest.mark.parametrize("n", range(8))
@@ -190,9 +203,9 @@ def test_pair_test_reads_the_mask_without_decoding_bases():
     cells = enumerate_orthopositroids(3, 7)
     positroids = enumerate_positroids(3, 7)
     assert (len(positroids), len(cells)) == (5111, 105)
-    assert not any("bases" in vars(pos) or "necklace" in vars(pos) for pos in positroids)
+    assert not any("bases" in vars(pos) for pos in positroids)
     assert [is_orthopositroid(pos).verdict for pos in positroids] == \
-        [is_orthopositroid(pos.bases, 3, 7).verdict for pos in positroids]
+        [is_orthopositroid(Positroid.from_bases(pos.bases, 3, 7)).verdict for pos in positroids]
 
 
 def test_oh_rule_round_trip_through_bases():
@@ -200,7 +213,36 @@ def test_oh_rule_round_trip_through_bases():
     assert pos.dperm.word == (4, 3, 2, 1, 5)
     assert pos.dperm.coloops == frozenset()
     assert pos.bases == M2
-    assert dperm_from_necklace(pos.necklace, 5) == pos.dperm
+    assert _dperm_from_necklace(_necklace_masks(pos.dperm)[1], 5) == pos.dperm
+
+
+NO_GALE_MINIMUM = "bases have no Gale minimum; not a positroid"
+NOT_A_NECKLACE = "not a Grassmann necklace"
+OUTSIDE_THE_HULL = "bases do not satisfy the necklace hull; not a positroid"
+
+# how Positroid.from_bases takes every nonempty set of k-subsets
+FROM_BASES_OUTCOMES = {
+    (2, 4): {"positroid": 33, NO_GALE_MINIMUM: 12, NOT_A_NECKLACE: 9, OUTSIDE_THE_HULL: 9},
+    (2, 5): {"positroid": 131, NO_GALE_MINIMUM: 470, NOT_A_NECKLACE: 206,
+             OUTSIDE_THE_HULL: 216},
+}
+
+
+@pytest.mark.parametrize("k,n", sorted(FROM_BASES_OUTCOMES))
+def test_from_bases_classifies_every_bases_set(k, n):
+    subs = ksubsets(n, k)
+    counts = Counter()
+    for chosen in range(1, 1 << len(subs)):
+        bases = frozenset(B for r, B in enumerate(subs) if chosen >> r & 1)
+        try:
+            pos = Positroid.from_bases(bases, k, n)
+        except InputError as e:
+            counts[str(e)] += 1
+        else:
+            assert (pos.k, pos.n, pos.bases) == (k, n, bases)
+            counts["positroid"] += 1
+    assert counts == FROM_BASES_OUTCOMES[k, n]
+    assert counts["positroid"] == len(enumerate_positroids(k, n))
 
 
 def test_from_bases_rejects_non_positroid():
@@ -229,10 +271,18 @@ def test_a_sets_empty_both_sides():
 def test_pair_table_signs_are_the_alternating_quadrics(k, n):
     """The pair test's plus and minus masks are the signs of the terms of
     the alternating orthogonality quadric of (I, J), p_{I+l} p_{J+l} for
-    each l outside I and J; a pair with no such l has no quadric."""
+    each l outside I and J; a pair with no such l has no quadric.  They are
+    read off the packed sign rows: slot b of the row of I, for the J of
+    colex rank b >= the rank of I, and no bits below that slot."""
     quadrics = iter(orthogonality_relations(k, n, QuadraticForm.alternating(n)))
-    for I, pairs in orthopositroids._pair_table(k, n):
-        for _, J, plus, minus in pairs:
+    packing = orthopositroids._packing(k, n)
+    subs = ksubsets(n, k - 1)
+    assert len(packing.rows) == len(subs)
+    for a, (I, (plus_row, minus_row)) in enumerate(zip(subs, packing.rows)):
+        assert not (plus_row | minus_row) & ((1 << a * packing.width) - 1 | packing.high)
+        for b, J in enumerate(subs[a:], a):
+            plus = plus_row >> b * packing.width & packing.full
+            minus = minus_row >> b * packing.width & packing.full
             assert not plus & minus
             if not plus | minus:
                 continue
@@ -251,7 +301,7 @@ def test_compiled_pair_test_matches_a_sets_loop(k, n):
     for pos in enumerate_positroids(k, n)[::PAIR_TEST_STRIDE.get((k, n), 1)]:
         verdict, failures = want = reference_report(pos.bases, k, n)
         assert outcome(is_orthopositroid(pos)) == want
-        assert outcome(is_orthopositroid(pos.bases, k, n)) == want
+        assert outcome(is_orthopositroid(Positroid.from_bases(pos.bases, k, n))) == want
         for I, J, plus, minus in failures:
             assert a_sets(pos.bases, I, J, n) == a_sets(pos.bases, J, I, n) == (plus, minus)
         failing += not verdict
@@ -294,8 +344,12 @@ def test_verdict_on_a_positroid_allocates_only_its_report():
     try:
         for pos in sample:
             # a caller that keeps the pairs it makes, as a loop of
-            # (positroid, verdict) does, leaves the pair freelist empty
+            # (positroid, verdict) does, leaves the pair freelist empty;
+            # the 3- and 4-tuple freelists are emptied the same way, so
+            # that an argument tuple built in the call would be counted
             held.append([(pos, j) for j in range(2001)])
+            held.append([(pos, j, j) for j in range(2001)])
+            held.append([(pos, j, j, j) for j in range(2001)])
             gc.collect(0)  # gen-0 count to 0; a full collection would empty the freelists
             gc.callbacks.append(callback)
             gc.set_threshold(1)
@@ -314,13 +368,14 @@ def test_verdict_on_a_positroid_allocates_only_its_report():
 def test_gale_upsets_match_sorted_rank_rule(k, n):
     for pos in enumerate_positroids(k, n):
         assert Positroid.from_dperm(pos.dperm).bases == \
-            reference_bases_from_necklace(pos.necklace, k, n)
+            reference_bases_from_necklace(reference_necklace(pos.dperm), k, n)
 
 
-def test_raw_bases_ignore_non_subsets_and_k_zero_passes():
-    extra = M2 | {(1, 9), (2, 3, 4)}
-    assert outcome(is_orthopositroid(extra, 2, 5)) == outcome(is_orthopositroid(M2, 2, 5))
-    assert outcome(is_orthopositroid([()], 0, 4)) == (True, ())
+def test_from_bases_refuses_non_subsets_and_k_zero_passes():
+    for extra in ((1, 9), (2, 3, 4)):
+        with pytest.raises(InputError, match=r"bases must be 2-subsets of \[1, 5\]"):
+            Positroid.from_bases(M2 | {extra}, 2, 5)
+    assert outcome(is_orthopositroid(Positroid.from_bases([()], 0, 4))) == (True, ())
 
 
 def test_size_guard_precedes_work():
@@ -330,12 +385,12 @@ def test_size_guard_precedes_work():
         enumerate_positroids(1, 11)
     with pytest.raises(InputError):
         enumerate_positroids(4, 9)
-    with pytest.raises(InputError):
-        is_orthopositroid([(1, 2, 3, 4)], 4, 9)
+    with pytest.raises(InputError, match="desk-scale"):
+        Positroid.from_bases([(1, 2, 3, 4)], 4, 9)
     with pytest.raises(InputError):
         Positroid.from_dperm(top_cell_dperm(4, 9))
-    with pytest.raises(InputError):
-        necklace_of(top_cell_dperm(4, 9))
+    with pytest.raises(InputError, match="desk-scale"):
+        a_sets([(1, 2, 3, 4)], (1, 2, 3), (1, 2, 4), 9)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -369,8 +424,10 @@ def test_orthopositroids_at_n_2k_plus_1_are_the_contracted_matchings(k):
 
 
 def test_example_verdicts():
-    assert not is_orthopositroid(M1, 2, 5).verdict
-    assert is_orthopositroid(M2, 2, 5).verdict
+    m1, m2 = Positroid.from_bases(M1, 2, 5), Positroid.from_bases(M2, 2, 5)
+    assert (m1.dperm.word, m2.dperm.word) == ((5, 4, 3, 2, 1), (4, 3, 2, 1, 5))
+    assert not is_orthopositroid(m1).verdict
+    assert is_orthopositroid(m2).verdict
 
 
 def test_enumerate_positroids_small_counts():
@@ -773,7 +830,7 @@ def test_sampled_positive_points_have_ortho_matroids():
         p = sub.plucker()
         assert is_isotropic(p, ALT6)
         assert is_totally_nonnegative(p)
-        assert is_orthopositroid(p.support(), 2, 6).verdict
+        assert is_orthopositroid(Positroid.from_bases(p.support(), 2, 6)).verdict
 
 
 def test_gluing_check_report():
