@@ -220,9 +220,16 @@ class TermOrder:
     entry above all of them for the constant slot C(n, k) that pads the
     lower-degree monomials of Polynomial.cleared: a padded monomial then
     loses to every monomial of higher degree.
+
+    For monomials of degree d, a rank weighs (d + 1)^position, and a
+    monomial's key is the sum of its factors' weights.  No digit of that sum
+    in base d + 1 exceeds d, so the keys compare as the descending position
+    lists do, and the least key leads.
     """
 
     def __init__(self, k: int, n: int, tie_break: str = "colex"):
+        if not 1 <= k <= n:
+            raise InputError("need 1 <= k <= n")
         self.k = k
         self.n = n
         self.tie_break = tie_break
@@ -232,14 +239,24 @@ class TermOrder:
         for i, e in enumerate(ext):
             if e.kind == "Y":
                 self.position[rank[e.subset]] = i
+        self._weights = {}
+
+    def weights(self, degree: int) -> list[int]:
+        """(degree + 1)^position of each colex rank and the constant slot."""
+        w = self._weights.get(degree)
+        if w is None:
+            w = self._weights[degree] = [(degree + 1) ** p for p in self.position]
+        return w
 
     def leading_monomial(self, poly: Polynomial):
+        if (poly.k, poly.n) != (self.k, self.n):
+            raise SizeMismatchError("polynomial type does not match term order type")
         if poly.is_zero():
             raise InputError("zero polynomial has no leading monomial")
-        position = self.position
-        lead = min(poly.cleared()[2],
-                   key=lambda m: sorted([position[r] for r in m], reverse=True))
-        return _subsets(self.k, self.n, lead)
+        ranks = poly.cleared()[2]
+        weigh = self.weights(len(ranks[0])).__getitem__
+        keys = [sum(map(weigh, m)) for m in ranks]
+        return _subsets(self.k, self.n, ranks[keys.index(min(keys))])
 
 
 # ---------------------------------------------------------------------------
@@ -341,63 +358,59 @@ def orthogonality_relations(k: int, n: int, form: QuadraticForm) -> tuple[Polyno
     return tuple(out)
 
 
-def _block_sign(positions):
-    """Sign of moving the chosen positions (sorted, 0-based) to the front."""
-    return (-1) ** sum(q - t for t, q in enumerate(positions))
-
-
 @lru_cache(maxsize=None)
 def _shuffle_table(length: int, l: int) -> tuple:
-    """(chosen, rest, sign) for each l-subset of the positions 0..length-1,
-    in combinations order: the chosen positions, the others, and the sign
-    of moving the chosen ones to the front."""
+    """(order, parity) for each l-subset of the positions 0..length-1, in
+    combinations order.  order lists the chosen positions from right to
+    left, then the others from right to left, each shifted by length; parity
+    is that of the number of moves that bring the chosen ones to the front."""
     return tuple(
-        (chosen, tuple(q for q in range(length) if q not in chosen), _block_sign(chosen))
+        (chosen[::-1] + tuple(length + q for q in reversed(range(length)) if q not in chosen),
+         sum(q - t for t, q in enumerate(chosen)) & 1)
         for chosen in combinations(range(length), l)
     )
-
-
-def _sort_bits(bits, mask: int = 0):
-    """Sort the word whose entries have the bits `bits`, followed by the
-    entries of `mask` in increasing order, in one right-to-left pass:
-    (mask of the word, its inversion count), or None on a repeated entry."""
-    inversions = 0
-    for b in reversed(bits):
-        if mask & b:
-            return None
-        inversions += (mask & (b - 1)).bit_count()
-        mask |= b
-    return mask, inversions
 
 
 def _snake_shuffle(I, J, l: int, n: int, coyoung: bool) -> Polynomial:
     """Shuffle the snake i_1..i_l, j_l.. over two sorted blocks: the first
     block completed by I[l:], the second headed by J[:l-1].  A coYoung
     bracket [K] is the variable (-1)^(sum of K) p_{complement of K}; the
-    sum has the parity of the number of odd entries of K."""
+    sum has the parity of the number of odd entries of K.
+
+    Each term is one right-to-left pass that sorts both words at once on a
+    single bitmask, the second word shifted by n + 1 bits above the first:
+    each entry is added to the mask after a popcount of the entries below
+    it, and a repeated entry ends the pass.  The mask starts as I[l:] and
+    the shifted head J[:l-1].  So each of the len(snake) - l entries of the
+    rest also counts the k entries of the first word, and the l - 1 head
+    entries below it instead of those above it: mod 2 both come to
+    k + l - 1 per entry, which `base` adds back once per law."""
     k = len(I)
-    if I not in colex_ranks(n, k) or J not in colex_ranks(n, len(J)):
-        raise InputError(f"{I} and {J} must be sorted subsets of [1, {n}]")
     rank = colex_mask_ranks(n, k)
-    snake = [1 << x for x in I[:l] + J[l - 1:]]
-    tail = subset_mask(I[l:])
-    head = [1 << x for x in J[:l - 1]]
+    shift = n + 1
+    snake = I[:l] + J[l - 1:]
+    bits = [1 << x for x in snake] + [1 << x + shift for x in snake]
+    start = subset_mask(I[l:]) | subset_mask(J[:l - 1]) << shift
+    base = (len(snake) - l) * (k + l - 1)
+    low = (1 << shift) - 1
     full = (1 << n + 1) - 2  # the mask of [1, n]
     odd = subset_mask(range(1, n + 1, 2)) if coyoung else 0
     terms = {}
-    for chosen, rest, sign in _shuffle_table(len(snake), l):
-        first = _sort_bits([snake[q] for q in chosen], tail)
-        if first is None:
-            continue
-        second = _sort_bits(head + [snake[q] for q in rest])
-        if second is None:
-            continue
-        (m1, inv1), (m2, inv2) = first, second
-        if coyoung:
-            inv2 += (m2 & odd).bit_count()
-            m2 ^= full
-        m = _rank_pair(rank[m1], rank[m2])
-        terms[m] = terms.get(m, 0) + (-sign if (inv1 + inv2) & 1 else sign)
+    for order, parity in _shuffle_table(len(snake), l):
+        mask, inversions = start, base + parity
+        for q in order:
+            b = bits[q]
+            if mask & b:
+                break
+            inversions += (mask & (b - 1)).bit_count()
+            mask |= b
+        else:
+            m1, m2 = mask & low, mask >> shift
+            if coyoung:
+                inversions += (m2 & odd).bit_count()
+                m2 ^= full
+            m = _rank_pair(rank[m1], rank[m2])
+            terms[m] = terms.get(m, 0) + (-1 if inversions & 1 else 1)
     return Polynomial._from_ranks(k, n, terms)
 
 
@@ -436,6 +449,8 @@ def straightening_lambda(I, Jp, n: int) -> Polynomial:
     k = len(I)
     if len(Jp) != n - k:
         raise SizeMismatchError("coYoung part must have size n-k")
+    if I not in colex_ranks(n, k) or Jp not in colex_ranks(n, n - k):
+        raise InputError(f"{I} and {Jp} must be sorted subsets of [1, {n}]")
     if mixed_leq(Jp, I, k):
         raise InputError("pair is comparable; nothing to straighten")
     l = snake_index(I, Jp[:k])
@@ -625,6 +640,8 @@ class Degree2Span:
         """The residual of poly against the span: zero iff poly lies in it."""
         vec, denom = self._vector(poly)  # poly is vec / denom throughout
         denom *= self._eliminate(vec)
+        if not vec:
+            return Polynomial._from_ranks(self.k, self.n, {})
         return Polynomial(
             self.k, self.n,
             {self.monomials[i]: Fraction(v, denom) for i, v in vec.items()},

@@ -68,16 +68,6 @@ def make_cell(A, B, n: int) -> Cell1:
     return Cell1(A, B)
 
 
-def cycle_of(cell: Cell1, n: int) -> tuple[int, ...]:
-    """The unique single-excedance cycle on the support: each support element
-    maps to the next smaller one, the minimum to the maximum."""
-    support = sorted(cell.A + cell.B)
-    perm = list(range(1, n + 1))
-    for i, s in enumerate(support):
-        perm[s - 1] = support[i - 1] if i > 0 else support[-1]
-    return tuple(perm)
-
-
 def cell_leq(c: Cell1, d: Cell1) -> bool:
     return set(c.A) <= set(d.A) and set(c.B) <= set(d.B)
 

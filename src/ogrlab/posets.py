@@ -50,25 +50,6 @@ def mixed_leq(Jp, I, k: int) -> bool:
     return all(Jp[l] <= I[l] for l in range(k))
 
 
-def p_leq(a: PosetElement, b: PosetElement, k: int, n: int) -> bool:
-    """Order relation of the glued poset.
-
-    Young and coYoung copies are each ordered componentwise; a coYoung
-    element sits below a Young element when its first k entries are
-    componentwise at most the Young entries.  Young elements are never
-    below coYoung ones.
-    """
-    for e in (a, b):
-        want = k if e.kind == "Y" else n - k
-        if e.kind not in ("Y", "coY"):
-            raise InputError(f"bad poset element kind {e.kind!r}")
-        if len(e.subset) != want or any(x < 1 or x > n for x in e.subset):
-            raise InputError(f"element {e} does not live in the ({k},{n}) poset")
-    if a.kind == b.kind:
-        return young_leq(a.subset, b.subset)
-    return a.kind == "coY" and mixed_leq(a.subset, b.subset, k)
-
-
 def elements(k: int, n: int) -> list[PosetElement]:
     out = [PosetElement("coY", s) for s in ksubsets(n, n - k)]
     out += [PosetElement("Y", s) for s in ksubsets(n, k)]

@@ -520,12 +520,16 @@ OUTPUT_DIGESTS = {
         "740b299b4277a1f03506e1865fe3ab5433e69a02c637431715007ce96d1b9145",
     "groebner-check --k 3 --n 8":
         "aacf72242dbe5f52598f7a2cea5ec41fa391eca101b74e227d1a2039a414d338",
+    "groebner-check --k 3 --n 10":
+        "58f3fa11f7fe919435a41528beb6b9bb77ab8ac07a7daa644fd3010db713e1a4",
     "straighten --k 3 --n 7":
         "b5f9ba063b21eaa2df3293e6ce82e640d56824b0259d7d417982ee34ce430b69",
     "straighten --k 2 --n 6 --family lambda":
         "7801fa5c131f800f1b0f1f68e408c4b4843cb8856b8bb0a4c696787d2aa16963",
     "straighten --k 3 --n 8":
         "f2eb96eb589ee3a0e7d0d8d62eb85bb98e91406e0caad71c3907463e36cc4b93",
+    "straighten --k 3 --n 9 --family mu":
+        "ac334c97ae82a1b98782eae5a73637f1bb8354658cf4e1a28711a386f3792469",
     "equations --k 2 --n 5 --form standard":
         "a8e389549448e1aec4d3e14051b5844ee045e35e452b245feccbf9f20290023d",
     "equations --k 3 --n 7 --form standard":

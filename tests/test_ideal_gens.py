@@ -521,6 +521,46 @@ def test_leading_monomial_of_mixed_degrees():
         assert order.leading_monomial(poly) == best
 
 
+def position_list_lead(order, poly):
+    """The leading monomial by sorted position lists: each term's factor
+    positions, padded with the constant slot's position up to the top
+    degree and sorted in descending order; the least list leads."""
+    lead = min(poly.cleared()[2],
+               key=lambda m: sorted([order.position[r] for r in m], reverse=True))
+    subs = ksubsets(poly.n, poly.k)
+    return tuple(subs[r] for r in lead if r < len(subs))
+
+
+@pytest.mark.parametrize("tb", ["colex", "colex_desc", "kind_first"])
+@pytest.mark.parametrize("k,n", [(2, 5), (3, 6)])
+def test_leading_monomial_matches_position_lists(k, n, tb):
+    # mixed degrees 1 to 4 with repeated factors, drawn from four variables
+    # so that terms often share their highest positions
+    order = TermOrder(k, n, tb)
+    rng = random.Random(f"{k}{n}{tb}")
+    for _ in range(60):
+        subs = rng.sample(ksubsets(n, k), 4)
+        monos = {_mono(*rng.choices(subs, k=rng.randint(1, 4)))
+                 for _ in range(rng.randint(1, 8))}
+        poly = Polynomial(k, n, {m: rng.choice((-2, -1, 1, 3)) for m in monos})
+        assert order.leading_monomial(poly) == position_list_lead(order, poly)
+
+
+def test_term_order_refuses_other_sizes():
+    with pytest.raises(SizeMismatchError):
+        TermOrder(2, 5).leading_monomial(plucker_relations(2, 4)[0])
+    with pytest.raises(SizeMismatchError):
+        TermOrder(2, 5).leading_monomial(plucker_relations(2, 6)[-1])
+    with pytest.raises(SizeMismatchError):
+        TermOrder(2, 5).leading_monomial(plucker_relations(3, 6)[0])
+
+
+@pytest.mark.parametrize("k,n", [(0, 5), (-1, 5), (6, 5)])
+def test_term_order_refuses_k_outside_range(k, n):
+    with pytest.raises(InputError):
+        TermOrder(k, n)
+
+
 def test_canonical_orientation_picks_universal_lead():
     # this pair's two orientations give different shuffles; only one has an
     # extension-independent leading term

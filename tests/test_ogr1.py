@@ -11,7 +11,6 @@ from ogrlab.ogr1 import (
     cell_leq,
     cells,
     closure_cells,
-    cycle_of,
     face_vector,
     hasse_edges,
     interior_points,
@@ -22,6 +21,16 @@ from ogrlab.ogr1 import (
     simplex_product_f_vector,
 )
 from ogrlab.weyl import ogr_dimension
+
+
+def cycle_of(cell: Cell1, n: int) -> tuple[int, ...]:
+    """The unique single-excedance cycle on the support: each support element
+    maps to the next smaller one, the minimum to the maximum."""
+    support = sorted(cell.A + cell.B)
+    perm = list(range(1, n + 1))
+    for i, s in enumerate(support):
+        perm[s - 1] = support[i - 1] if i > 0 else support[-1]
+    return tuple(perm)
 
 
 def test_cell_counts():

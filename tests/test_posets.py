@@ -16,7 +16,6 @@ from ogrlab.posets import (
     is_standard_monomial,
     linear_extension,
     mixed_leq,
-    p_leq,
     pair_bijection_forward,
     pair_bijection_inverse,
     snake_index,
@@ -24,6 +23,25 @@ from ogrlab.posets import (
     young_leq,
     young_upsets,
 )
+
+
+def p_leq(a: PosetElement, b: PosetElement, k: int, n: int) -> bool:
+    """Order relation of the glued poset.
+
+    Young and coYoung copies are each ordered componentwise; a coYoung
+    element sits below a Young element when its first k entries are
+    componentwise at most the Young entries.  Young elements are never
+    below coYoung ones.
+    """
+    for e in (a, b):
+        want = k if e.kind == "Y" else n - k
+        if e.kind not in ("Y", "coY"):
+            raise InputError(f"bad poset element kind {e.kind!r}")
+        if len(e.subset) != want or any(x < 1 or x > n for x in e.subset):
+            raise InputError(f"element {e} does not live in the ({k},{n}) poset")
+    if a.kind == b.kind:
+        return young_leq(a.subset, b.subset)
+    return a.kind == "coY" and mixed_leq(a.subset, b.subset, k)
 
 
 def Y(*s):
