@@ -168,6 +168,17 @@ def subset_mask(entries) -> int:
     return sum(1 << x for x in entries)
 
 
+def mask_bits(mask: int) -> tuple[int, ...]:
+    """The set bits of a mask, in ascending order: subset_mask inverted.
+    Peels the lowest set bit off each time, so a sparse mask is quick."""
+    bits = []
+    while mask:
+        low = mask & -mask
+        bits.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(bits)
+
+
 @lru_cache(maxsize=None)
 def colex_mask_ranks(n: int, k: int) -> dict[int, int]:
     """The colex rank of each k-subset of {1..n}, keyed by its subset_mask."""

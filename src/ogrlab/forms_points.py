@@ -214,7 +214,10 @@ def _congruence_to_antidiagonal(form: QuadraticForm, field: str) -> Mat:
     Rational pairing matches plus-coordinates with minus-coordinates in
     index order (for the alternating form this is the fixed (1,2), (3,4),
     ... pairing, with an odd leftover mapping to the middle).  Over the
-    Gaussian rationals same-sign pairs are fixed up with i-scalings.
+    Gaussian rationals coordinates 2t and 2t + 1 pair up, and i-scalings
+    fix the signs: each coordinate is scaled by 1 or i so that diag * s^2
+    is +1 on the first coordinate of a pair, and on the leftover, and -1 on
+    the second.  A pair of opposite signs puts its plus coordinate first.
     """
     n = form.n
     if form.diag is None:
@@ -232,45 +235,25 @@ def _congruence_to_antidiagonal(form: QuadraticForm, field: str) -> Mat:
         minus = [i for i, d in enumerate(diag) if d == -1]
         pairs = list(zip(plus, minus))
         leftover = plus[len(minus):]
-        one = Fraction(1)
+    elif field == "gaussian":
+        pairs = [(2 * t, 2 * t + 1) for t in range(n // 2)]
+        leftover = [n - 1] if n % 2 else []
     else:
-        if field != "gaussian":
-            raise InputError(f"unknown field {field!r}")
-        idx = list(range(n))
-        pairs = [(idx[2 * t], idx[2 * t + 1]) for t in range(n // 2)]
-        leftover = idx[n - 1:] if n % 2 else []
-        one = Fraction(1)
+        raise InputError(f"unknown field {field!r}")
+
+    def scale(c, sign):
+        return Fraction(1) if diag[c] == sign else I_UNIT
 
     rows = [[Fraction(0)] * n for _ in range(n)]
-
-    def put(r, pos, val):
-        rows[r][pos] = val
-
     half = Fraction(1, 2)
     for t, (a, b) in enumerate(pairs):
-        da, db = diag[a], diag[b]
-        if (da, db) == (-1, 1):
+        if diag[a] < diag[b]:
             a, b = b, a
-            da, db = db, da
-        if (da, db) == (1, -1):
-            put(t, a, one)
-            put(t, b, one)
-            put(n - 1 - t, a, half)
-            put(n - 1 - t, b, -half)
-        elif (da, db) == (1, 1):
-            put(t, a, one)
-            put(t, b, I_UNIT)
-            put(n - 1 - t, a, half)
-            put(n - 1 - t, b, -I_UNIT * half)
-        else:  # (-1, -1)
-            put(t, a, I_UNIT)
-            put(t, b, one)
-            put(n - 1 - t, a, I_UNIT * half)
-            put(n - 1 - t, b, -half)
-    if leftover:
-        c = leftover[0]
-        mid = n // 2
-        put(mid, c, one if diag[c] == 1 else I_UNIT)
+        sa, sb = scale(a, 1), scale(b, -1)
+        rows[t][a], rows[t][b] = sa, sb
+        rows[n - 1 - t][a], rows[n - 1 - t][b] = sa * half, -sb * half
+    for c in leftover:
+        rows[n // 2][c] = scale(c, 1)
 
     M = Mat(rows)
     target = QuadraticForm.hyperbolic(n).matrix()

@@ -32,7 +32,8 @@ from .forms_points import PluckerVector, QuadraticForm
 from .posets import (
     count_standard_monomials,
     linear_extension,
-    mixed_leq,
+    mixed_incomparable_pairs,
+    mixed_upsets,
     snake_index,
     standard_pairs,
     young_incomparable_pairs,
@@ -228,8 +229,6 @@ class TermOrder:
     """
 
     def __init__(self, k: int, n: int, tie_break: str = "colex"):
-        if not 1 <= k <= n:
-            raise InputError("need 1 <= k <= n")
         self.k = k
         self.n = n
         self.tie_break = tie_break
@@ -449,9 +448,11 @@ def straightening_lambda(I, Jp, n: int) -> Polynomial:
     k = len(I)
     if len(Jp) != n - k:
         raise SizeMismatchError("coYoung part must have size n-k")
-    if I not in colex_ranks(n, k) or Jp not in colex_ranks(n, n - k):
+    mixed = mixed_upsets(k, n)  # refuses n < 2k
+    rank, co_rank = colex_ranks(n, k), colex_ranks(n, n - k)
+    if I not in rank or Jp not in co_rank:
         raise InputError(f"{I} and {Jp} must be sorted subsets of [1, {n}]")
-    if mixed_leq(Jp, I, k):
+    if mixed[co_rank[Jp]] >> rank[I] & 1:
         raise InputError("pair is comparable; nothing to straighten")
     l = snake_index(I, Jp[:k])
     if l is None:
@@ -510,27 +511,14 @@ def all_straightening_mu(k: int, n: int) -> tuple[tuple[tuple, tuple, Polynomial
     )
 
 
-def all_mixed_incomparable(k: int, n: int):
-    """Ordered mixed incomparable pairs (I, J'), all of them (not only the
-    ones whose complements compare).  [J'] <= <I> exactly when I lies in
-    the Young up-set of J'[:k], so each pair reads one bit of that up-set."""
-    rank = colex_ranks(n, k)
-    up = young_upsets(k, n)
-    coyoung = [(Jp, up[rank[Jp[:k]]]) for Jp in ksubsets(n, n - k)]
-    return [(I, Jp) for a, I in enumerate(ksubsets(n, k))
-            for Jp, above in coyoung if not above >> a & 1]
-
-
 @lru_cache(maxsize=None)
 def all_straightening_lambda(k: int, n: int) -> tuple[tuple[tuple, tuple, Polynomial], ...]:
     """straightening_lambda of each mixed incomparable pair.  Cached:
     callers share the quadrics and must not change them."""
     _require_span_scale(k, n)
-    if n < 2 * k:
-        raise InputError("the coYoung family needs n >= 2k")
     return tuple(
         (I, Jp, straightening_lambda(I, Jp, n))
-        for I, Jp in all_mixed_incomparable(k, n)
+        for I, Jp in mixed_incomparable_pairs(k, n)
     )
 
 

@@ -26,7 +26,7 @@ from .errors import (
     SizeMismatchError,
 )
 from .exact_core import (
-    Mat, binom, colex_ranks, ksubsets, signed_extensions, subset_mask,
+    Mat, binom, colex_ranks, ksubsets, mask_bits, signed_extensions, subset_mask,
 )
 from .forms_points import (
     PluckerVector,
@@ -142,11 +142,6 @@ def _gale_upsets(k: int, n: int) -> tuple[dict[int, int], ...]:
     return tuple(table)
 
 
-def _colex_subsets(mask: int, k: int, n: int) -> list[tuple[int, ...]]:
-    """The k-subsets whose colex ranks are the set bits of mask, in colex order."""
-    return [I for r, I in enumerate(ksubsets(n, k)) if mask >> r & 1]
-
-
 def _dperm_from_necklace(entries: list[int], n: int) -> DecoratedPermutation:
     """Invert _necklace_masks on the subset_masks of a candidate necklace:
     a in I_a maps to the one element that I_{a+1} adds to I_a - {a} (a
@@ -221,16 +216,18 @@ class Positroid:
 
     @cached_property
     def bases(self) -> frozenset:
-        return frozenset(_colex_subsets(self.mask, self.k, self.n))
+        subs = ksubsets(self.n, self.k)
+        return frozenset(subs[r] for r in mask_bits(self.mask))
 
     def sort_key(self):
         return self.dperm.sort_key()
 
     def to_json(self):
+        subs = ksubsets(self.n, self.k)
         return {
             "perm": list(self.dperm.word),
             "coloops": sorted(self.dperm.coloops),
-            "bases": [list(B) for B in _colex_subsets(self.mask, self.k, self.n)],
+            "bases": [list(subs[r]) for r in mask_bits(self.mask)],
         }
 
 
@@ -285,7 +282,7 @@ def a_sets(bases, I, J, n: int):
     ext = _packed_extensions(sum(1 << ranks[B] for B in set(bases) if B in ranks), packing)
     a, b = sorted((rank[I], rank[J]))
     plus, minus = _pair_sides(ext, a, b, packing)
-    return _ascending(plus), _ascending(minus)
+    return mask_bits(plus), mask_bits(minus)
 
 
 def _pair_sides(ext: int, a: int, b: int, packing: "_Packing") -> tuple[int, int]:
@@ -410,11 +407,6 @@ def _first_one_sided_row(ext: int, packing: _Packing) -> int:
     return -1
 
 
-def _ascending(mask: int) -> tuple[int, ...]:
-    """The set bits of a mask, in ascending order."""
-    return tuple(l for l in range(mask.bit_length()) if mask >> l & 1)
-
-
 class OrthoReport:
     """The verdict of the pair test on a positroid, and its failures, (I, J,
     A_plus, A_minus) for each one-sided pair in row order, decoded on first
@@ -434,7 +426,7 @@ class OrthoReport:
         ext = _packed_extensions(pos.mask, packing)
         subs = ksubsets(pos.n, pos.k - 1)
         return tuple(
-            (subs[a], subs[b], _ascending(plus), _ascending(minus))
+            (subs[a], subs[b], mask_bits(plus), mask_bits(minus))
             for a in range(_first_one_sided_row(ext, packing), len(subs))
             for b in range(a, len(subs))
             for plus, minus in [_pair_sides(ext, a, b, packing)]

@@ -5,37 +5,26 @@ their complements; the two are glued by covering relations coming from
 partitions of {1..2k}.  Incomparable pairs in the glued poset are exactly
 the leading monomials of the degree-2 straightening laws, so this module
 also owns standard-monomial tests and the pair-counting bijection.
+
+Every table is read off up-set bitmasks over colex ranks: young_upsets
+within one copy, mixed_upsets across the glue.  young_leq and mixed_leq
+state the same order on tuples, for the bijection and single comparisons.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 from .errors import InputError, InternalInvariantError, SizeMismatchError
-from .exact_core import binom, colex_key, colex_ranks, ksubsets, subset_complement
+from .exact_core import binom, colex_key, colex_ranks, ksubsets, mask_bits, subset_complement
 
 
 @dataclass(frozen=True)
 class PosetElement:
     kind: str  # "Y" or "coY"
     subset: tuple[int, ...]
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "set": list(self.subset)}
-
-
-@dataclass(frozen=True)
-class MixedIncomparablePair:
-    """A Young/co-Young incomparable pair whose complements compare in Y.
-
-    snake_index is the least column at which the two-row tableau built from
-    (coyoung over young) fails to be semistandard.
-    """
-
-    young: tuple[int, ...]
-    coyoung: tuple[int, ...]
-    snake_index: int
 
 
 def young_leq(I, J) -> bool:
@@ -83,6 +72,18 @@ def young_upsets(k: int, n: int) -> tuple[int, ...]:
     return tuple(up)
 
 
+@lru_cache(maxsize=None)
+def mixed_upsets(k: int, n: int) -> tuple[int, ...]:
+    """For each colex rank of ksubsets(n, n - k), the bitmask over colex
+    ranks of ksubsets(n, k) of the I with [J'] <= <I>: exactly the Young
+    up-set of J'[:k].  The one guard of the glued poset: it refuses k < 1
+    and n < 2k, where J'[:k] is no k-subset.  Cached: callers share it."""
+    if k < 1 or n < 2 * k:
+        raise InputError("the glued poset needs n >= 2k >= 2")
+    up, rank = young_upsets(k, n), colex_ranks(n, k)
+    return tuple(up[rank[Jp[:k]]] for Jp in ksubsets(n, n - k))
+
+
 def young_incomparable_pairs(k: int, n: int) -> list[tuple[tuple, tuple]]:
     """Unordered incomparable pairs in one copy of Young's lattice."""
     subs = ksubsets(n, k)
@@ -94,33 +95,14 @@ def young_incomparable_pairs(k: int, n: int) -> list[tuple[tuple, tuple]]:
     ]
 
 
-def incomparable_pairs(k: int, n: int):
-    """Incomparable pairs driving the degree-2 count.
-
-    Returns (young_young, mixed) where young_young lists unordered
-    incomparable Young pairs and mixed lists the pairs (<I>, [J']) that are
-    incomparable although I and the complement of J' compare in Y, oriented
-    so that I <= complement(J').  The mixed list is empty for k = 1: the
-    counting bijection degenerates there (no (k-1)-row tableaux), though the
-    lone quadratic obstruction is still caught by is_standard_monomial.
-    """
-    if k < 1 or n < 2 * k:
-        raise InputError("need n >= 2k >= 2")
-    mixed = []
-    if k >= 2:
-        subs = ksubsets(n, k)
-        for I in subs:
-            for J in subs:
-                if not young_leq(I, J):
-                    continue
-                Jp = subset_complement(J, n)
-                if mixed_leq(Jp, I, k):
-                    continue
-                l = snake_index(I, Jp[:k])
-                if l is None:
-                    raise InternalInvariantError("incomparable pair without a snake")
-                mixed.append(MixedIncomparablePair(young=I, coyoung=Jp, snake_index=l))
-    return young_incomparable_pairs(k, n), mixed
+def mixed_incomparable_pairs(k: int, n: int) -> list[tuple[tuple, tuple]]:
+    """The pairs (I, J') with [J'] not below <I>, I in colex order and J'
+    in colex order for each; the pairs with I <= complement(J') in Young's
+    lattice are the ones the mixed-pair formula counts."""
+    cosubs = ksubsets(n, n - k)
+    mixed = mixed_upsets(k, n)
+    return [(I, Jp) for a, I in enumerate(ksubsets(n, k))
+            for Jp, above in zip(cosubs, mixed) if not above >> a & 1]
 
 
 def count_mixed_pairs_formula(k: int, n: int) -> int:
@@ -206,47 +188,37 @@ def pair_bijection_inverse(T1, T2, n: int):
 # Standard monomials
 # ---------------------------------------------------------------------------
 
-def _pair_is_standard(A, B, cA, cB) -> bool:
-    """Is {A, B} a standard pair?  cA and cB are the complements of A and B."""
-    if not (young_leq(A, B) or young_leq(B, A)):
-        return False
-    k = len(A)
-    return mixed_leq(cB, A, k) and mixed_leq(cA, B, k)
-
-
 def is_standard_monomial(factors, k: int, n: int) -> bool:
-    """True when no two factors (with multiplicity) form an initial pair.
-
-    A pair obstructs either by Young-incomparability or by one factor being
-    incomparable with the complement of the other in the glued poset.
-    """
-    fs = [tuple(f) for f in factors]
-    if not fs:
+    """True when no two factors (with multiplicity) form an initial pair:
+    their colex ranks pairwise meet in standard_pairs."""
+    table = standard_pairs(k, n)
+    rank = colex_ranks(n, k)
+    ranks = []
+    for f in map(tuple, factors):
+        if f not in rank:
+            raise InputError(f"factor {f} is not a sorted {k}-subset of [1, {n}]")
+        ranks.append(rank[f])
+    if not ranks:
         raise InputError("empty monomial")
-    for f in fs:
-        if len(f) != k or any(x < 1 or x > n for x in f):
-            raise InputError(f"factor {f} is not a k-subset of [n]")
-    comps = [subset_complement(f, n) for f in fs]
-    for i in range(len(fs)):
-        for j in range(i + 1, len(fs)):
-            if not _pair_is_standard(fs[i], fs[j], comps[i], comps[j]):
-                return False
-    return True
+    return all(table[a] >> b & 1 for a, b in combinations(ranks, 2))
 
 
 @lru_cache(maxsize=None)
 def standard_pairs(k: int, n: int) -> tuple[int, ...]:
     """For each colex rank a of ksubsets(n, k), the bitmask over colex ranks
-    of the b with {subs[a], subs[b]} a standard pair.  Cached: callers share
-    it."""
-    subs = ksubsets(n, k)
-    comps = [subset_complement(A, n) for A in subs]
-    rows = [0] * len(subs)
-    for a, A in enumerate(subs):
-        for b in range(a, len(subs)):
-            if _pair_is_standard(A, subs[b], comps[a], comps[b]):
-                rows[a] |= 1 << b
-                rows[b] |= 1 << a
+    of the b with {A, B} = {subs[a], subs[b]} a standard pair: A and B
+    compare in Young's lattice, and each lies in the mixed up-set of the
+    other's complement.  One half suffices: [complement(A)] <= <B> says
+    that A and B together have at most t entries in [1, t], for every t,
+    which is symmetric in A and B.  Taking complements reverses colex
+    order, so the complement of subs[a] has colex rank C(n, k) - 1 - a.
+    Cached: callers share it."""
+    co = mixed_upsets(k, n)[::-1]  # by the rank of the complemented subset
+    rows = [0] * len(co)
+    for a, ups in enumerate(young_upsets(k, n)):
+        for b in mask_bits(ups & co[a]):
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
     return tuple(rows)
 
 
@@ -271,25 +243,18 @@ def count_standard_monomials(k: int, n: int, ell: int) -> int:
 # Linear extensions (term orders are built on these)
 # ---------------------------------------------------------------------------
 
-def _ranks_of(mask: int, offset: int) -> list[int]:
-    """The set bits of mask in increasing order, each plus offset."""
-    return [b + offset for b in range(mask.bit_length()) if mask >> b & 1]
-
-
 @lru_cache(maxsize=None)
 def _strictly_above(k: int, n: int) -> tuple[tuple[int, ...], ...]:
     """For each index into elements(k, n), the indices of the elements
-    strictly above it, read off the Young up-sets: [J'] lies below <I>
-    exactly when the first k entries of J' lie below I in Young's lattice.
+    strictly above it, read off the Young and mixed up-sets.  elements(k, n)
+    lists the coYoung copy first, so a Young rank is shifted past it.
     Cached: callers share it and must not change it."""
+    mixed = mixed_upsets(k, n)
     up, co_up = young_upsets(k, n), young_upsets(n - k, n)
-    rank = colex_ranks(n, k)
-    top = len(co_up)  # elements(k, n) lists the coYoung copy first
-    out = [
-        tuple(_ranks_of(ups & ~(1 << a), 0) + _ranks_of(up[rank[Jp[:k]]], top))
-        for a, (ups, Jp) in enumerate(zip(co_up, ksubsets(n, n - k)))
-    ]
-    out += [tuple(_ranks_of(ups & ~(1 << a), top)) for a, ups in enumerate(up)]
+    top = len(co_up)
+    out = [mask_bits((ups ^ 1 << a) | above << top)
+           for a, (ups, above) in enumerate(zip(co_up, mixed))]
+    out += [mask_bits((ups ^ 1 << a) << top) for a, ups in enumerate(up)]
     return tuple(out)
 
 

@@ -530,6 +530,8 @@ OUTPUT_DIGESTS = {
         "f2eb96eb589ee3a0e7d0d8d62eb85bb98e91406e0caad71c3907463e36cc4b93",
     "straighten --k 3 --n 9 --family mu":
         "ac334c97ae82a1b98782eae5a73637f1bb8354658cf4e1a28711a386f3792469",
+    "straighten --k 4 --n 8 --family lambda":
+        "5fcfd2dcb61a091637ff0fc8f56535747b7dd5a816a15e2020c0f2e3b3bc7eaf",
     "equations --k 2 --n 5 --form standard":
         "a8e389549448e1aec4d3e14051b5844ee045e35e452b245feccbf9f20290023d",
     "equations --k 3 --n 7 --form standard":

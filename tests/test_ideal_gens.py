@@ -26,7 +26,6 @@ from ogrlab.ideal_gens import (
     _mono,
     _relation_span,
     _snake_shuffle,
-    all_mixed_incomparable,
     all_straightening_lambda,
     all_straightening_mu,
     degree2_membership,
@@ -39,7 +38,13 @@ from ogrlab.ideal_gens import (
     straightening_mu,
     straightening_mu_canonical,
 )
-from ogrlab.posets import mixed_leq, snake_index, young_incomparable_pairs, young_leq
+from ogrlab.posets import (
+    mixed_incomparable_pairs,
+    mixed_leq,
+    snake_index,
+    young_incomparable_pairs,
+    young_leq,
+)
 from sign_reference import eps
 
 
@@ -457,7 +462,7 @@ def test_all_mixed_incomparable_follows_mixed_leq(k, n):
     want = [(I, Jp) for I in ksubsets(n, k) for Jp in ksubsets(n, n - k)
             if not mixed_leq(Jp, I, k)]
     assert want
-    assert all_mixed_incomparable(k, n) == want
+    assert mixed_incomparable_pairs(k, n) == want
 
 
 @pytest.mark.parametrize("tb", ["colex", "colex_desc", "kind_first"])
@@ -555,7 +560,7 @@ def test_term_order_refuses_other_sizes():
         TermOrder(2, 5).leading_monomial(plucker_relations(3, 6)[0])
 
 
-@pytest.mark.parametrize("k,n", [(0, 5), (-1, 5), (6, 5)])
+@pytest.mark.parametrize("k,n", [(0, 5), (-1, 5), (6, 5), (2, 3), (3, 5)])
 def test_term_order_refuses_k_outside_range(k, n):
     with pytest.raises(InputError):
         TermOrder(k, n)
@@ -792,11 +797,10 @@ def test_polynomial_json_shape():
 
 @pytest.mark.parametrize("k,n", [(2, 5), (2, 6), (3, 7)])
 def test_rank_splits_into_pair_families(k, n):
-    from ogrlab.posets import incomparable_pairs
-
-    yy, mixed = incomparable_pairs(k, n)
+    mixed = [(I, Jp) for I, Jp in mixed_incomparable_pairs(k, n)
+             if young_leq(I, subset_complement(Jp, n))]
     span = _relation_span(k, n, QuadraticForm.standard(n))
-    assert span.rank == len(yy) + len(mixed)
+    assert span.rank == len(young_incomparable_pairs(k, n)) + len(mixed)
 
 
 def sort_sign_shuffle(I, J, l, n, coyoung):
@@ -899,6 +903,13 @@ def test_young_comparisons_match_young_leq(k, n):
             if young_leq(I, J) or young_leq(J, I):
                 with pytest.raises(InputError):
                     straightening_mu(I, J, n)
+
+
+def test_straightening_lambda_refuses_n_below_2k():
+    with pytest.raises(InputError, match="n >= 2k"):
+        straightening_lambda((1, 2), (3,), 3)
+    with pytest.raises(InputError, match="n >= 2k"):
+        straightening_lambda((1, 2, 4), (3, 5), 5)
 
 
 def test_mixed_pairs_at_n_below_2k_are_refused():

@@ -315,9 +315,9 @@ def test_verdict_alone_decodes_no_failure(monkeypatch):
         decoded.append(mask)
         return tuple(l for l in range(mask.bit_length()) if mask >> l & 1)
 
-    monkeypatch.setattr(orthopositroids, "_ascending", ascending)
     positroids = enumerate_positroids(2, 6)
     wants = [reference_report(pos.bases, 2, 6) for pos in positroids]
+    monkeypatch.setattr(orthopositroids, "mask_bits", ascending)
     reports = [is_orthopositroid(pos) for pos in positroids]
     assert [report.verdict for report in reports] == [verdict for verdict, _ in wants]
     assert not decoded

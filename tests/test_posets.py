@@ -6,16 +6,16 @@ from ogrlab import weyl
 from ogrlab.errors import InputError
 from ogrlab.exact_core import colex_key, ksubsets, subset_complement
 from ogrlab.posets import (
-    MixedIncomparablePair,
     _strictly_above,
     PosetElement,
     count_mixed_pairs_formula,
     count_standard_monomials,
     elements,
-    incomparable_pairs,
     is_standard_monomial,
     linear_extension,
+    mixed_incomparable_pairs,
     mixed_leq,
+    mixed_upsets,
     pair_bijection_forward,
     pair_bijection_inverse,
     snake_index,
@@ -122,15 +122,42 @@ def test_partition_pairs_are_covers(k, n):
         assert not between, f"{lo} < {hi} is not a covering relation"
 
 
+def counted_mixed_pairs(k, n):
+    """The mixed incomparable pairs (I, J') with I <= complement(J')."""
+    return [(I, Jp) for I, Jp in mixed_incomparable_pairs(k, n)
+            if young_leq(I, subset_complement(Jp, n))]
+
+
 def test_mixed_pairs_example_entry():
-    _, mixed = incomparable_pairs(2, 6)
+    mixed = counted_mixed_pairs(2, 6)
     assert len(mixed) == 21
-    assert MixedIncomparablePair((1, 2), (1, 3, 5, 6), 2) in mixed
+    assert ((1, 2), (1, 3, 5, 6)) in mixed
+    assert snake_index((1, 2), (1, 3)) == 2
 
 
-def test_mixed_pairs_empty_for_k1():
-    _, mixed = incomparable_pairs(1, 6)
-    assert mixed == []
+def pair_loop_mixed_pairs(k, n):
+    """The counted mixed pairs straight from the tuple definitions: a loop
+    over Young pairs I <= J, J' the complement of J, kept when [J'] is not
+    below <I>."""
+    subs = ksubsets(n, k)
+    return [(I, subset_complement(J, n)) for I in subs for J in subs
+            if young_leq(I, J) and not mixed_leq(subset_complement(J, n), I, k)]
+
+
+@pytest.mark.parametrize("k,n", [(k, n) for k in range(2, 5) for n in range(2 * k, 11)])
+def test_counted_mixed_pairs_match_pair_loop(k, n):
+    mixed = counted_mixed_pairs(k, n)
+    assert sorted(mixed) == sorted(pair_loop_mixed_pairs(k, n))
+    assert len(mixed) == count_mixed_pairs_formula(k, n)
+
+
+@pytest.mark.parametrize("k,n", [(1, 2), (2, 4), (3, 7), (3, 10), (4, 9), (4, 10)])
+def test_mixed_upsets_match_mixed_leq(k, n):
+    subs = ksubsets(n, k)
+    mixed = mixed_upsets(k, n)
+    for c, Jp in enumerate(ksubsets(n, n - k)):
+        assert [a for a, I in enumerate(subs) if mixed_leq(Jp, I, k)] == [
+            a for a in range(len(subs)) if mixed[c] >> a & 1]
 
 
 @pytest.mark.parametrize(
@@ -277,7 +304,19 @@ def standard_by_definition(A, B, n):
             and all(cA[l] <= B[l] for l in range(k)))
 
 
-@pytest.mark.parametrize("k,n", [(1, 3), (1, 6), (2, 5), (2, 6), (3, 7), (3, 8)])
+@pytest.mark.parametrize("k,n", [(1, 4), (2, 6), (3, 7), (3, 10), (4, 9)])
+def test_mixed_order_is_symmetric_in_complements(k, n):
+    """[complement(A)] <= <B> exactly when [complement(B)] <= <A>: both say
+    that A and B together have at most t entries in [1, t], for every t.
+    standard_pairs reads one of the two."""
+    subs = ksubsets(n, k)
+    for A in subs:
+        for B in subs:
+            assert mixed_leq(subset_complement(A, n), B, k) == \
+                mixed_leq(subset_complement(B, n), A, k)
+
+
+@pytest.mark.parametrize("k,n", [(1, 3), (1, 6), (2, 5), (2, 6), (3, 7), (3, 8), (4, 9)])
 def test_standard_pair_table_matches_definition(k, n):
     subs = ksubsets(n, k)
     table = standard_pairs(k, n)
@@ -308,3 +347,29 @@ def test_strictly_above_matches_order_relation(k, n):
         tuple(i for i, b in enumerate(elems) if i != j and p_leq(a, b, k, n))
         for j, a in enumerate(elems)
     )
+
+
+@pytest.mark.parametrize("k,n", [(0, 4), (-1, 4), (2, 3), (3, 5), (4, 7), (6, 5)])
+def test_mixed_upsets_refuse_n_below_2k(k, n):
+    with pytest.raises(InputError, match="n >= 2k >= 2"):
+        mixed_upsets(k, n)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: mixed_incomparable_pairs(2, 3),
+    lambda: linear_extension(3, 5),
+    lambda: _strictly_above(3, 5),
+    lambda: standard_pairs(2, 3),
+    lambda: count_standard_monomials(3, 5, 1),
+    lambda: is_standard_monomial([(1, 2)], 2, 3),
+], ids=["mixed_pairs", "linear_extension", "strictly_above", "standard_pairs",
+        "count_standard_monomials", "is_standard_monomial"])
+def test_tables_below_2k_are_refused(build):
+    with pytest.raises(InputError, match="n >= 2k >= 2"):
+        build()
+
+
+@pytest.mark.parametrize("factors", [[(1, 1)], [(2, 1), (1, 3)], [(1, 7)], [(1,)], []])
+def test_standard_monomial_refuses_non_subsets(factors):
+    with pytest.raises(InputError):
+        is_standard_monomial(factors, 2, 6)
