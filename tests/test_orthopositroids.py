@@ -9,7 +9,6 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from scipy.optimize import least_squares
 
 from ogrlab.errors import InputError, InternalInvariantError
 from ogrlab.exact_core import Mat, ksubsets, rand_rational, subset_mask
@@ -24,6 +23,8 @@ from ogrlab.ideal_gens import _mono, orthogonality_relations
 from ogrlab import orthopositroids
 from ogrlab.parity_duality import all_matchings, matching_to_permutation_via_contraction
 from ogrlab.orthopositroids import (
+    LM_BOUNDS,
+    LM_SSQ_STOP,
     DecoratedPermutation,
     OrthoReport,
     Positroid,
@@ -41,6 +42,7 @@ from ogrlab.orthopositroids import (
     enumerate_positroids,
     gluing_check,
     is_orthopositroid,
+    least_squares,
     m_sigma,
     m_tau,
     printed_e1,
@@ -669,9 +671,9 @@ def test_dense_bridge_operators_match_indexed_updates_bitwise():
 
 
 def recomputed_cell_dim(pos, seed, tol=1e-8, cutoff=1e-4, starts=32, wanted=3):
-    """cell_dim_in_ogr_numeric with its solver settings, evaluating the
-    residual and Jacobian again at each solution instead of reading them
-    from the solver."""
+    """cell_dim_in_ogr_numeric with its solver, evaluating the residual and
+    Jacobian again at each solution instead of reading them from the
+    solver."""
     decomp = bridge_decomposition(pos.dperm)
     model = _ResidualModel(decomp, QuadraticForm.alternating(pos.n))
     d = decomp.dim
@@ -679,9 +681,7 @@ def recomputed_cell_dim(pos, seed, tol=1e-8, cutoff=1e-4, starts=32, wanted=3):
     outcomes = []
     for _ in range(starts):
         x0 = np.exp(rng.uniform(np.log(0.3), np.log(3.0), d))
-        sol = least_squares(model.residual, x0, jac=model.jacobian,
-                            bounds=(1e-3, 1e3), method="trf",
-                            xtol=1e-15, ftol=1e-15, gtol=1e-15, max_nfev=300)
+        sol = least_squares(model.residual, x0, model.jacobian)
         r = model.residual(sol.x)
         if float(r @ r) >= tol * tol:
             continue
@@ -707,6 +707,55 @@ def test_cell_dim_reads_solution_values_from_the_solver():
         res = cell_dim_in_ogr_numeric(cells[idx], seed=idx)
         assert res.param_count > 0 and not res.failed
         assert res == recomputed_cell_dim(cells[idx], seed=idx)
+
+
+def test_solver_reaches_a_positive_zero():
+    def fun(t):
+        return np.array([t[0] * t[1] - 2, t[0] - 2 * t[1]])
+
+    def jac(t):
+        return np.array([[t[1], t[0]], [1.0, -2.0]])
+
+    sol = least_squares(fun, np.array([0.5, 3.0]), jac)
+    assert sol.success and float(sol.fun @ sol.fun) < LM_SSQ_STOP
+    assert np.allclose(sol.x, [2.0, 1.0])
+    assert ((LM_BOUNDS[0] <= sol.x) & (sol.x <= LM_BOUNDS[1])).all()
+    # the values at x, as the model returns them there
+    assert np.array_equal(sol.fun, fun(sol.x))
+    assert np.array_equal(sol.jac, jac(sol.x))
+
+
+def test_solver_keeps_to_its_box_when_the_zero_lies_beyond_it():
+    lo, hi = LM_BOUNDS
+    seen = []
+
+    def fun(t):
+        seen.append(t[0])
+        return t - 1e4
+
+    sol = least_squares(fun, np.ones(1), lambda t: np.ones((1, 1)))
+    assert not sol.success
+    assert lo <= sol.x[0] <= hi
+    assert sol.x[0] > 0.999 * hi  # up against the face nearest the zero
+    assert all(lo <= t <= hi for t in seen) and len(seen) == sol.nfev
+    # the undamped first step leaves the box: it is rejected and damped
+    # until it fits, not cut back to the face
+    assert seen[1] < 0.5 * hi
+
+
+def test_solver_rejects_a_non_finite_trial_residual():
+    blown = []
+
+    def fun(t):
+        if t[0] > 5:
+            blown.append(t[0])
+            return np.array([np.nan])
+        return t - 2.0
+
+    sol = least_squares(fun, np.array([0.5]), lambda t: np.ones((1, 1)))
+    assert blown  # the first trial step overshoots into the nan region
+    assert sol.success and np.isfinite(sol.fun).all()
+    assert np.isclose(sol.x[0], 2.0)
 
 
 class Solving(Exception):
@@ -769,6 +818,15 @@ def test_cell_dims_at_n_2k_equal_crossing_numbers(k):
         word = res.positroid.dperm.word
         assert all(word[w - 1] == i != w for i, w in enumerate(word, start=1))
         assert res.dim == chord_crossings(word)
+
+
+def test_dims_at_3_7():
+    # the largest admitted sweep; its histogram is (4,8)'s too, as
+    # OGr+(3,7) and OGr+(4,8) are isomorphic
+    rep = dims_report(3, 7)
+    assert rep["resolved"] == rep["total"] == 105
+    assert rep["histogram"] == {"6": 1, "5": 4, "4": 10, "3": 20, "2": 28, "1": 28, "0": 14}
+    assert sum((-1) ** res.dim for res in rep["results"]) == 1  # Euler characteristic
 
 
 def test_dims_report_is_sequential():

@@ -1,8 +1,12 @@
 """The package's sources, read with ast: every name a module imports is
 used in that module, every module-level private function or class is
 referenced somewhere in the package besides its definition, and every
-public one is read by the package or the benchmark."""
+public one is read by the package or the benchmark.  The package neither
+names nor loads scipy."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -118,3 +122,22 @@ def test_unread_allowlist_is_current():
     # leaves the list
     defined = {f"{module}.{name}" for module, name in public_definitions()}
     assert set(UNREAD_PUBLIC) <= defined
+
+
+def test_no_source_names_scipy():
+    files = [*sorted(SRC.glob("*.py")), ROOT / "pyproject.toml"]
+    assert [path.name for path in files if "scipy" in path.read_text()] == []
+
+
+def test_import_and_a_sweep_leave_scipy_unloaded():
+    # scipy may be installed (the benchmark prints its version), but the
+    # package, its CLI and a cell solve run on numpy alone
+    code = ("import sys, ogrlab, ogrlab.cli\n"
+            "from ogrlab.orthopositroids import dims_report\n"
+            "assert dims_report(2, 4)['resolved'] == 3\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
