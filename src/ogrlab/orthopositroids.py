@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, combinations, permutations
 from operator import or_
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -517,18 +518,17 @@ def bridge_decomposition(dp: DecoratedPermutation) -> BridgeDecomposition:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _bridge_table(k: int, n: int, a: int, b: int):
-    """Plucker action of the column operation x_b += x_a as a dense matrix
-    S over colex ranks, p += t * (S @ p): S[K+b, K+a] = eps(K, a) eps(K, b)
-    for each (k-1)-subset K missing a and b, and the other entries are zero.
-    Cached and read-only."""
-    S = np.zeros((binom(n, k), binom(n, k)))
+def _bridge_moves(k: int, n: int, a: int, b: int) -> MappingProxyType:
+    """Plucker action of the column operation x_b += x_a: the coordinate at
+    colex rank K+a feeds the one at K+b with sign eps(K, a) eps(K, b), for
+    each (k-1)-subset K missing a and b.  An injective map
+    K+a -> (K+b, sign) over colex ranks.  Cached and read-only."""
+    moves = {}
     for ext in signed_extensions(n, k - 1):
         if a in ext and b in ext:
             (ra, sa), (rb, sb) = ext[a], ext[b]
-            S[rb, ra] = sa * sb
-    S.flags.writeable = False
-    return S
+            moves[ra] = (rb, sa * sb)
+    return MappingProxyType(moves)
 
 
 @lru_cache(maxsize=None)
@@ -546,40 +546,51 @@ def _quadric_terms(k: int, n: int, form: QuadraticForm):
 
 
 class _ResidualModel:
-    """Float residual/Jacobian of the orthogonality equations on a cell.
+    """Float residual/Jacobian of the orthogonality equations on a cell,
+    for parameters t > 0.
 
-    Works in Plucker space.  A bridge x_b += t x_a acts on Plucker
-    coordinates as p += t * (S @ p), so the coordinate vector of the
-    terminal coloops is pushed through the bridges (and dp/dt alongside it
-    for the Jacobian); the residual is the orthogonality quadrics evaluated
-    at the result.  S has at most one +-1 per row, so S @ p is exact and
-    each update rounds once, as p_I += +-t * p_{I-b+a} does.
+    Works in Plucker space.  A bridge x_b += t_i x_a moves each Plucker
+    coordinate p_{K+a} onto p_{K+b}, times +-t_i.  Pushing the coordinate
+    vector of the terminal coloops through the bridges, each once, makes p a
+    fixed polynomial in t, multilinear: one monomial prod_{i in U} t_i for
+    each set U of bridges whose moves chain from the coloops, landing on one
+    coordinate with sign +-1.  __init__ expands it once into C, of shape
+    C(n, k) x M with one +-1 in each column, and E, of shape M x d with
+    E[u, i] = 1 exactly when bridge i is in monomial u, so
+    p = C @ m with m = exp(E @ log t), and dp/dt = (C @ (m * E)) / t.  At
+    t = 1 every monomial is exactly 1, so p is exact there.  The residual is
+    the orthogonality quadrics evaluated at p.
     """
 
     def __init__(self, decomp: BridgeDecomposition, form: QuadraticForm):
         k, n = decomp.k, decomp.n
         self.d = decomp.dim
-        self.start = np.zeros(binom(n, k))
-        self.start[colex_ranks(n, k)[decomp.coloops]] = 1.0
-        # application order is the reverse of decomposition order
-        self.ops = [
-            (ti, sign * _bridge_table(k, n, a, b))
-            for ti in reversed(range(self.d))
-            for a, b, sign in [decomp.bridges[ti]]
-        ]
+        # (colex rank, sign, bitmask of U) of each monomial; bridges apply
+        # in the reverse of decomposition order
+        terms = [(colex_ranks(n, k)[decomp.coloops], 1, 0)]
+        for ti in reversed(range(self.d)):
+            a, b, sign = decomp.bridges[ti]
+            moves = _bridge_moves(k, n, a, b)
+            terms += [(tgt, sign * s * e, U | 1 << ti)
+                      for r, s, U in terms if r in moves
+                      for tgt, e in [moves[r]]]
+        ranks, signs, masks = zip(*terms)
+        self.C = np.zeros((binom(n, k), len(terms)))
+        self.C[ranks, range(len(terms))] = signs
+        self.E = (np.array(masks)[:, None] >> np.arange(self.d) & 1).astype(float)
         self.row, self.ra, self.rb, self.coef = _quadric_terms(k, n, form)
         self.n_quadrics = int(self.row[-1]) + 1
         # gradient entry (row, a) gains coef * p_b, and entry (row, b) coef * p_a
-        flat = self.row * len(self.start)
+        flat = self.row * len(self.C)
         self.grad_index = np.concatenate([flat + self.ra, flat + self.rb])
         self.grad_partner = np.concatenate([self.rb, self.ra])
         self.grad_coef = np.tile(self.coef, 2)
 
+    def monomials(self, t):
+        return np.exp(self.E @ np.log(t))
+
     def plucker(self, t):
-        p = self.start.copy()
-        for ti, S in self.ops:
-            p += t[ti] * S.dot(p)
-        return p
+        return self.C @ self.monomials(t)
 
     def residual(self, t):
         p = self.plucker(t)
@@ -587,15 +598,9 @@ class _ResidualModel:
                            minlength=self.n_quadrics)
 
     def jacobian(self, t):
-        # A = [p | dp/dt].  Column 1 + ti is zero until bridge ti adds S @ p;
-        # S @ (S @ p) = 0, as no source I-b+a (b not in it) is a target row.
-        A = np.zeros((len(self.start), self.d + 1))
-        A[:, 0] = self.start
-        for ti, S in self.ops:
-            SA = S.dot(A)
-            A[:, 1 + ti] += SA[:, 0]
-            A += t[ti] * SA
-        p, dp = A[:, 0], A[:, 1:]
+        m = self.monomials(t)
+        p = self.C @ m
+        dp = (self.C @ (m[:, None] * self.E)) / t
         grad = np.bincount(self.grad_index, self.grad_coef * p[self.grad_partner],
                            minlength=self.n_quadrics * len(p))
         return grad.reshape(self.n_quadrics, len(p)) @ dp
@@ -631,6 +636,10 @@ def least_squares(fun, x0, jac) -> LeastSquaresResult:
     mu *= max(1/3, 1 - (2 rho - 1)^3) and nu = 2.  The result holds x, fun(x)
     and jac(x) as the model returned them, the number of fun calls, and
     success: |F|^2 < LM_SSQ_STOP.
+
+    A step is rejected whole, not projected onto the box, so a start whose
+    zero lies past a face stalls there: once one parameter sits at the face,
+    mu climbs to LM_MU_MAX and the others stop moving too.
     """
     lo, hi = np.log(LM_BOUNDS)
     x = np.asarray(x0, dtype=float)
@@ -641,15 +650,17 @@ def least_squares(fun, x0, jac) -> LeastSquaresResult:
     Js = J * x
     A, g = Js.T @ Js, Js.T @ f
     mu = 1e-3 * A.diagonal().max()
+    eye = np.eye(x.size)
     for _ in range(LM_STEPS):
         if ssq < LM_SSQ_STOP or mu > LM_MU_MAX:
             break
         try:
-            h = np.linalg.solve(A + mu * np.eye(x.size), -g)
+            h = np.linalg.solve(A + mu * eye, -g)
         except np.linalg.LinAlgError:
             h = np.full(x.size, np.nan)  # fails the box test below
         s_new = s + h
-        if (lo <= s_new).all() and (s_new <= hi).all():
+        # a nan in s_new makes its min and max nan, which compare false
+        if lo <= s_new.min() and s_new.max() <= hi:
             x_new = np.exp(s_new)
             f_new = fun(x_new)
             nfev += 1
@@ -701,8 +712,8 @@ def cell_dim_in_ogr_numeric(positroid: Positroid, tol: float = 1e-8,
     d = decomp.dim
     tol_sq = tol * tol
     # at t = 1 the model must be positive exactly on the bases, or a bridge
-    # sign is wrong; its entries are small integers there, so this is exact
-    on_bases = np.array([positroid.mask >> r & 1 for r in range(len(model.start))], dtype=bool)
+    # sign is wrong; every monomial is 1 there and C is integral, so this is exact
+    on_bases = np.array([positroid.mask >> r & 1 for r in range(len(model.C))], dtype=bool)
     p = model.plucker(np.ones(d))
     if not (p[on_bases] > 0).all() or p[~on_bases].any():
         raise InternalInvariantError(f"the bridge model of {positroid.dperm} is not "
@@ -758,7 +769,7 @@ def dims_report(k: int, n: int, tol: float = 1e-8,
     if workers != 1:
         raise InputError("the dimension sweep is sequential: workers must be 1")
     # (3,7), the largest admitted size with cells ((4,7) has none), sweeps
-    # its 105 cells in 3.3 to 4.3 s of CPU time (three runs on a 2-vCPU
+    # its 105 cells in 1.3 to 1.4 s of CPU time (three runs on a 2-vCPU
     # VM, one BLAS thread)
     if not 1 <= k <= n <= 2 * k + 2 or binom(n, k) > 35:
         raise InputError("the dimension sweep is desk-scale: "

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import hashlib
 import math
 import random
 from collections import Counter
@@ -639,10 +640,19 @@ def indexed_bridge(k, n, a, b):
     return np.array(tgt), np.array(src), np.array(sigma, dtype=float)
 
 
+def coloop_vector(decomp, dtype=float):
+    """The coordinate vector of the terminal coloops, over colex ranks."""
+    start = np.zeros(math.comb(decomp.n, decomp.k), dtype=dtype)
+    start[ksubsets(decomp.n, decomp.k).index(decomp.coloops)] = 1
+    return start
+
+
 def indexed_model(decomp, model, t):
     """Plucker vector, residual and Jacobian with the bridges applied as
-    indexed array updates, read off the model's quadric terms."""
-    p = model.start.copy()
+    indexed array updates, read off the model's quadric terms, and the
+    scale of each residual and Jacobian entry: the sum of the moduli of its
+    terms."""
+    p = coloop_vector(decomp)
     dp = np.zeros((len(p), decomp.dim))
     for ti in reversed(range(decomp.dim)):
         a, b, sign = decomp.bridges[ti]
@@ -651,23 +661,63 @@ def indexed_model(decomp, model, t):
         dp[tgt] += (t[ti] * c)[:, None] * dp[src]
         dp[tgt, ti] += c * p[src]
         p[tgt] += t[ti] * c * p[src]
-    r = np.bincount(model.row, model.coef * p[model.ra] * p[model.rb],
-                    minlength=model.n_quadrics)
+    terms = model.coef * p[model.ra] * p[model.rb]
+    r = np.bincount(model.row, terms, minlength=model.n_quadrics)
+    r_scale = np.bincount(model.row, np.abs(terms), minlength=model.n_quadrics)
     grad = np.bincount(model.grad_index, model.grad_coef * p[model.grad_partner],
                        minlength=model.n_quadrics * len(p))
-    return p, r, grad.reshape(model.n_quadrics, len(p)) @ dp
+    G = grad.reshape(model.n_quadrics, len(p))
+    return p, r, G @ dp, r_scale, np.abs(G) @ np.abs(dp)
 
 
-def test_dense_bridge_operators_match_indexed_updates_bitwise():
+def expanded_monomials(decomp):
+    """p as {set U of bridges: integer coefficient vector of prod_{i in U} t_i},
+    pushed symbolically through the indexed bridge updates, one bridge at a
+    time; a monomial whose vector is zero is left out."""
+    terms = {frozenset(): coloop_vector(decomp, dtype=int)}
+    for ti in reversed(range(decomp.dim)):
+        a, b, sign = decomp.bridges[ti]
+        tgt, src, sigma = indexed_bridge(decomp.k, decomp.n, a, b)
+        for U, v in list(terms.items()):
+            w = np.zeros_like(v)
+            w[tgt] = sign * sigma.astype(int) * v[src]
+            if w.any():
+                terms[U | {ti}] = w
+    return terms
+
+
+def test_monomial_expansion_matches_indexed_bridges():
+    for pos in [*model_cells(), *enumerate_orthopositroids(4, 8)[::15]]:
+        decomp = bridge_decomposition(pos.dperm)
+        model = _ResidualModel(decomp, QuadraticForm.alternating(pos.n))
+        assert set(np.unique(model.C)) <= {-1, 0, 1}
+        assert set(np.unique(model.E)) <= {0, 1}
+        assert model.E.shape == (model.C.shape[1], decomp.dim)
+        got = {frozenset(np.flatnonzero(e).tolist()): c
+               for e, c in zip(model.E, model.C.T)}
+        want = expanded_monomials(decomp)
+        assert len(got) == len(model.E)  # no monomial twice
+        assert got.keys() == want.keys()
+        assert all(np.array_equal(got[U], want[U]) for U in want)
+
+
+def test_monomial_model_matches_indexed_updates():
     rng = np.random.default_rng(11)
     for pos in model_cells():
         decomp = bridge_decomposition(pos.dperm)
         model = _ResidualModel(decomp, QuadraticForm.alternating(pos.n))
+        # every monomial is exactly 1 at t = 1, and C is integral
+        ones = np.ones(decomp.dim)
+        p, r, J, _, _ = indexed_model(decomp, model, ones)
+        assert np.array_equal(model.plucker(ones), p)
+        assert np.array_equal(model.residual(ones), r)
+        assert np.array_equal(model.jacobian(ones), J)
         for t in np.exp(rng.uniform(np.log(1e-3), np.log(1e3), (2, decomp.dim))):
-            p, r, J = indexed_model(decomp, model, t)
-            assert np.array_equal(model.plucker(t), p)
-            assert np.array_equal(model.residual(t), r)
-            assert np.array_equal(model.jacobian(t), J)
+            p, r, J, r_scale, J_scale = indexed_model(decomp, model, t)
+            # no coefficient of p is negative, so p is its own scale
+            assert (np.abs(model.plucker(t) - p) <= 1e-12 * np.abs(p)).all()
+            assert (np.abs(model.residual(t) - r) <= 1e-12 * r_scale).all()
+            assert (np.abs(model.jacobian(t) - J) <= 1e-12 * J_scale).all()
 
 
 def recomputed_cell_dim(pos, seed, tol=1e-8, cutoff=1e-4, starts=32, wanted=3):
@@ -758,6 +808,16 @@ def test_solver_rejects_a_non_finite_trial_residual():
     assert np.isclose(sol.x[0], 2.0)
 
 
+def test_solver_returns_its_start_when_every_system_is_singular():
+    # a zero Jacobian starts mu at 0 and keeps it there, so every trial
+    # system is singular: its nan step must fail the box test untried
+    x0 = np.array([0.5, 2.0])
+    sol = least_squares(lambda t: np.array([1.0, t[0] - t[1]]), x0,
+                        lambda t: np.zeros((2, 2)))
+    assert np.array_equal(sol.x, x0)
+    assert sol.nfev == 1 and not sol.success
+
+
 class Solving(Exception):
     """Raised in place of the solver: the cell's checks are done."""
 
@@ -810,14 +870,39 @@ def chord_crossings(word) -> int:
     return sum(1 for (a, b) in chords for (c, e) in chords if a < c < b < e)
 
 
+def euler_characteristic(rep) -> int:
+    """The sum over a sweep's cells of (-1)^dim."""
+    return sum((-1) ** res.dim for res in rep["results"])
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_cell_dims_at_n_2k_equal_crossing_numbers(k):
     rep = dims_report(k, 2 * k)
     assert rep["resolved"] == rep["total"]
+    assert euler_characteristic(rep) == 1
     for res in rep["results"]:
         word = res.positroid.dperm.word
         assert all(word[w - 1] == i != w for i, w in enumerate(word, start=1))
         assert res.dim == chord_crossings(word)
+
+
+# sha256 of repr([(positroid.sort_key(), dim), ...]) over the cells of
+# dims_report(k, n) at its default settings
+CELL_DIM_DIGESTS = {
+    (2, 5): "10a643af713f6c663dffa756c521d9de63e675591368f36e2f67a46919af2c8a",
+    (2, 6): "93a651ef3473cdcdfad77c27ee85d99e175a96725dfde47873d92f5f8041ea6f",
+}
+
+
+@pytest.mark.parametrize("k,n", [(1, 3), (1, 4), (2, 5), (2, 6)])
+def test_sweep_euler_characteristic_and_cell_dims(k, n):
+    # (k, 2k) is checked with the crossing numbers above, and (3,7) below
+    rep = dims_report(k, n)
+    assert rep["resolved"] == rep["total"]
+    assert euler_characteristic(rep) == 1
+    if (k, n) in CELL_DIM_DIGESTS:
+        cells = [(res.positroid.sort_key(), res.dim) for res in rep["results"]]
+        assert hashlib.sha256(repr(cells).encode()).hexdigest() == CELL_DIM_DIGESTS[k, n]
 
 
 def test_dims_at_3_7():
@@ -826,7 +911,7 @@ def test_dims_at_3_7():
     rep = dims_report(3, 7)
     assert rep["resolved"] == rep["total"] == 105
     assert rep["histogram"] == {"6": 1, "5": 4, "4": 10, "3": 20, "2": 28, "1": 28, "0": 14}
-    assert sum((-1) ** res.dim for res in rep["results"]) == 1  # Euler characteristic
+    assert euler_characteristic(rep) == 1
 
 
 def test_dims_report_is_sequential():
