@@ -2,11 +2,11 @@
 CLI selftest so there is a single source of truth for the gate.
 
 Each criterion returns (passed, detail).  Exact checks use exact
-arithmetic.  Criterion 2 passes the numeric dimension sweep its settings:
-tol 1e-8, singular-value cutoff 1e-4, 32 starts and 128 retry starts.  The
-canonical-form checks of criterion 12 use the ogr1 constants: relative
-tolerance 1e-6 at approach 1e-4 over 20 trials per residue, and 100
-interior points.
+arithmetic.  Criterion 2 runs the numeric dimension sweep at the SWEEP_*
+constants of orthopositroids: tol 1e-8, singular-value cutoff 1e-4, 32
+starts and 128 retry starts.  The canonical-form checks of criterion 12
+use the ogr1 constants: relative tolerance 1e-6 at approach 1e-4 over 20
+trials per residue, and 100 interior points.
 """
 from __future__ import annotations
 
@@ -42,8 +42,7 @@ def criterion_01_orthopositroid_count():
 
 def criterion_02_dimension_histogram():
     t0 = time.monotonic()
-    rep = orthopositroids.dims_report(2, 6, tol=1e-8, cutoff=1e-4, seed=0,
-                                      starts=32, retry_starts=128)
+    rep = orthopositroids.dims_report(2, 6, seed=0)
     dt = time.monotonic() - t0
     ok = (
         rep["histogram"] == EXPECTED_DIM_HISTOGRAM
@@ -274,7 +273,7 @@ def criterion_13_phi_samples():
     plucker5 = ideal_gens.plucker_relations(2, 5)
     bad = 0
     for seed in range(count):
-        q = sample_isotropic_component(3, seed=seed, component="standard").plucker()
+        q = sample_isotropic_component(3, seed=seed).plucker()
         p = parity_duality.phi_map(q)
         if not is_isotropic(p, alt5):
             bad += 1

@@ -230,8 +230,7 @@ def _cmd_hodge_check(args, out) -> int:
 
 def _cmd_phi_map(args, out) -> int:
     _require_point_scale(args.k + 1, 2 * args.k + 2)  # the sampled point
-    q = sample_isotropic_component(args.k + 1, seed=args.seed,
-                                   component="standard").plucker()
+    q = sample_isotropic_component(args.k + 1, seed=args.seed).plucker()
     p = parity_duality.phi_map(q)
     payload = {
         "k": args.k,
@@ -269,9 +268,7 @@ def _cmd_ortho_enumerate(args, out) -> int:
     dims = {}
     histogram = None
     if args.dims:  # first, so the sweep's size guard precedes enumeration
-        rep = orthopositroids.dims_report(args.k, args.n, tol=args.tol,
-                                          cutoff=args.cutoff, seed=args.seed,
-                                          starts=args.starts)
+        rep = orthopositroids.dims_report(args.k, args.n, seed=args.seed)
         dims = {r.positroid.sort_key(): r.dim for r in rep["results"]}
         histogram = rep["histogram"]
     cells = sorted(orthopositroids.enumerate_orthopositroids(args.k, args.n),
@@ -342,9 +339,7 @@ def _cmd_ortho_test(args, out) -> int:
 
 
 def _cmd_ortho_dims(args, out) -> int:
-    rep = orthopositroids.dims_report(args.k, args.n, tol=args.tol,
-                                      cutoff=args.cutoff, seed=args.seed,
-                                      starts=args.starts)
+    rep = orthopositroids.dims_report(args.k, args.n, seed=args.seed)
     payload = {key: rep[key] for key in
                ("k", "n", "total", "resolved", "histogram", "failures")}
     payload["ok"] = rep["resolved"] == rep["total"]
@@ -407,12 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", default="json", choices=formats)
 
-    def sweep(p):
-        """The numeric dimension sweep's flags, as dims_report's defaults."""
-        p.add_argument("--tol", type=float, default=1e-8)
-        p.add_argument("--cutoff", type=float, default=1e-4)
-        p.add_argument("--starts", type=int, default=32)
-
     p = sub.add_parser("equations", help="defining quadrics")
     common(p, form=True)
     p.set_defaults(func=_cmd_equations)
@@ -467,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = oo.add_parser("enumerate")
     common(q, seed=True, formats=("json", "csv", "text"))
     q.add_argument("--dims", action="store_true")
-    sweep(q)
     q.set_defaults(func=_cmd_ortho_enumerate)
     q = oo.add_parser("test")
     common(q)
@@ -477,7 +465,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=_cmd_ortho_test)
     q = oo.add_parser("dims")
     common(q, seed=True)
-    sweep(q)
     q.set_defaults(func=_cmd_ortho_dims)
 
     p = sub.add_parser("sample", help="exact random isotropic subspace")

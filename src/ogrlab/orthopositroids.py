@@ -614,6 +614,13 @@ LM_SSQ_STOP = (1e-3 * 1e-8) ** 2
 LM_MU_MAX = 1e30
 LM_STEPS = 200
 
+# The sweep's pinned settings: residual tolerance, singular-value cutoff,
+# starts per cell, and starts for a cell that none of those resolved.
+SWEEP_TOL = 1e-8
+SWEEP_CUTOFF = 1e-4
+SWEEP_STARTS = 32
+SWEEP_RETRY_STARTS = 128
+
 
 class LeastSquaresResult(NamedTuple):
     x: np.ndarray
@@ -689,28 +696,30 @@ class CellDimResult:
     dims_seen: tuple
     residual: float | None
     singular_values: tuple
-    converged: int
-    failed: bool
+
+    @property
+    def failed(self) -> bool:
+        return self.dim is None
 
 
-def cell_dim_in_ogr_numeric(positroid: Positroid, tol: float = 1e-8,
-                            cutoff: float = 1e-4, seed: int = 0,
-                            starts: int = 32) -> CellDimResult:
+def cell_dim_in_ogr_numeric(positroid: Positroid, seed: int = 0,
+                            starts: int = SWEEP_STARTS) -> CellDimResult:
     """Estimate the dimension of the isotropic slice of a positroid cell.
 
     Minimizes the squared orthogonality residual of the alternating form
-    over the bridge parameters from random starts; at each converged
+    over the bridge parameters from `starts` random starts; a solution
+    counts when its residual norm is below SWEEP_TOL, and at each such
     interior point the slice dimension is (parameter count) - rank of the
-    residual Jacobian, with singular values below the cutoff treated as
-    zero.  The Jacobian is taken with respect to log-parameters, the natural
-    scale for positive parameters.  It stops after 3 such points.  A model
-    that is not positive exactly on the bases at t = 1 raises
+    residual Jacobian, with singular values at or below SWEEP_CUTOFF treated
+    as zero.  The Jacobian is taken with respect to log-parameters, the
+    natural scale for positive parameters.  It stops after 3 such points.
+    A model that is not positive exactly on the bases at t = 1 raises
     InternalInvariantError before any solve.
     """
     decomp = bridge_decomposition(positroid.dperm)
     model = _ResidualModel(decomp, QuadraticForm.alternating(positroid.n))
     d = decomp.dim
-    tol_sq = tol * tol
+    tol_sq = SWEEP_TOL * SWEEP_TOL
     # at t = 1 the model must be positive exactly on the bases, or a bridge
     # sign is wrong; every monomial is 1 there and C is integral, so this is exact
     on_bases = np.array([positroid.mask >> r & 1 for r in range(len(model.C))], dtype=bool)
@@ -723,7 +732,7 @@ def cell_dim_in_ogr_numeric(positroid: Positroid, tol: float = 1e-8,
         r = model.residual(np.zeros(0))
         ok = float(r @ r) < tol_sq
         return CellDimResult(positroid, 0, 0 if ok else None, (0,) if ok else (),
-                             float(r @ r), (), 1 if ok else 0, not ok)
+                             float(r @ r), ())
 
     rng = np.random.default_rng(seed)
     outcomes = []
@@ -741,54 +750,53 @@ def cell_dim_in_ogr_numeric(positroid: Positroid, tol: float = 1e-8,
             continue  # drifted to the cell boundary
         J = sol.jac * sol.x[None, :]
         sv = np.linalg.svd(J, compute_uv=False)
-        rank = int((sv > cutoff).sum())
+        rank = int((sv > SWEEP_CUTOFF).sum())
         outcomes.append((d - rank, ssq, tuple(sv)))
         if len(outcomes) >= 3:
             break
     if not outcomes:
-        return CellDimResult(positroid, d, None, (), best_res, (), 0, True)
+        return CellDimResult(positroid, d, None, (), best_res, ())
     dims = [o[0] for o in outcomes]
     counts = Counter(dims)
     top = max(counts.values())
     dim = min(v for v, c in counts.items() if c == top)
     chosen = next(o for o in outcomes if o[0] == dim)
-    return CellDimResult(positroid, d, dim, tuple(dims), chosen[1],
-                         chosen[2], len(outcomes), False)
+    return CellDimResult(positroid, d, dim, tuple(dims), chosen[1], chosen[2])
 
 
-def dims_report(k: int, n: int, tol: float = 1e-8,
-                cutoff: float = 1e-4, seed: int = 0, starts: int = 32,
-                retry_starts: int = 128, workers: int = 1) -> dict:
+_PINNED = {"tol": SWEEP_TOL, "cutoff": SWEEP_CUTOFF, "starts": SWEEP_STARTS,
+           "retry_starts": SWEEP_RETRY_STARTS, "workers": 1}
+
+
+def dims_report(k: int, n: int, seed: int = 0, **pinned) -> dict:
     """Dimension histogram over all orthopositroids of the given type.
 
-    Cells that fail to converge at the base start count are re-run with
-    retry_starts starts; remaining failures are reported, not hidden.  The
-    sweep is sequential and each cell's starts are seeded by its index;
-    workers is kept for callers that pass 1 and must be 1.
+    Each cell's SWEEP_STARTS starts are seeded by seed plus its index; a
+    cell they leave unresolved is re-run with SWEEP_RETRY_STARTS starts, and
+    remaining failures are reported, not hidden.  `pinned` admits only the
+    keys of _PINNED at their values there, as perfbench's CELL_DIMS passes
+    them (anything else is an InputError); it goes when the next benchmark
+    change stops passing them.
     """
-    if workers != 1:
-        raise InputError("the dimension sweep is sequential: workers must be 1")
+    for key, value in pinned.items():
+        if key not in _PINNED or value != _PINNED[key]:
+            raise InputError(f"{key}={value!r}: the sweep runs only at its "
+                             f"pinned settings {_PINNED}")
     # (3,7), the largest admitted size with cells ((4,7) has none), sweeps
     # its 105 cells in 1.3 to 1.4 s of CPU time (three runs on a 2-vCPU
     # VM, one BLAS thread)
     if not 1 <= k <= n <= 2 * k + 2 or binom(n, k) > 35:
         raise InputError("the dimension sweep is desk-scale: "
                          "1 <= k <= n <= 2k + 2 and C(n, k) <= 35")
-    # past these, cells get wrong dimensions yet count as resolved
-    if not (0 < tol < np.inf and tol * tol > 0 and 0 < cutoff < np.inf):
-        raise InputError("tol and cutoff must be finite and positive, "
-                         "and tol squared must not underflow to 0")
-    if min(starts, retry_starts) < 1 or seed < 0:
-        raise InputError("the sweep needs at least 1 start and a non-negative seed")
+    if seed < 0:
+        raise InputError("the sweep needs a non-negative seed")
     cells = sorted(enumerate_orthopositroids(k, n), key=lambda p: p.sort_key())
     results = []
     for idx, pos in enumerate(cells):
-        res = cell_dim_in_ogr_numeric(pos, tol=tol, cutoff=cutoff,
-                                      seed=seed + idx, starts=starts)
+        res = cell_dim_in_ogr_numeric(pos, seed=seed + idx)
         if res.failed:
-            res = cell_dim_in_ogr_numeric(pos, tol=tol, cutoff=cutoff,
-                                          seed=seed + 100_000 + idx,
-                                          starts=retry_starts)
+            res = cell_dim_in_ogr_numeric(pos, seed=seed + 100_000 + idx,
+                                          starts=SWEEP_RETRY_STARTS)
         results.append(res)
     failures = [res.positroid for res in results if res.failed]
     hist = Counter(res.dim for res in results if not res.failed)

@@ -35,7 +35,11 @@ def young_leq(I, J) -> bool:
 
 
 def mixed_leq(Jp, I, k: int) -> bool:
-    """coYoung element [Jp] below Young element <I>: j'_l <= i_l for l <= k."""
+    """coYoung element [Jp] below Young element <I>: j'_l <= i_l for l <= k.
+    A Jp that runs out before a column decides, as below n = 2k, is a
+    SizeMismatchError."""
+    if len(Jp) < k and all(a <= b for a, b in zip(Jp, I)):
+        raise SizeMismatchError(f"coYoung element {tuple(Jp)} has fewer than {k} entries")
     return all(Jp[l] <= I[l] for l in range(k))
 
 

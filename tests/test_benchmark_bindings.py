@@ -98,3 +98,6 @@ def test_dims_report_accepts_the_pinned_keywords():
     keywords = {kw.arg: ast.literal_eval(kw.value) for kw in cell_dims.keywords}
     assert keywords
     inspect.signature(orthopositroids.dims_report).bind(2, 6, seed=0, **keywords)
+    # the keywords must also be the pinned values: the sweep runs as without them
+    assert orthopositroids.dims_report(2, 4, seed=0, **keywords) == \
+        orthopositroids.dims_report(2, 4, seed=0)

@@ -166,7 +166,7 @@ def swap_component(p: PluckerVector) -> PluckerVector:
 
 def test_component_detection_and_swap():
     for seed in range(5):
-        p = sample_isotropic_component(2, seed=seed, component="standard").plucker()
+        p = sample_isotropic_component(2, seed=seed).plucker()
         assert component_of(p) == "standard"
         assert component_of(swap_component(p)) == "twisted"
 

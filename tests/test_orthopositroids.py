@@ -21,7 +21,7 @@ from ogrlab.forms_points import (
     is_totally_nonnegative,
 )
 from ogrlab.ideal_gens import _mono, orthogonality_relations
-from ogrlab import orthopositroids
+from ogrlab import ogr1, orthopositroids
 from ogrlab.parity_duality import all_matchings, matching_to_permutation_via_contraction
 from ogrlab.orthopositroids import (
     LM_BOUNDS,
@@ -49,6 +49,7 @@ from ogrlab.orthopositroids import (
     printed_e1,
     tau_solution,
 )
+from ogrlab.weyl import ogr_dimension
 from sign_reference import eps
 
 ALT6 = QuadraticForm.alternating(6)
@@ -748,7 +749,7 @@ def recomputed_cell_dim(pos, seed, tol=1e-8, cutoff=1e-4, starts=32, wanted=3):
     counts = Counter(dims)
     dim = min(v for v, c in counts.items() if c == max(counts.values()))
     ssq, sv = next(o[1:] for o in outcomes if o[0] == dim)
-    return CellDimResult(pos, d, dim, tuple(dims), ssq, sv, len(outcomes), False)
+    return CellDimResult(pos, d, dim, tuple(dims), ssq, sv)
 
 
 def test_cell_dim_reads_solution_values_from_the_solver():
@@ -875,11 +876,31 @@ def euler_characteristic(rep) -> int:
     return sum((-1) ** res.dim for res in rep["results"])
 
 
+def assert_exact_oracles(rep):
+    """The sweep agrees with the two exact dimension formulas it can meet:
+    the cell of all k-subsets has the dimension of OGr(k, n), and at k = 1
+    the cells, split by the parity of their support into (A, B), are
+    ogr1's, each of dimension |A| + |B| - 2."""
+    k, n = rep["k"], rep["n"]
+    top = [res for res in rep["results"] if len(res.positroid.bases) == math.comb(n, k)]
+    assert len(top) == 1 and top[0].dim == ogr_dimension(k, n)
+    if k == 1:
+        split = []
+        for res in rep["results"]:
+            support = sorted(i for (i,) in res.positroid.bases)
+            A = tuple(i for i in support if i % 2)
+            B = tuple(i for i in support if i % 2 == 0)
+            assert res.dim == len(A) + len(B) - 2
+            split.append((A, B))
+        assert sorted(split) == sorted((c.A, c.B) for c in ogr1.cells(n))
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_cell_dims_at_n_2k_equal_crossing_numbers(k):
     rep = dims_report(k, 2 * k)
     assert rep["resolved"] == rep["total"]
     assert euler_characteristic(rep) == 1
+    assert_exact_oracles(rep)
     for res in rep["results"]:
         word = res.positroid.dperm.word
         assert all(word[w - 1] == i != w for i, w in enumerate(word, start=1))
@@ -894,12 +915,13 @@ CELL_DIM_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("k,n", [(1, 3), (1, 4), (2, 5), (2, 6)])
+@pytest.mark.parametrize("k,n", [(1, 2), (1, 3), (1, 4), (2, 5), (2, 6)])
 def test_sweep_euler_characteristic_and_cell_dims(k, n):
-    # (k, 2k) is checked with the crossing numbers above, and (3,7) below
+    # (k, 2k) is checked with the crossing numbers above too, and (3,7) below
     rep = dims_report(k, n)
     assert rep["resolved"] == rep["total"]
     assert euler_characteristic(rep) == 1
+    assert_exact_oracles(rep)
     if (k, n) in CELL_DIM_DIGESTS:
         cells = [(res.positroid.sort_key(), res.dim) for res in rep["results"]]
         assert hashlib.sha256(repr(cells).encode()).hexdigest() == CELL_DIM_DIGESTS[k, n]
@@ -912,11 +934,22 @@ def test_dims_at_3_7():
     assert rep["resolved"] == rep["total"] == 105
     assert rep["histogram"] == {"6": 1, "5": 4, "4": 10, "3": 20, "2": 28, "1": 28, "0": 14}
     assert euler_characteristic(rep) == 1
+    assert_exact_oracles(rep)
 
 
 def test_dims_report_is_sequential():
     with pytest.raises(InputError):
         dims_report(2, 4, workers=2)
+
+
+# the settings perfbench passes are accepted only at their pinned values
+@pytest.mark.parametrize("setting", [{"tol": 1e-3}, {"cutoff": 10}, {"starts": 1},
+                                     {"retry_starts": 1}, {"tol": float("nan")},
+                                     {"verbose": True}])
+def test_dims_report_refuses_unpinned_settings(setting, monkeypatch):
+    monkeypatch.setattr(orthopositroids, "enumerate_orthopositroids", solving)
+    with pytest.raises(InputError):
+        dims_report(2, 4, **setting)
 
 
 def test_m_sigma_isotropic_and_nonnegative():

@@ -7,6 +7,7 @@ from ogrlab.exact_core import Mat
 from ogrlab.forms_points import (
     PluckerVector,
     QuadraticForm,
+    component_of,
     is_isotropic,
     is_totally_nonnegative,
     sample_isotropic_component,
@@ -141,13 +142,16 @@ def test_figure_family_datum():
 
 
 def test_phi_map_requires_standard_component():
-    q = sample_isotropic_component(2, seed=0, component="twisted").plucker()
+    # negating the first coordinate moves the point to the twisted component
+    p = sample_isotropic_component(2, seed=0).plucker()
+    q = PluckerVector(2, 4, {I: (-v if 1 in I else v) for I, v in p.coords.items()})
+    assert component_of(q) == "twisted"
     with pytest.raises(NotAPointError):
         phi_map(q)
 
 
 def test_phi_map_small_case_relation():
-    q = sample_isotropic_component(2, seed=1, component="standard").plucker()
+    q = sample_isotropic_component(2, seed=1).plucker()
     p = phi_map(q)
     assert p.get((1,)) == q.get((1, 4))
     assert p.get((1,)) ** 2 - p.get((2,)) ** 2 + p.get((3,)) ** 2 == 0
@@ -155,7 +159,7 @@ def test_phi_map_small_case_relation():
 
 @pytest.mark.parametrize("seed", range(8))
 def test_phi_map_samples_land_on_target(seed):
-    q = sample_isotropic_component(3, seed=seed, component="standard").plucker()
+    q = sample_isotropic_component(3, seed=seed).plucker()
     p = phi_map(q)
     assert is_isotropic(p, QuadraticForm.alternating(5))
     assert all(g.evaluate(p) == 0 for g in plucker_relations(2, 5))

@@ -3,7 +3,7 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 
 from ogrlab import weyl
-from ogrlab.errors import InputError
+from ogrlab.errors import InputError, SizeMismatchError
 from ogrlab.exact_core import colex_key, ksubsets, subset_complement
 from ogrlab.posets import (
     _strictly_above,
@@ -176,6 +176,16 @@ def test_bijection_lattice_path_instance():
     T = pair_bijection_forward((1, 3, 6, 7), (2, 3, 7, 8), 8)
     assert T == ((1, 4, 5, 6, 7), (2, 4, 5, 7, 8))
     assert pair_bijection_inverse(*T, 8) == ((1, 3, 6, 7), (2, 3, 7, 8))
+
+
+def test_mixed_leq_refuses_a_coyoung_element_that_runs_out():
+    # below n = 2k the complement (1,) has one entry, and its first column
+    # does not decide the comparison with (2, 3)
+    with pytest.raises(SizeMismatchError):
+        pair_bijection_inverse((2, 3), (2, 3), 3)
+    with pytest.raises(SizeMismatchError):
+        mixed_leq((1,), (2, 3), 2)
+    assert not mixed_leq((3,), (2, 3), 2)  # decided at the first column
 
 
 def test_bijection_singleton_case():
