@@ -183,22 +183,44 @@ def _cmd_ogr1_canonical(args, out) -> int:
     return 0 if payload["ok"] else 1
 
 
-# A sample point takes C(n, k) minors and an n x n change of basis, and its
-# check the C(n, k) minors of k cocircuits; hodge-check takes the C(n, k)
-# minors of order n - k of the complement, and C(n, k - 1) caps k near n,
-# where its cost fit runs low.  (6,12) has the most k-subsets, C(12, 6).
-POINT_MAX_SUBSETS = 924
-POINT_MAX_N = 24
+# hodge-check takes the C(n, k) minors of order n - k of the complement, and
+# C(n, k - 1) caps k near n, where its count's cost fit runs low.  (6,12)
+# has the most k-subsets, C(12, 6).
+HODGE_MAX_SUBSETS = 924
+HODGE_MAX_N = 24
 
 
-def _require_point_scale(k: int, n: int) -> None:
-    """Refuse, before the first minor or quadric, a (k, n) whose points
-    `sample`, `phi-map` and `hodge-check` do not build."""
-    subsets = max((binom(n, j) for j in (k - 1, k) if 0 <= j <= n), default=0)
-    if n > POINT_MAX_N or subsets > POINT_MAX_SUBSETS:
+def _require_hodge_scale(k: int, n: int) -> None:
+    """Refuse, before the first minor, a (k, n) whose points hodge-check
+    does not build.  n is tested first: C(n, k) of a huge n is slow itself."""
+    if n > HODGE_MAX_N or max((binom(n, j) for j in (k - 1, k) if 0 <= j <= n),
+                              default=0) > HODGE_MAX_SUBSETS:
         raise InputError(
-            f"points are built for n <= {POINT_MAX_N} with C(n, k) and C(n, k-1) "
-            f"at most {POINT_MAX_SUBSETS}; got n = {n} and {subsets} subsets"
+            f"hodge-check builds points for n <= {HODGE_MAX_N} with C(n, k) and "
+            f"C(n, k-1) at most {HODGE_MAX_SUBSETS}; got (k, n) = ({k}, {n})"
+        )
+
+
+# A sample point takes about C(n, k) (k^3 + 20 k) + n^3 / 3 + 5000 us: the
+# maximal minors of the sampled matrix and of its cocircuit matrix in the
+# isotropy check, then the n x n change of basis (fitted over 142 sizes per
+# field on a 2-vCPU VM; above 0.3 s it reads 0.9 to 1.5 times the cost of
+# the slower Gaussian field with the standard form).  phi-map's point is
+# the sample at (k + 1, 2k + 2).  An admitted point takes at most about 1.5 s.
+SAMPLE_MAX_COST = 1_500_000
+
+
+def _require_sample_scale(k: int, n: int) -> None:
+    """Refuse, before the first minor, a sample point whose estimated cost
+    passes SAMPLE_MAX_COST.  A k outside [0, n] costs nothing here: the
+    sampler refuses it."""
+    cost = max(n, 0) ** 3 // 3 + 5000
+    if 0 <= k <= n and cost <= SAMPLE_MAX_COST:  # C(n, k) of a huge n is slow itself
+        cost += binom(n, k) * (k ** 3 + 20 * k)
+    if cost > SAMPLE_MAX_COST:
+        raise InputError(
+            f"a sample point is built when its estimated cost, C(n, k)(k^3 + 20k) "
+            f"+ n^3/3 + 5000 us, is at most {SAMPLE_MAX_COST} us; got (k, n) = ({k}, {n})"
         )
 
 
@@ -217,7 +239,7 @@ def _hodge_max_count(k: int, n: int) -> int:
 def _cmd_hodge_check(args, out) -> int:
     if not 0 <= args.k <= args.n:
         raise InputError("need 0 <= k <= n")
-    _require_point_scale(args.k, args.n)
+    _require_hodge_scale(args.k, args.n)
     limit = _hodge_max_count(args.k, args.n)
     if not 0 <= args.count <= limit:
         raise InputError(f"--count must lie in [0, {limit}] at ({args.k}, {args.n})")
@@ -229,7 +251,7 @@ def _cmd_hodge_check(args, out) -> int:
 
 
 def _cmd_phi_map(args, out) -> int:
-    _require_point_scale(args.k + 1, 2 * args.k + 2)  # the sampled point
+    _require_sample_scale(args.k + 1, 2 * args.k + 2)  # the sampled point
     q = sample_isotropic_component(args.k + 1, seed=args.seed).plucker()
     p = parity_duality.phi_map(q)
     payload = {
@@ -348,7 +370,7 @@ def _cmd_ortho_dims(args, out) -> int:
 
 
 def _cmd_sample(args, out) -> int:
-    _require_point_scale(args.k, args.n)
+    _require_sample_scale(args.k, args.n)
     form = _parse_form(args.form, args.n)
     sub = sample_isotropic(args.k, args.n, form, args.seed, field=args.field)
     p = sub.plucker()

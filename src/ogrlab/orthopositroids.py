@@ -531,23 +531,43 @@ def _bridge_moves(k: int, n: int, a: int, b: int) -> MappingProxyType:
     return MappingProxyType(moves)
 
 
+class _Quadrics(NamedTuple):
+    """The orthogonality quadrics in float COO form: the term
+    coef * p_a * p_b of quadric number row, with a and b colex ranks, and
+    the same terms as a scatter into the dense gradient d(quadric)/dp of
+    shape n_quadrics x C(n, k): entry grad_index gains grad_coef times
+    p[grad_partner]."""
+    row: np.ndarray
+    ra: np.ndarray
+    rb: np.ndarray
+    coef: np.ndarray
+    n_quadrics: int
+    grad_index: np.ndarray
+    grad_partner: np.ndarray
+    grad_coef: np.ndarray
+
+
 @lru_cache(maxsize=None)
-def _quadric_terms(k: int, n: int, form: QuadraticForm):
-    """orthogonality_relations(k, n, form) in float COO form, read off their
-    integer forms: the term coef * p_a * p_b of quadric number row as
-    (row, a, b, coef), with a and b colex ranks."""
+def _quadric_terms(k: int, n: int, form: QuadraticForm) -> _Quadrics:
+    """orthogonality_relations(k, n, form) as _Quadrics, read off their
+    integer forms; built once per (k, n, form), for every cell."""
     terms = [
         (row, a, b, c / L)
         for row, poly in enumerate(orthogonality_relations(k, n, form))
         for L, coeffs, ranks in [poly.cleared()]
         for c, (a, b) in zip(coeffs, ranks)
     ]
-    return tuple(np.array(col) for col in zip(*terms))
+    row, ra, rb, coef = (np.array(col) for col in zip(*terms))
+    # gradient entry (row, a) gains coef * p_b, and entry (row, b) coef * p_a
+    flat = row * binom(n, k)
+    return _Quadrics(row, ra, rb, coef, int(row[-1]) + 1,
+                     np.concatenate([flat + ra, flat + rb]),
+                     np.concatenate([rb, ra]), np.tile(coef, 2))
 
 
 class _ResidualModel:
-    """Float residual/Jacobian of the orthogonality equations on a cell,
-    for parameters t > 0.
+    """Float residual and Jacobian of the orthogonality equations on a
+    cell, in log-parameters s = log t.
 
     Works in Plucker space.  A bridge x_b += t_i x_a moves each Plucker
     coordinate p_{K+a} onto p_{K+b}, times +-t_i.  Pushing the coordinate
@@ -557,9 +577,10 @@ class _ResidualModel:
     coordinate with sign +-1.  __init__ expands it once into C, of shape
     C(n, k) x M with one +-1 in each column, and E, of shape M x d with
     E[u, i] = 1 exactly when bridge i is in monomial u, so
-    p = C @ m with m = exp(E @ log t), and dp/dt = (C @ (m * E)) / t.  At
-    t = 1 every monomial is exactly 1, so p is exact there.  The residual is
-    the orthogonality quadrics evaluated at p.
+    p = C @ m with m = exp(E @ s), and dp/ds = C @ (m * E).  At s = 0 every
+    monomial is exactly 1, so p is exact there.  The residual is the
+    orthogonality quadrics evaluated at p; their terms are shared by every
+    cell of a size (_quadric_terms).
     """
 
     def __init__(self, decomp: BridgeDecomposition, form: QuadraticForm):
@@ -578,32 +599,26 @@ class _ResidualModel:
         self.C = np.zeros((binom(n, k), len(terms)))
         self.C[ranks, range(len(terms))] = signs
         self.E = (np.array(masks)[:, None] >> np.arange(self.d) & 1).astype(float)
-        self.row, self.ra, self.rb, self.coef = _quadric_terms(k, n, form)
-        self.n_quadrics = int(self.row[-1]) + 1
-        # gradient entry (row, a) gains coef * p_b, and entry (row, b) coef * p_a
-        flat = self.row * len(self.C)
-        self.grad_index = np.concatenate([flat + self.ra, flat + self.rb])
-        self.grad_partner = np.concatenate([self.rb, self.ra])
-        self.grad_coef = np.tile(self.coef, 2)
+        self.quadrics = _quadric_terms(k, n, form)
 
-    def monomials(self, t):
-        return np.exp(self.E @ np.log(t))
+    def plucker(self, s):
+        return self.C @ np.exp(self.E @ s)
 
-    def plucker(self, t):
-        return self.C @ self.monomials(t)
-
-    def residual(self, t):
-        p = self.plucker(t)
-        return np.bincount(self.row, self.coef * p[self.ra] * p[self.rb],
-                           minlength=self.n_quadrics)
-
-    def jacobian(self, t):
-        m = self.monomials(t)
+    def at(self, s):
+        """The residual F at s, and a function that returns the Jacobian
+        dF/ds at s from the same monomials m and Plucker vector p:
+        G(p) @ (C @ (m * E)), with G(p) the quadrics' gradient in p."""
+        q = self.quadrics
+        m = np.exp(self.E @ s)
         p = self.C @ m
-        dp = (self.C @ (m[:, None] * self.E)) / t
-        grad = np.bincount(self.grad_index, self.grad_coef * p[self.grad_partner],
-                           minlength=self.n_quadrics * len(p))
-        return grad.reshape(self.n_quadrics, len(p)) @ dp
+        F = np.bincount(q.row, q.coef * p[q.ra] * p[q.rb], minlength=q.n_quadrics)
+
+        def jac():
+            grad = np.bincount(q.grad_index, q.grad_coef * p[q.grad_partner],
+                               minlength=q.n_quadrics * len(p))
+            return grad.reshape(q.n_quadrics, len(p)) @ (self.C @ (m[:, None] * self.E))
+
+        return F, jac
 
 
 # The cell solver's pinned constants: the box each parameter stays in, and
@@ -623,25 +638,27 @@ SWEEP_RETRY_STARTS = 128
 
 
 class LeastSquaresResult(NamedTuple):
-    x: np.ndarray
+    s: np.ndarray
     fun: np.ndarray
     jac: np.ndarray
     nfev: int
     success: bool
 
 
-def least_squares(fun, x0, jac) -> LeastSquaresResult:
-    """Drive fun(t) toward 0 over t in LM_BOUNDS by Levenberg-Marquardt steps
-    in s = log t, damped by Nielsen's gain-ratio rule (Madsen, Nielsen and
+def least_squares(fun, s0) -> LeastSquaresResult:
+    """Drive F toward 0 over s = log t in log(LM_BOUNDS) by Levenberg-Marquardt
+    steps, damped by Nielsen's gain-ratio rule (Madsen, Nielsen and
     Tingleff, Methods for Non-Linear Least Squares Problems, 2004, 3.2).
 
-    Each trial step h solves (Js^T Js + mu I) h = -Js^T F, where Js = J diag(t)
-    is the Jacobian in s and mu starts at 1e-3 max diag(Js^T Js).  A step that
-    leaves the box, meets a singular system or fails to lower |F|^2 (a
-    non-finite residual among them) is rejected, never clipped: mu *= nu and
-    nu *= 2.  An accepted step of gain ratio rho sets
-    mu *= max(1/3, 1 - (2 rho - 1)^3) and nu = 2.  The result holds x, fun(x)
-    and jac(x) as the model returned them, the number of fun calls, and
+    fun(s) returns F(s) and a function that returns the Jacobian dF/ds at s;
+    fun is called once per trial point, and the Jacobian is asked for only
+    at the start and at each accepted point.  Each trial step h solves
+    (J^T J + mu I) h = -J^T F, where mu starts at 1e-3 max diag(J^T J).  A
+    step that leaves the box, meets a singular system or fails to lower
+    |F|^2 (a non-finite residual among them) is rejected, never clipped:
+    mu *= nu and nu *= 2.  An accepted step of gain ratio rho sets
+    mu *= max(1/3, 1 - (2 rho - 1)^3) and nu = 2.  The result holds s, and
+    F and J at s as fun returned them, the number of fun calls, and
     success: |F|^2 < LM_SSQ_STOP.
 
     A step is rejected whole, not projected onto the box, so a start whose
@@ -649,43 +666,41 @@ def least_squares(fun, x0, jac) -> LeastSquaresResult:
     mu climbs to LM_MU_MAX and the others stop moving too.
     """
     lo, hi = np.log(LM_BOUNDS)
-    x = np.asarray(x0, dtype=float)
-    s, f, J = np.log(x), fun(x), jac(x)
-    if J.shape != (f.size, x.size):
-        raise ValueError(f"the Jacobian has shape {J.shape}, not {(f.size, x.size)}")
+    s = np.asarray(s0, dtype=float)
+    f, jac = fun(s)
+    J = jac()
+    if J.shape != (f.size, s.size):
+        raise ValueError(f"the Jacobian has shape {J.shape}, not {(f.size, s.size)}")
     ssq, nfev, nu = f @ f, 1, 2.0
-    Js = J * x
-    A, g = Js.T @ Js, Js.T @ f
+    A, g = J.T @ J, J.T @ f
     mu = 1e-3 * A.diagonal().max()
-    eye = np.eye(x.size)
+    eye = np.eye(s.size)
     for _ in range(LM_STEPS):
         if ssq < LM_SSQ_STOP or mu > LM_MU_MAX:
             break
         try:
             h = np.linalg.solve(A + mu * eye, -g)
         except np.linalg.LinAlgError:
-            h = np.full(x.size, np.nan)  # fails the box test below
+            h = np.full(s.size, np.nan)  # fails the box test below
         s_new = s + h
         # a nan in s_new makes its min and max nan, which compare false
         if lo <= s_new.min() and s_new.max() <= hi:
-            x_new = np.exp(s_new)
-            f_new = fun(x_new)
+            f_new, jac = fun(s_new)
             nfev += 1
             ssq_new = f_new @ f_new
             # rho > 0 exactly here, as h^T (mu h - g) = h^T (A + 2 mu I) h > 0;
             # a nan or inf residual fails the test
             if ssq_new < ssq:
                 rho = (ssq - ssq_new) / (h @ (mu * h - g))
-                s, x, f, ssq = s_new, x_new, f_new, ssq_new
-                J = jac(x)
-                Js = J * x
-                A, g = Js.T @ Js, Js.T @ f
+                s, f, ssq = s_new, f_new, ssq_new
+                J = jac()
+                A, g = J.T @ J, J.T @ f
                 mu *= max(1 / 3, 1 - (2 * rho - 1) ** 3)
                 nu = 2.0
                 continue
         mu *= nu
         nu *= 2
-    return LeastSquaresResult(x, f, J, nfev, bool(ssq < LM_SSQ_STOP))
+    return LeastSquaresResult(s, f, J, nfev, bool(ssq < LM_SSQ_STOP))
 
 
 @dataclass
@@ -711,25 +726,25 @@ def cell_dim_in_ogr_numeric(positroid: Positroid, seed: int = 0,
     counts when its residual norm is below SWEEP_TOL, and at each such
     interior point the slice dimension is (parameter count) - rank of the
     residual Jacobian, with singular values at or below SWEEP_CUTOFF treated
-    as zero.  The Jacobian is taken with respect to log-parameters, the
-    natural scale for positive parameters.  It stops after 3 such points.
-    A model that is not positive exactly on the bases at t = 1 raises
-    InternalInvariantError before any solve.
+    as zero.  The model, the solver and the Jacobian all work in
+    log-parameters s = log t, the natural scale for positive parameters.
+    It stops after 3 such points.  A model that is not positive exactly on
+    the bases at s = 0 raises InternalInvariantError before any solve.
     """
     decomp = bridge_decomposition(positroid.dperm)
     model = _ResidualModel(decomp, QuadraticForm.alternating(positroid.n))
     d = decomp.dim
     tol_sq = SWEEP_TOL * SWEEP_TOL
-    # at t = 1 the model must be positive exactly on the bases, or a bridge
+    # at s = 0 the model must be positive exactly on the bases, or a bridge
     # sign is wrong; every monomial is 1 there and C is integral, so this is exact
     on_bases = np.array([positroid.mask >> r & 1 for r in range(len(model.C))], dtype=bool)
-    p = model.plucker(np.ones(d))
+    p = model.plucker(np.zeros(d))
     if not (p[on_bases] > 0).all() or p[~on_bases].any():
         raise InternalInvariantError(f"the bridge model of {positroid.dperm} is not "
                                      "positive exactly on its bases")
 
     if d == 0:
-        r = model.residual(np.zeros(0))
+        r, _ = model.at(np.zeros(0))
         ok = float(r @ r) < tol_sq
         return CellDimResult(positroid, 0, 0 if ok else None, (0,) if ok else (),
                              float(r @ r), ())
@@ -738,18 +753,17 @@ def cell_dim_in_ogr_numeric(positroid: Positroid, seed: int = 0,
     outcomes = []
     best_res = None
     for _ in range(starts):
-        x0 = np.exp(rng.uniform(np.log(0.3), np.log(3.0), d))
-        sol = least_squares(model.residual, x0, model.jacobian)
-        r = sol.fun  # the solver's residual and Jacobian are those at sol.x
+        s0 = rng.uniform(np.log(0.3), np.log(3.0), d)
+        sol = least_squares(model.at, s0)
+        r = sol.fun  # the solver's residual and Jacobian are those at sol.s
         ssq = float(r @ r)
         best_res = ssq if best_res is None else min(best_res, ssq)
         if ssq >= tol_sq:
             continue
-        p = model.plucker(sol.x)
+        p = model.plucker(sol.s)
         if np.abs(p[on_bases]).min() < 1e-9 * np.abs(p).max():
             continue  # drifted to the cell boundary
-        J = sol.jac * sol.x[None, :]
-        sv = np.linalg.svd(J, compute_uv=False)
+        sv = np.linalg.svd(sol.jac, compute_uv=False)
         rank = int((sv > SWEEP_CUTOFF).sum())
         outcomes.append((d - rank, ssq, tuple(sv)))
         if len(outcomes) >= 3:
@@ -783,7 +797,7 @@ def dims_report(k: int, n: int, seed: int = 0, **pinned) -> dict:
             raise InputError(f"{key}={value!r}: the sweep runs only at its "
                              f"pinned settings {_PINNED}")
     # (3,7), the largest admitted size with cells ((4,7) has none), sweeps
-    # its 105 cells in 1.3 to 1.4 s of CPU time (three runs on a 2-vCPU
+    # its 105 cells in 1.13 to 1.16 s of CPU time (three runs on a 2-vCPU
     # VM, one BLAS thread)
     if not 1 <= k <= n <= 2 * k + 2 or binom(n, k) > 35:
         raise InputError("the dimension sweep is desk-scale: "

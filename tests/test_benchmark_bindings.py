@@ -1,14 +1,16 @@
 """The benchmark under perfbench/ reaches into ogrlab by name: its tracer
-wraps functions and methods by dotted path, and its workloads clear
-lru_caches, patch functions and pass keywords to dims_report.  These tests
-read those files with ast, without running them, and check that every such
-name still resolves, so that a change to the package that would break a
-benchmark run fails here first."""
+wraps functions and methods by dotted path and reads fields of their
+results, and its workloads clear lru_caches, patch functions and pass
+keywords to dims_report.  These tests read those files with ast, without
+running them, and check that every such name still resolves and that the
+tracer's reads of the solver's result still work, so that a change to the
+package that would break a benchmark run fails here first."""
 import ast
 import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ogrlab import orthopositroids
@@ -101,3 +103,39 @@ def test_dims_report_accepts_the_pinned_keywords():
     # the keywords must also be the pinned values: the sweep runs as without them
     assert orthopositroids.dims_report(2, 4, seed=0, **keywords) == \
         orthopositroids.dims_report(2, 4, seed=0)
+
+
+def tracer_hook(path: str):
+    """The hook that tracer.py's SPECS runs on the results of the traced
+    attribute `path`, compiled alone from its definition there."""
+    tree = parse("tracer.py")
+    spec = next(spec for spec in assigned(tree, "SPECS").elts
+                if path in ast.literal_eval(spec.elts[1]))
+    name = spec.elts[3].id
+    node = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+    namespace = {}
+    exec(compile(ast.Module([node], []), "tracer.py", "exec"), namespace)
+    return namespace[name]
+
+
+class Bumps:
+    """The part of the tracer's Stat that a hook writes."""
+
+    def __init__(self):
+        self.extra = {}
+
+    def bump(self, key, amount=1):
+        self.extra[key] = self.extra.get(key, 0) + amount
+
+
+def test_tracer_reads_the_solver_result():
+    def fun(s):
+        t = np.exp(s)
+        return t - 2.0, lambda: np.diag(t)
+
+    result = orthopositroids.least_squares(fun, np.zeros(1))
+    stat = Bumps()
+    tracer_hook("orthopositroids.least_squares")(stat, (fun, np.zeros(1)), result)
+    assert stat.extra == {"nfev": result.nfev, "converged": 1}
+    assert stat.extra["nfev"] > 1

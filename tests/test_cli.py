@@ -182,11 +182,15 @@ TOP_CELL_15_30 = ",".join(str((i + 14) % 30 + 1) for i in range(1, 31))
     "equations --k 4 --n 11 --form standard",
     "equations --k 19 --n 21 --form standard",
     "degree --k -1 --n 5",
-    "sample --k 6 --n 14 --form alternating",
-    "sample --k 1 --n 25",
+    "sample --k 6 --n 15 --form alternating",
+    "sample --k 4 --n 26 --field gaussian",
+    "sample --k 1 --n 166",
+    "sample --k 1 --n 1000000000000",
+    "sample --k 500000 --n 1000000",
     "phi-map --k 6",
     "hodge-check --k 10 --n 20 --count 1",
     "hodge-check --k 1 --n 300 --count 1",
+    "hodge-check --k 500000 --n 1000000 --count 1",
     "hodge-check --k 3 --n 18 --count 10000",
     "hodge-check --k 3 --n 18 --count 209",
     "hodge-check --k 24 --n 24 --count 359",
@@ -197,6 +201,29 @@ def test_refused_up_front(command, capsys):
     assert main(command.split()) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    "sample --k 6 --n 14 --form alternating",
+    "sample --k 1 --n 25",
+])
+def test_sample_builds_points_past_hodge_checks_guard(command, capsys):
+    # within sample's own cost bound, though hodge-check refuses the size
+    assert main(command.split()) == 0
+    assert json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("command,size", [
+    ("sample --k 6 --n 15", "(6, 15)"),
+    ("sample --k 1 --n 1000000000000", "(1, 1000000000000)"),
+    ("phi-map --k 6", "(7, 14)"),
+])
+def test_sample_refusal_names_its_bound(command, size, capsys):
+    assert main(command.split()) == 2
+    assert capsys.readouterr().err == (
+        "input error: a sample point is built when its estimated cost, "
+        "C(n, k)(k^3 + 20k) + n^3/3 + 5000 us, is at most 1500000 us; "
+        f"got (k, n) = {size}\n")
 
 
 def test_phi_map_refuses_k_0_as_the_isotropy_check_does(capsys):
@@ -251,8 +278,8 @@ FORM_SPECS = ["standard", "alternating", "hyperbolic", "signed:1", "signed:2,5",
               "signed:", "signed:9", "elliptic"]
 
 
-# (k, n) past the point guard of sample, phi-map and hodge-check: more than
-# 924 k-subsets, or n above 24
+# (k, n) past the point guard of hodge-check: more than 924 k-subsets, or n
+# above 24; sample's own bound admits the cheaper of them
 PAST_POINT_GUARD = st.one_of(st.tuples(st.integers(5, 9), st.integers(14, 20)),
                              st.tuples(st.integers(-1, 3), st.integers(25, 40)))
 

@@ -599,21 +599,24 @@ def test_residual_model_matches_determinant_route():
         decomp = bridge_decomposition(pos.dperm)
         model = _ResidualModel(decomp, form)
         d = decomp.dim
-        for t in np.exp(rng.uniform(np.log(0.3), np.log(3.0), (2, d))):
+        for s in rng.uniform(np.log(0.3), np.log(3.0), (2, d)):
+            t = np.exp(s)
             ref = determinant_residual(swept_matrix(decomp, t), form).real
-            r = model.residual(t)
+            r, jac = model.at(s)
             assert r.shape == (keep.sum(),)
             assert not ref[~keep].any()
             scale = max(1.0, np.abs(ref).max())
             assert np.abs(r - ref[keep]).max() <= 1e-10 * scale
-            # complex step: first derivatives of the reference, exact in float
+            # complex step: first derivatives of the reference in t, exact
+            # in float; the chain rule gives J_s = J_t diag(t)
             J_ref = np.zeros((len(ref), d))
             for j in range(d):
                 X = swept_matrix(decomp, t + 1j * h * np.eye(d)[j])
                 J_ref[:, j] = determinant_residual(X, form).imag / h
-            J = model.jacobian(t)
+            J_ref = J_ref[keep] * t
+            J = jac()
             assert J.shape == (keep.sum(), d)
-            assert np.abs(J - J_ref[keep]).max() <= 1e-10 * max(1.0, np.abs(J_ref).max())
+            assert np.abs(J - J_ref).max() <= 1e-10 * max(1.0, np.abs(J_ref).max())
 
 
 def test_residual_model_jacobian_central_difference():
@@ -622,13 +625,32 @@ def test_residual_model_jacobian_central_difference():
     for pos in enumerate_orthopositroids(3, 7)[::25]:
         model = _ResidualModel(bridge_decomposition(pos.dperm),
                                QuadraticForm.alternating(7))
-        t = np.exp(rng.uniform(np.log(0.3), np.log(3.0), model.d))
+        s = rng.uniform(np.log(0.3), np.log(3.0), model.d)
         step = h * np.eye(model.d)
-        fd = np.stack([(model.residual(t + e) - model.residual(t - e)) / (2 * h)
+        fd = np.stack([(model.at(s + e)[0] - model.at(s - e)[0]) / (2 * h)
                        for e in step], axis=1)
-        J = model.jacobian(t)
+        J = model.at(s)[1]()
         assert np.abs(J - fd).max() <= 1e-6 * max(1.0, np.abs(J).max())
 
+
+def test_model_at_matches_a_fresh_evaluation():
+    # the Jacobian function of one point keeps its own monomials: evaluating
+    # the model elsewhere, before or after, does not change what it returns
+    rng = np.random.default_rng(13)
+    for pos in enumerate_orthopositroids(3, 7)[::20]:
+        decomp = bridge_decomposition(pos.dperm)
+        form = QuadraticForm.alternating(7)
+        model = _ResidualModel(decomp, form)
+        s, other = rng.uniform(np.log(1e-3), np.log(1e3), (2, decomp.dim))
+        F, jac = model.at(s)
+        F_other, jac_other = model.at(other)
+        J_other = jac_other()
+        J = jac()
+        F_fresh, jac_fresh = _ResidualModel(decomp, form).at(s)
+        assert np.array_equal(F, F_fresh)
+        assert np.array_equal(J, jac_fresh())
+        assert np.array_equal(J, jac())
+        assert not np.array_equal(F, F_other) and not np.array_equal(J, J_other)
 
 
 def indexed_bridge(k, n, a, b):
@@ -649,7 +671,7 @@ def coloop_vector(decomp, dtype=float):
 
 
 def indexed_model(decomp, model, t):
-    """Plucker vector, residual and Jacobian with the bridges applied as
+    """Plucker vector, residual and Jacobian in t with the bridges applied as
     indexed array updates, read off the model's quadric terms, and the
     scale of each residual and Jacobian entry: the sum of the moduli of its
     terms."""
@@ -662,12 +684,13 @@ def indexed_model(decomp, model, t):
         dp[tgt] += (t[ti] * c)[:, None] * dp[src]
         dp[tgt, ti] += c * p[src]
         p[tgt] += t[ti] * c * p[src]
-    terms = model.coef * p[model.ra] * p[model.rb]
-    r = np.bincount(model.row, terms, minlength=model.n_quadrics)
-    r_scale = np.bincount(model.row, np.abs(terms), minlength=model.n_quadrics)
-    grad = np.bincount(model.grad_index, model.grad_coef * p[model.grad_partner],
-                       minlength=model.n_quadrics * len(p))
-    G = grad.reshape(model.n_quadrics, len(p))
+    q = model.quadrics
+    terms = q.coef * p[q.ra] * p[q.rb]
+    r = np.bincount(q.row, terms, minlength=q.n_quadrics)
+    r_scale = np.bincount(q.row, np.abs(terms), minlength=q.n_quadrics)
+    grad = np.bincount(q.grad_index, q.grad_coef * p[q.grad_partner],
+                       minlength=q.n_quadrics * len(p))
+    G = grad.reshape(q.n_quadrics, len(p))
     return p, r, G @ dp, r_scale, np.abs(G) @ np.abs(dp)
 
 
@@ -707,18 +730,23 @@ def test_monomial_model_matches_indexed_updates():
     for pos in model_cells():
         decomp = bridge_decomposition(pos.dperm)
         model = _ResidualModel(decomp, QuadraticForm.alternating(pos.n))
-        # every monomial is exactly 1 at t = 1, and C is integral
-        ones = np.ones(decomp.dim)
-        p, r, J, _, _ = indexed_model(decomp, model, ones)
-        assert np.array_equal(model.plucker(ones), p)
-        assert np.array_equal(model.residual(ones), r)
-        assert np.array_equal(model.jacobian(ones), J)
-        for t in np.exp(rng.uniform(np.log(1e-3), np.log(1e3), (2, decomp.dim))):
+        # every monomial is exactly 1 at s = 0, and C is integral; there
+        # t = 1, so the Jacobians in s and in t are one matrix
+        zeros = np.zeros(decomp.dim)
+        p, r, J, _, _ = indexed_model(decomp, model, np.ones(decomp.dim))
+        F, jac = model.at(zeros)
+        assert np.array_equal(model.plucker(zeros), p)
+        assert np.array_equal(F, r)
+        assert np.array_equal(jac(), J)
+        for s in rng.uniform(np.log(1e-3), np.log(1e3), (2, decomp.dim)):
+            t = np.exp(s)
             p, r, J, r_scale, J_scale = indexed_model(decomp, model, t)
-            # no coefficient of p is negative, so p is its own scale
-            assert (np.abs(model.plucker(t) - p) <= 1e-12 * np.abs(p)).all()
-            assert (np.abs(model.residual(t) - r) <= 1e-12 * r_scale).all()
-            assert (np.abs(model.jacobian(t) - J) <= 1e-12 * J_scale).all()
+            F, jac = model.at(s)
+            # no coefficient of p is negative, so p is its own scale; the
+            # Jacobian in s is the one in t times diag(t)
+            assert (np.abs(model.plucker(s) - p) <= 1e-12 * np.abs(p)).all()
+            assert (np.abs(F - r) <= 1e-12 * r_scale).all()
+            assert (np.abs(jac() - J * t) <= 1e-12 * J_scale * t).all()
 
 
 def recomputed_cell_dim(pos, seed, tol=1e-8, cutoff=1e-4, starts=32, wanted=3):
@@ -731,17 +759,16 @@ def recomputed_cell_dim(pos, seed, tol=1e-8, cutoff=1e-4, starts=32, wanted=3):
     rng = np.random.default_rng(seed)
     outcomes = []
     for _ in range(starts):
-        x0 = np.exp(rng.uniform(np.log(0.3), np.log(3.0), d))
-        sol = least_squares(model.residual, x0, model.jacobian)
-        r = model.residual(sol.x)
+        sol = least_squares(model.at, rng.uniform(np.log(0.3), np.log(3.0), d))
+        r, jac = model.at(sol.s)
         if float(r @ r) >= tol * tol:
             continue
-        p = model.plucker(sol.x)
+        p = model.plucker(sol.s)
         basis = [abs(p[i]) for i, I in enumerate(ksubsets(pos.n, pos.k))
                  if I in pos.bases]
         if min(basis) < 1e-9 * np.abs(p).max():
             continue
-        sv = np.linalg.svd(model.jacobian(sol.x) * sol.x[None, :], compute_uv=False)
+        sv = np.linalg.svd(jac(), compute_uv=False)
         outcomes.append((d - int((sv > cutoff).sum()), float(r @ r), tuple(sv)))
         if len(outcomes) >= wanted:
             break
@@ -761,33 +788,55 @@ def test_cell_dim_reads_solution_values_from_the_solver():
 
 
 def test_solver_reaches_a_positive_zero():
-    def fun(t):
-        return np.array([t[0] * t[1] - 2, t[0] - 2 * t[1]])
+    def fun(s):
+        t = np.exp(s)
+        F = np.array([t[0] * t[1] - 2, t[0] - 2 * t[1]])
+        return F, lambda: np.array([[t[0] * t[1], t[0] * t[1]], [t[0], -2 * t[1]]])
 
-    def jac(t):
-        return np.array([[t[1], t[0]], [1.0, -2.0]])
-
-    sol = least_squares(fun, np.array([0.5, 3.0]), jac)
+    sol = least_squares(fun, np.log([0.5, 3.0]))
     assert sol.success and float(sol.fun @ sol.fun) < LM_SSQ_STOP
-    assert np.allclose(sol.x, [2.0, 1.0])
-    assert ((LM_BOUNDS[0] <= sol.x) & (sol.x <= LM_BOUNDS[1])).all()
-    # the values at x, as the model returns them there
-    assert np.array_equal(sol.fun, fun(sol.x))
-    assert np.array_equal(sol.jac, jac(sol.x))
+    assert np.allclose(np.exp(sol.s), [2.0, 1.0])
+    assert ((np.log(LM_BOUNDS[0]) <= sol.s) & (sol.s <= np.log(LM_BOUNDS[1]))).all()
+    # the values at s, as the model returns them there
+    F, jac = fun(sol.s)
+    assert np.array_equal(sol.fun, F)
+    assert np.array_equal(sol.jac, jac())
+
+
+def test_solver_returns_the_values_of_its_last_accepted_point():
+    # every trial after the start meets a non-finite residual and is
+    # rejected; each evaluation's Jacobian is its call number, so a
+    # solver that kept the last trial's Jacobian returns another matrix
+    calls = []
+
+    def fun(s):
+        calls.append(s)
+        F = np.array([1.0]) if len(calls) == 1 else np.array([np.nan])
+        J = np.array([[float(len(calls))]])
+        return F, lambda: J
+
+    s0 = np.array([0.0])
+    sol = least_squares(fun, s0)
+    assert sol.nfev == len(calls) > 1 and not sol.success
+    assert any(not np.array_equal(s, s0) for s in calls[1:])
+    assert np.array_equal(sol.s, s0)
+    assert np.array_equal(sol.fun, [1.0]) and np.array_equal(sol.jac, [[1.0]])
 
 
 def test_solver_keeps_to_its_box_when_the_zero_lies_beyond_it():
     lo, hi = LM_BOUNDS
     seen = []
 
-    def fun(t):
+    def fun(s):
+        t = np.exp(s)
         seen.append(t[0])
-        return t - 1e4
+        return t - 1e4, lambda: t[:, None]
 
-    sol = least_squares(fun, np.ones(1), lambda t: np.ones((1, 1)))
+    sol = least_squares(fun, np.zeros(1))
+    t = np.exp(sol.s[0])
     assert not sol.success
-    assert lo <= sol.x[0] <= hi
-    assert sol.x[0] > 0.999 * hi  # up against the face nearest the zero
+    assert np.log(lo) <= sol.s[0] <= np.log(hi)
+    assert t > 0.999 * hi  # up against the face nearest the zero
     assert all(lo <= t <= hi for t in seen) and len(seen) == sol.nfev
     # the undamped first step leaves the box: it is rejected and damped
     # until it fits, not cut back to the face
@@ -797,25 +846,26 @@ def test_solver_keeps_to_its_box_when_the_zero_lies_beyond_it():
 def test_solver_rejects_a_non_finite_trial_residual():
     blown = []
 
-    def fun(t):
+    def fun(s):
+        t = np.exp(s)
         if t[0] > 5:
             blown.append(t[0])
-            return np.array([np.nan])
-        return t - 2.0
+            return np.array([np.nan]), lambda: t[:, None]
+        return t - 2.0, lambda: t[:, None]
 
-    sol = least_squares(fun, np.array([0.5]), lambda t: np.ones((1, 1)))
+    sol = least_squares(fun, np.log([0.5]))
     assert blown  # the first trial step overshoots into the nan region
     assert sol.success and np.isfinite(sol.fun).all()
-    assert np.isclose(sol.x[0], 2.0)
+    assert np.isclose(np.exp(sol.s[0]), 2.0)
 
 
 def test_solver_returns_its_start_when_every_system_is_singular():
     # a zero Jacobian starts mu at 0 and keeps it there, so every trial
     # system is singular: its nan step must fail the box test untried
-    x0 = np.array([0.5, 2.0])
-    sol = least_squares(lambda t: np.array([1.0, t[0] - t[1]]), x0,
-                        lambda t: np.zeros((2, 2)))
-    assert np.array_equal(sol.x, x0)
+    s0 = np.log([0.5, 2.0])
+    sol = least_squares(lambda s: (np.array([1.0, s[0] - s[1]]), lambda: np.zeros((2, 2))),
+                        s0)
+    assert np.array_equal(sol.s, s0)
     assert sol.nfev == 1 and not sol.success
 
 
@@ -859,9 +909,13 @@ def test_a_flipped_bridge_sign_fails_before_any_solve(flip, monkeypatch):
 
 
 def test_cell_dim_lets_solver_errors_escape(monkeypatch):
-    jacobian = _ResidualModel.jacobian
-    monkeypatch.setattr(_ResidualModel, "jacobian",
-                        lambda self, t: jacobian(self, t)[:, 1:])
+    at = _ResidualModel.at
+
+    def narrowed(self, s):
+        F, jac = at(self, s)
+        return F, lambda: jac()[:, 1:]
+
+    monkeypatch.setattr(_ResidualModel, "at", narrowed)
     with pytest.raises(ValueError):
         cell_dim_in_ogr_numeric(Positroid.from_dperm(top_cell_dperm(2, 4)))
 
