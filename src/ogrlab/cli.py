@@ -14,9 +14,9 @@ import os
 import random
 import sys
 
-from . import ideal_gens, ogr1, orthopositroids, parity_duality, weyl
+from . import ideal_gens, limits, ogr1, orthopositroids, parity_duality, weyl
 from .errors import InputError, InternalInvariantError
-from .exact_core import binom, fraction_str
+from .exact_core import fraction_str
 from .forms_points import (
     QuadraticForm,
     hodge_failures,
@@ -86,6 +86,7 @@ def _poly_payload(poly) -> dict:
 # ---------------------------------------------------------------------------
 
 def _cmd_equations(args, out) -> int:
+    limits.require(limits.SPAN, args.k, args.n)
     form = _parse_form(args.form, args.n)
     plucker = ideal_gens.plucker_relations(args.k, args.n)
     orth = ideal_gens.orthogonality_relations(args.k, args.n, form)
@@ -152,6 +153,7 @@ def _cmd_ogr1_cells(args, out) -> int:
 
 
 def _cmd_ogr1_sample(args, out) -> int:
+    limits.require(limits.OGR1_SAMPLE, 1, args.n)
     cell = ogr1.make_cell(_parse_list(args.A), _parse_list(args.B), args.n)
     us = _parse_list(args.params, Fraction)
     vs = _parse_list(args.params_b, Fraction)
@@ -166,6 +168,7 @@ def _cmd_ogr1_sample(args, out) -> int:
 
 
 def _cmd_ogr1_canonical(args, out) -> int:
+    limits.require(limits.OGR1_CANONICAL, 1, args.n)
     checks = [ogr1.residue_check(args.n, i, seed=args.seed + i)
               for i in range(2, args.n + 1)]
     pts = ogr1.interior_points(args.n, args.seed)
@@ -183,66 +186,9 @@ def _cmd_ogr1_canonical(args, out) -> int:
     return 0 if payload["ok"] else 1
 
 
-# hodge-check takes the C(n, k) minors of order n - k of the complement, and
-# C(n, k - 1) caps k near n, where its count's cost fit runs low.  (6,12)
-# has the most k-subsets, C(12, 6).
-HODGE_MAX_SUBSETS = 924
-HODGE_MAX_N = 24
-
-
-def _require_hodge_scale(k: int, n: int) -> None:
-    """Refuse, before the first minor, a (k, n) whose points hodge-check
-    does not build.  n is tested first: C(n, k) of a huge n is slow itself."""
-    if n > HODGE_MAX_N or max((binom(n, j) for j in (k - 1, k) if 0 <= j <= n),
-                              default=0) > HODGE_MAX_SUBSETS:
-        raise InputError(
-            f"hodge-check builds points for n <= {HODGE_MAX_N} with C(n, k) and "
-            f"C(n, k-1) at most {HODGE_MAX_SUBSETS}; got (k, n) = ({k}, {n})"
-        )
-
-
-# A sample point takes about C(n, k) (k^3 + 20 k) + n^3 / 3 + 5000 us: the
-# maximal minors of the sampled matrix and of its cocircuit matrix in the
-# isotropy check, then the n x n change of basis (fitted over 142 sizes per
-# field on a 2-vCPU VM; above 0.3 s it reads 0.9 to 1.5 times the cost of
-# the slower Gaussian field with the standard form).  phi-map's point is
-# the sample at (k + 1, 2k + 2).  An admitted point takes at most about 1.5 s.
-SAMPLE_MAX_COST = 1_500_000
-
-
-def _require_sample_scale(k: int, n: int) -> None:
-    """Refuse, before the first minor, a sample point whose estimated cost
-    passes SAMPLE_MAX_COST.  A k outside [0, n] costs nothing here: the
-    sampler refuses it."""
-    cost = max(n, 0) ** 3 // 3 + 5000
-    if 0 <= k <= n and cost <= SAMPLE_MAX_COST:  # C(n, k) of a huge n is slow itself
-        cost += binom(n, k) * (k ** 3 + 20 * k)
-    if cost > SAMPLE_MAX_COST:
-        raise InputError(
-            f"a sample point is built when its estimated cost, C(n, k)(k^3 + 20k) "
-            f"+ n^3/3 + 5000 us, is at most {SAMPLE_MAX_COST} us; got (k, n) = ({k}, {n})"
-        )
-
-
-# A hodge-check point takes about C(n, k) (k^2 + (n - k)^2) + 8 k^3 + 300 us
-# (fitted over 22 sizes, 2-vCPU VM: the maximal minors of the sampled matrix
-# and of its complement, then fixed costs); a run stays near a minute.
-HODGE_MAX_COUNT = 10_000
-HODGE_MAX_COST = 40_000_000
-
-
-def _hodge_max_count(k: int, n: int) -> int:
-    cost = binom(n, k) * (k * k + (n - k) ** 2) + 8 * k ** 3 + 300
-    return min(HODGE_MAX_COUNT, HODGE_MAX_COST // cost)
-
-
 def _cmd_hodge_check(args, out) -> int:
-    if not 0 <= args.k <= args.n:
-        raise InputError("need 0 <= k <= n")
-    _require_hodge_scale(args.k, args.n)
-    limit = _hodge_max_count(args.k, args.n)
-    if not 0 <= args.count <= limit:
-        raise InputError(f"--count must lie in [0, {limit}] at ({args.k}, {args.n})")
+    limits.require(limits.HODGE, args.k, args.n)
+    limits.require_count(args.k, args.n, args.count)
     bad = hodge_failures(args.k, args.n, args.count, random.Random(args.seed))
     payload = {"k": args.k, "n": args.n, "count": args.count, "failures": bad,
                "ok": bad == 0}
@@ -251,7 +197,7 @@ def _cmd_hodge_check(args, out) -> int:
 
 
 def _cmd_phi_map(args, out) -> int:
-    _require_sample_scale(args.k + 1, 2 * args.k + 2)  # the sampled point
+    limits.require(limits.SAMPLE, args.k + 1, 2 * args.k + 2)  # the sampled point
     q = sample_isotropic_component(args.k + 1, seed=args.seed).plucker()
     p = parity_duality.phi_map(q)
     payload = {
@@ -329,6 +275,7 @@ def _parse_bases(text: str, k: int, n: int) -> frozenset:
 
 
 def _cmd_ortho_test(args, out) -> int:
+    limits.require(limits.POSITROID, args.k, args.n)
     if args.bases is not None and args.perm is not None:
         raise InputError("give --bases or --perm, not both")
     if args.coloops is not None and args.perm is None:
@@ -370,7 +317,7 @@ def _cmd_ortho_dims(args, out) -> int:
 
 
 def _cmd_sample(args, out) -> int:
-    _require_sample_scale(args.k, args.n)
+    limits.require(limits.SAMPLE, args.k, args.n)
     form = _parse_form(args.form, args.n)
     sub = sample_isotropic(args.k, args.n, form, args.seed, field=args.field)
     p = sub.plucker()
@@ -413,7 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, k=True, n=True, form=False, seed=False, formats=("json", "text")):
+    def command(parent, name, func, k=True, n=True, form=False, seed=False,
+                formats=("json", "text"), **kwargs):
+        p = parent.add_parser(name, **kwargs)
         if k:
             p.add_argument("--k", type=int, required=True)
         if n:
@@ -423,76 +372,49 @@ def build_parser() -> argparse.ArgumentParser:
         if seed:
             p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", default="json", choices=formats)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("equations", help="defining quadrics")
-    common(p, form=True)
-    p.set_defaults(func=_cmd_equations)
-
-    p = sub.add_parser("straighten", help="straightening-law quadrics")
-    common(p)
+    command(sub, "equations", _cmd_equations, form=True, help="defining quadrics")
+    p = command(sub, "straighten", _cmd_straighten, help="straightening-law quadrics")
     p.add_argument("--family", default="both", choices=["mu", "lambda", "both"])
-    p.set_defaults(func=_cmd_straighten)
-
-    p = sub.add_parser("groebner-check", help="exact degree-2 verification")
-    common(p)
-    p.set_defaults(func=_cmd_groebner_check)
-
+    command(sub, "groebner-check", _cmd_groebner_check, help="exact degree-2 verification")
     for name in ("degree", "hilbert"):
-        p = sub.add_parser(name, help="dimension, degree and Hilbert polynomial")
-        common(p)
-        p.set_defaults(func=_cmd_degree)
+        command(sub, name, _cmd_degree, help="dimension, degree and Hilbert polynomial")
 
     p = sub.add_parser("ogr1", help="line-case cell structure")
     og = p.add_subparsers(dest="subcommand", required=True)
-    q = og.add_parser("cells")
-    common(q, k=False)
-    q.set_defaults(func=_cmd_ogr1_cells)
-    q = og.add_parser("sample")
-    common(q, k=False)
+    command(og, "cells", _cmd_ogr1_cells, k=False)
+    q = command(og, "sample", _cmd_ogr1_sample, k=False)
     q.add_argument("--A", required=True, help="odd support, comma separated")
     q.add_argument("--B", required=True, help="even support, comma separated")
     q.add_argument("--params", default="", help="rationals > 1 for the odd sphere")
     q.add_argument("--params-b", default="", help="rationals > 1 for the even sphere")
-    q.set_defaults(func=_cmd_ogr1_sample)
-    q = og.add_parser("canonical")
-    common(q, k=False, seed=True)
-    q.set_defaults(func=_cmd_ogr1_canonical)
+    command(og, "canonical", _cmd_ogr1_canonical, k=False, seed=True)
 
-    p = sub.add_parser("hodge-check", help="complement coordinates match complements")
-    common(p, seed=True)
+    p = command(sub, "hodge-check", _cmd_hodge_check, seed=True,
+                help="complement coordinates match complements")
     p.add_argument("--count", type=int, default=100)
-    p.set_defaults(func=_cmd_hodge_check)
-
-    p = sub.add_parser("phi-map", help="restrict an even-case sample to the odd case")
-    common(p, n=False, seed=True)
-    p.set_defaults(func=_cmd_phi_map)
+    command(sub, "phi-map", _cmd_phi_map, n=False, seed=True,
+            help="restrict an even-case sample to the odd case")
 
     p = sub.add_parser("matchings", help="matching combinatorics")
     mm = p.add_subparsers(dest="subcommand", required=True)
-    q = mm.add_parser("map")
-    common(q, n=False)
-    q.set_defaults(func=_cmd_matchings_map)
+    command(mm, "map", _cmd_matchings_map, n=False)
 
     p = sub.add_parser("orthopositroids", help="enumeration and dimensions")
     oo = p.add_subparsers(dest="subcommand", required=True)
-    q = oo.add_parser("enumerate")
-    common(q, seed=True, formats=("json", "csv", "text"))
+    q = command(oo, "enumerate", _cmd_ortho_enumerate, seed=True, formats=("json", "csv", "text"))
     q.add_argument("--dims", action="store_true")
-    q.set_defaults(func=_cmd_ortho_enumerate)
-    q = oo.add_parser("test")
-    common(q)
+    q = command(oo, "test", _cmd_ortho_test)
     q.add_argument("--bases", help="comma-separated index strings, e.g. 12,13,24,34")
     q.add_argument("--perm", help="one-line permutation, comma separated")
     q.add_argument("--coloops", help="minus-decorated fixed points")
-    q.set_defaults(func=_cmd_ortho_test)
-    q = oo.add_parser("dims")
-    common(q, seed=True)
-    q.set_defaults(func=_cmd_ortho_dims)
+    command(oo, "dims", _cmd_ortho_dims, seed=True)
 
-    p = sub.add_parser("sample", help="exact random isotropic subspace")
-    common(p, form=True, seed=True)
+    p = command(sub, "sample", _cmd_sample, form=True, seed=True,
+                help="exact random isotropic subspace")
     p.add_argument("--field", default="rational", choices=["rational", "gaussian"])
-    p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
     p.add_argument("--fast", action="store_true",

@@ -29,6 +29,7 @@ from .exact_core import (
     subset_mask,
 )
 from .forms_points import PluckerVector, QuadraticForm
+from .limits import SPAN, require
 from .posets import (
     count_standard_monomials,
     linear_extension,
@@ -267,23 +268,6 @@ def _rank_pair(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
 
 
-# The degree-2 layer holds C(n, k)(C(n, k) + 1)/2 monomials and builds
-# C(n, k - 1)^2 / 2 orthogonality quadrics; both counts stay below about
-# 22,000 when C(n, k) and C(n, k - 1) are at most 210, as at (4, 10).
-SPAN_MAX_SUBSETS = 210
-
-
-def _require_span_scale(k: int, n: int) -> None:
-    """Refuse, before any work, a (k, n) the degree-2 layer does not build."""
-    if not 1 <= k <= n:
-        raise InputError("need 1 <= k <= n")
-    if max(binom(n, k), binom(n, k - 1)) > SPAN_MAX_SUBSETS:
-        raise InputError(
-            f"C(n, k) and C(n, k-1) must be at most {SPAN_MAX_SUBSETS} "
-            f"for the degree-2 quadrics, got {binom(n, k)} and {binom(n, k - 1)}"
-        )
-
-
 @lru_cache(maxsize=None)
 def plucker_relations(k: int, n: int) -> tuple[Polynomial, ...]:
     """Three-term shuffle quadrics of the Grassmannian, one per relation.
@@ -299,7 +283,7 @@ def plucker_relations(k: int, n: int) -> tuple[Polynomial, ...]:
     The bracket of the word I, j_t is eps(I, j_t) p_{I+j_t}, with the sign
     read off signed_extensions; I and J are compared on bitmasks.
     """
-    _require_span_scale(k, n)
+    require(SPAN, k, n)
     rank = colex_mask_ranks(n, k)
     bigs = [(subset_mask(J), [(t, jt, 1 << jt) for t, jt in enumerate(J)])
             for J in ksubsets(n, k + 1)]
@@ -505,7 +489,7 @@ def straightening_mu_canonical(I, J, n: int) -> tuple[tuple, tuple, Polynomial]:
 def all_straightening_mu(k: int, n: int) -> tuple[tuple[tuple, tuple, Polynomial], ...]:
     """straightening_mu_canonical of each incomparable Young pair.  Cached:
     callers share the quadrics and must not change them."""
-    _require_span_scale(k, n)
+    require(SPAN, k, n)
     return tuple(
         straightening_mu_canonical(I, J, n) for I, J in young_incomparable_pairs(k, n)
     )
@@ -515,7 +499,7 @@ def all_straightening_mu(k: int, n: int) -> tuple[tuple[tuple, tuple, Polynomial
 def all_straightening_lambda(k: int, n: int) -> tuple[tuple[tuple, tuple, Polynomial], ...]:
     """straightening_lambda of each mixed incomparable pair.  Cached:
     callers share the quadrics and must not change them."""
-    _require_span_scale(k, n)
+    require(SPAN, k, n)
     return tuple(
         (I, Jp, straightening_lambda(I, Jp, n))
         for I, Jp in mixed_incomparable_pairs(k, n)
@@ -682,7 +666,7 @@ def groebner_degree2_check(k: int, n: int) -> dict:
     span matches the monomial count minus the standard count; (c) the
     standard count matches the graded dimension from the root system.
     """
-    _require_span_scale(k, n)
+    require(SPAN, k, n)
     if n <= 2 * k:
         raise InputError("degree-2 check requires n > 2k")
     mus = all_straightening_mu(k, n)

@@ -17,6 +17,7 @@ from .errors import InputError, PoleError
 from .exact_core import binom
 from .forms_points import PluckerVector, QuadraticForm
 from .ideal_gens import orthogonality_relations
+from .limits import OGR1_CELLS, require
 
 
 @dataclass(frozen=True)
@@ -46,8 +47,7 @@ def cells(n: int) -> list[Cell1]:
     """All (2^p - 1)(2^q - 1) cells, p odd coordinates and q even ones."""
     if n < 2:
         raise InputError("need n >= 2")
-    if n > 12:
-        raise InputError("cells are listed at desk scale: n <= 12 (3969 of them)")
+    require(OGR1_CELLS, 1, n)
     odds = tuple(range(1, n + 1, 2))
     evens = tuple(range(2, n + 1, 2))
     return [
@@ -83,11 +83,9 @@ def closure_cells(cell: Cell1) -> list[Cell1]:
 
 def face_vector(n: int) -> list[int]:
     """Cell counts by dimension 0 .. n-2."""
-    p = (n + 1) // 2
-    q = n // 2
-    top = p + q - 2
-    out = [0] * (top + 1)
-    for c in cells(n):
+    cs = cells(n)
+    out = [0] * (n - 1)
+    for c in cs:
         out[c.dimension] += 1
     return out
 

@@ -36,6 +36,7 @@ from .forms_points import (
     is_totally_nonnegative,
 )
 from .ideal_gens import orthogonality_relations
+from .limits import ENUMERATION, POSITROID, SWEEP, require
 
 
 # ---------------------------------------------------------------------------
@@ -106,21 +107,14 @@ def _necklace_masks(dp: DecoratedPermutation) -> tuple[int, list[int]]:
     return k, out
 
 
-def _require_desk_scale(k: int, n: int) -> None:
-    """Oh's rule ANDs bitmasks over the C(n, k) colex ranks and the pair
-    table grows like C(n, k - 1)^2; refuse sizes where that is not small."""
-    if 0 <= k <= n and binom(n, k) > 70:
-        raise InputError("positroids are desk-scale: C(n, k) <= 70")
-
-
 @lru_cache(maxsize=None)
 def _gale_upsets(k: int, n: int) -> tuple[dict[int, int], ...]:
     """Entry a - 1 maps the subset_mask of each k-subset I to the bitmask
     over the colex ranks of ksubsets(n, k) of the B with I <= B in the Gale
     order of the cyclic order a < a + 1 < ... < a - 1: the B with at most as
     many elements as I in every initial segment of that order.  Refuses
-    sizes past the desk scale before building."""
-    _require_desk_scale(k, n)
+    sizes past limits.POSITROID before building."""
+    require(POSITROID, k, n)
     masks = [subset_mask(B) for B in ksubsets(n, k)]
     table = []
     for a in range(1, n + 1):
@@ -182,8 +176,9 @@ class Positroid:
         are the AND of the Gale up-sets of the necklace entries."""
         k, entries = _necklace_masks(dp)
         n = dp.n
+        upsets = _gale_upsets(k, n)  # refuses a size past limits.POSITROID before the mask
         mask = (1 << binom(n, k)) - 1
-        for up, entry in zip(_gale_upsets(k, n), entries):
+        for up, entry in zip(upsets, entries):
             mask &= up[entry]
         return cls(k, n, dp, mask)
 
@@ -192,7 +187,7 @@ class Positroid:
         """The positroid with these bases: I_a is the basis below every
         basis in the cyclic Gale order starting at a, the decorated
         permutation is read off that necklace, and Oh's rule must give the
-        bases back.  Refuses sizes past the desk scale before reading."""
+        bases back.  Refuses sizes past limits.POSITROID before reading."""
         upsets = _gale_upsets(k, n)
         ranks = colex_ranks(n, k)
         bs = {tuple(sorted(b)) for b in bases}
@@ -252,9 +247,7 @@ def enumerate_decorated_permutations(k: int, n: int) -> list[DecoratedPermutatio
 @lru_cache(maxsize=None)
 def enumerate_positroids(k: int, n: int) -> tuple[Positroid, ...]:
     """One positroid per decorated permutation of the given type."""
-    if n > 10:
-        raise InputError("enumeration scans all n! permutations: n <= 10")
-    _require_desk_scale(k, n)
+    require(ENUMERATION, k, n)
     return tuple(
         Positroid.from_dperm(dp) for dp in enumerate_decorated_permutations(k, n)
     )
@@ -274,7 +267,7 @@ def a_sets(bases, I, J, n: int):
     if len(I) != len(J):
         raise SizeMismatchError("need equal-size subsets")
     k = len(I) + 1
-    packing = _packing(k, n)  # refuses a size past the desk scale
+    packing = _packing(k, n)  # refuses a size past limits.POSITROID
     rank = colex_ranks(n, k - 1)
     if I not in rank or J not in rank:
         raise InputError(f"{I} and {J} must be sorted {k - 1}-subsets of [1, {n}]")
@@ -355,9 +348,9 @@ def _packing(k: int, n: int) -> _Packing:
 def _build_packing(k: int, n: int) -> _Packing:
     """Each basis B sets bit l of ext[r] for each facet B - l of colex rank
     r, and each pair (I, J) sets its signs, both read off signed_extensions
-    (backwards for the facets).  Refuses sizes past the desk scale before
+    (backwards for the facets).  Refuses sizes past limits.POSITROID before
     building."""
-    _require_desk_scale(k, n)
+    require(POSITROID, k, n)
     width = n + 2
     omega = QuadraticForm.alternating(n).diag
     exts = signed_extensions(n, k - 1)
@@ -796,12 +789,7 @@ def dims_report(k: int, n: int, seed: int = 0, **pinned) -> dict:
         if key not in _PINNED or value != _PINNED[key]:
             raise InputError(f"{key}={value!r}: the sweep runs only at its "
                              f"pinned settings {_PINNED}")
-    # (3,7), the largest admitted size with cells ((4,7) has none), sweeps
-    # its 105 cells in 1.13 to 1.16 s of CPU time (three runs on a 2-vCPU
-    # VM, one BLAS thread)
-    if not 1 <= k <= n <= 2 * k + 2 or binom(n, k) > 35:
-        raise InputError("the dimension sweep is desk-scale: "
-                         "1 <= k <= n <= 2k + 2 and C(n, k) <= 35")
+    require(SWEEP, k, n)
     if seed < 0:
         raise InputError("the sweep needs a non-negative seed")
     cells = sorted(enumerate_orthopositroids(k, n), key=lambda p: p.sort_key())

@@ -12,6 +12,7 @@ from __future__ import annotations
 from .errors import InputError, NotAPointError
 from .exact_core import ksubsets
 from .forms_points import PluckerVector, QuadraticForm, component_of, is_isotropic
+from .limits import BIJECTION, MATCHINGS, require
 
 
 # ---------------------------------------------------------------------------
@@ -78,8 +79,7 @@ def all_matchings(m: int) -> list[frozenset]:
     """All perfect matchings of [1, m] (m even), each a frozenset of chords."""
     if m % 2:
         raise InputError("perfect matchings need an even ground set")
-    if m > 12:
-        raise InputError("matchings are listed at desk scale: m <= 12 (10395 of them)")
+    require(MATCHINGS, m // 2, m)
 
     def rec(items):
         if not items:
@@ -194,8 +194,7 @@ def matching_to_permutation_via_contraction(matching, k: int):
 def admissible_bijection_check(k: int) -> dict:
     """Map every matching on [2k+2]; report injectivity, image size, and
     agreement between the chord route and the contraction route."""
-    if k > 3:
-        raise InputError("exhaustive check is desk-scale: k <= 3")
+    require(BIJECTION, k + 1, 2 * k + 2)
     matchings = all_matchings(2 * k + 2)
     images = {}
     routes_agree = True

@@ -9,56 +9,25 @@ arithmetic and asserted integral.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import EmptinessError, InputError, InternalInvariantError
 from .exact_core import binom
-
-
-@dataclass(frozen=True)
-class RootSystemData:
-    """Positive roots of SO(n) with the half-sum vector, on the rank-m torus."""
-
-    n: int
-    m: int
-    positive_roots: tuple[tuple[int, ...], ...]
-    two_rho: tuple[int, ...]
-
-    @classmethod
-    def build(cls, n: int) -> "RootSystemData":
-        if n < 2:
-            raise InputError("need n >= 2")
-        m = n // 2
-        roots = []
-        for i in range(m):
-            for j in range(i + 1, m):
-                minus = [0] * m
-                plus = [0] * m
-                minus[i], minus[j] = 1, -1
-                plus[i], plus[j] = 1, 1
-                roots.append(tuple(minus))
-                roots.append(tuple(plus))
-        if n % 2 == 1:
-            for i in range(m):
-                e = [0] * m
-                e[i] = 1
-                roots.append(tuple(e))
-        if n % 2 == 0:
-            two_rho = tuple(2 * (m - 1 - i) for i in range(m))
-            expected = m * (m - 1)
-        else:
-            two_rho = tuple(2 * (m - i) - 1 for i in range(m))
-            expected = m * m
-        if len(roots) != expected:
-            raise InternalInvariantError("positive root count is off")
-        return cls(n=n, m=m, positive_roots=tuple(roots), two_rho=two_rho)
+from .limits import DEGREE, require
 
 
 @lru_cache(maxsize=None)
-def _root_data(n: int) -> RootSystemData:
-    return RootSystemData.build(n)
+def _root_data(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, int, int], ...]]:
+    """2 rho (2 rho_i = n - 2 - 2i) and the positive roots e_i + s e_j of SO(n), rank
+    m = n // 2, as (i, j, s): e_i - e_j, e_i + e_j for i < j, then e_i as (i, i, 0)
+    for odd n."""
+    if n < 2:
+        raise InputError("need n >= 2")
+    m = n // 2
+    roots = [(i, j, s) for i in range(m) for j in range(i + 1, m) for s in (-1, 1)]
+    roots += [(i, i, 0) for i in range(m)] if n % 2 else []
+    return tuple(n - 2 - 2 * i for i in range(m)), tuple(roots)
 
 
 def _slopes(k: int, n: int) -> list[Fraction]:
@@ -67,18 +36,16 @@ def _slopes(k: int, n: int) -> list[Fraction]:
     lambda = e_1 + ... + e_k.  Each ratio c contributes a linear factor
     (1 + c*l) to the graded dimension.
     """
-    data = _root_data(n)
+    two_rho, roots = _root_data(n)
     if k < 0:
         raise InputError(f"k={k} is negative")
-    if k > data.m:
-        raise InputError(f"k={k} exceeds the rank {data.m} of SO({n})")
+    if k > len(two_rho):
+        raise InputError(f"k={k} exceeds the rank {len(two_rho)} of SO({n})")
     out = []
-    for alpha in data.positive_roots:
-        lam = sum(alpha[:k])
-        if lam == 0:
-            continue
-        rho = sum(w * a for w, a in zip(data.two_rho, alpha))
-        out.append(Fraction(2 * lam, rho))
+    for i, j, s in roots:
+        lam = (i < k) + s * (j < k)
+        if lam:
+            out.append(Fraction(2 * lam, two_rho[i] + s * two_rho[j]))
     return out
 
 
@@ -159,6 +126,7 @@ def ogr_degree(k: int, n: int) -> int:
 
 def degree_report(k: int, n: int) -> dict:
     """Machine-readable dimension/degree/Hilbert summary used by the CLI."""
+    require(DEGREE, k, n)
     hp = hilbert_polynomial(k, n)
     return {
         "k": k,

@@ -5,12 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import time
 from itertools import combinations
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ogrlab
 from ogrlab import acceptance, cli, ideal_gens, orthopositroids
@@ -196,6 +197,17 @@ TOP_CELL_15_30 = ",".join(str((i + 14) % 30 + 1) for i in range(1, 31))
     "hodge-check --k 24 --n 24 --count 359",
     "hodge-check --k -1 --n 5 --count 1",
     "hodge-check --k 6 --n 5 --count 1",
+    "equations --k 3 --n 1000000000000",
+    "degree --k 14 --n 60",
+    "degree --k 3 --n 200",
+    "hilbert --k 1 --n 379",
+    "degree --k 1 --n 2000",
+    "degree --k 20 --n 100",
+    "ogr1 canonical --n 951",
+    "ogr1 canonical --n 1000",
+    "ogr1 sample --n 961 --A 1 --B 2",
+    "ogr1 sample --n 1000000000000 --A 1 --B 2",
+    "orthopositroids test --k 0 --n 71 --perm " + ",".join(map(str, range(1, 72))),
 ])
 def test_refused_up_front(command, capsys):
     assert main(command.split()) == 2
@@ -226,6 +238,59 @@ def test_sample_refusal_names_its_bound(command, size, capsys):
         f"got (k, n) = {size}\n")
 
 
+# every subcommand that takes a size; phi-map and matchings map take k only
+SIZED_COMMANDS = [
+    "equations --k {k} --n {n} --form standard", "straighten --k {k} --n {n}",
+    "straighten --k {k} --n {n} --family mu", "groebner-check --k {k} --n {n}",
+    "degree --k {k} --n {n}", "hilbert --k {k} --n {n}", "sample --k {k} --n {n}",
+    "sample --k {k} --n {n} --field gaussian --form standard",
+    "hodge-check --k {k} --n {n} --count 1", "phi-map --k {n}", "matchings map --k {n}",
+    "ogr1 cells --n {n}", "ogr1 sample --n {n} --A 1 --B 2", "ogr1 canonical --n {n}",
+    "orthopositroids enumerate --k {k} --n {n}",
+    "orthopositroids enumerate --k {k} --n {n} --dims", "orthopositroids dims --k {k} --n {n}",
+    "orthopositroids test --k {k} --n {n} --perm 2,1",
+    "orthopositroids test --k {k} --n {n} --bases 12",
+]
+
+
+# n past every rule's largest n (ogr1 sample's 960 is the largest), k
+# anywhere in [0, n] or just outside it
+HUGE_SIZES = st.integers(961, 10 ** 12).flatmap(lambda n: st.tuples(
+    st.one_of(st.integers(-2, 3), st.integers(0, n), st.just(n // 2), st.just(n)), st.just(n)))
+
+
+@pytest.mark.parametrize("command", SIZED_COMMANDS)
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(size=HUGE_SIZES)
+@example(size=(500_000, 1_000_000))  # C(n, k) alone takes about 9 s here
+@example(size=(3, 10 ** 12))
+def test_huge_sizes_are_refused_at_once(command, size):
+    k, n = size
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(command.format(k=k, n=n).split())
+    assert time.perf_counter() - start < 1
+    assert code == 2 and not out.getvalue()
+    assert err.getvalue().startswith("input error:"), err.getvalue()
+
+
+def _parsed(*args):
+    raise AssertionError("the command parsed its flags before its size rule")
+
+
+@pytest.mark.parametrize("command", [
+    "equations --k 3 --n 1000000000000", "sample --k 3 --n 1000000000000",
+    "ogr1 sample --n 1000000000000 --A 1 --B 2 --params 2",
+])
+def test_size_rule_precedes_parsing(command, capsys):
+    # equations built its n-entry form first and ran past 45 s at this size
+    with mock.patch.object(cli, "_parse_form", _parsed), \
+            mock.patch.object(cli, "_parse_list", _parsed):
+        assert main(command.split()) == 2
+    assert capsys.readouterr().err.startswith("input error:")
+
+
 def test_phi_map_refuses_k_0_as_the_isotropy_check_does(capsys):
     assert main(["phi-map", "--k", "0"]) == 2
     assert capsys.readouterr().err == "input error: need 1 <= k <= n\n"
@@ -234,7 +299,8 @@ def test_phi_map_refuses_k_0_as_the_isotropy_check_does(capsys):
 @pytest.mark.parametrize("command,message", [
     ("sample --k 0 --n 3", "need 1 <= k <= n"),
     ("orthopositroids dims --k 0 --n 2",
-     "the dimension sweep is desk-scale: 1 <= k <= n <= 2k + 2 and C(n, k) <= 35"),
+     "the dimension sweep runs for 1 <= k <= n <= 2k + 2, n <= 10, with C(n, k) "
+     "at most 35; got (k, n) = (0, 2)"),
 ])
 def test_k_0_is_refused_by_its_bound(command, message, monkeypatch, capsys):
     monkeypatch.setattr(orthopositroids, "enumerate_orthopositroids", _sweep_started)

@@ -4,7 +4,7 @@ import pytest
 
 from ogrlab.errors import EmptinessError, InputError
 from ogrlab.weyl import (
-    RootSystemData,
+    _root_data,
     degree_report,
     hilbert_polynomial,
     ogr_degree,
@@ -15,8 +15,8 @@ from ogrlab.weyl import (
 
 
 def test_positive_root_counts():
-    assert len(RootSystemData.build(6).positive_roots) == 6  # D3: m(m-1)
-    assert len(RootSystemData.build(7).positive_roots) == 9  # B3: m^2
+    assert len(_root_data(6)[1]) == 6  # D3: m(m-1)
+    assert len(_root_data(7)[1]) == 9  # B3: m^2
 
 
 def test_weyl_dim_values():
