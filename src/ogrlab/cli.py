@@ -154,6 +154,7 @@ def _cmd_ogr1_cells(args, out) -> int:
 
 def _cmd_ogr1_sample(args, out) -> int:
     limits.require(limits.OGR1_SAMPLE, 1, args.n)
+    limits.require_params(args.params, args.params_b)
     cell = ogr1.make_cell(_parse_list(args.A), _parse_list(args.B), args.n)
     us = _parse_list(args.params, Fraction)
     vs = _parse_list(args.params_b, Fraction)
@@ -164,7 +165,7 @@ def _cmd_ogr1_sample(args, out) -> int:
         "quadric_residual": fraction_str(ogr1.quadric_residual(point)),
     }
     _emit(payload, args.format, out)
-    return 0
+    return 0 if payload["quadric_residual"] == "0" else 1
 
 
 def _cmd_ogr1_canonical(args, out) -> int:

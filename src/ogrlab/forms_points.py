@@ -121,15 +121,13 @@ class PluckerVector:
 
         Returns (D, re, im, gaussian).  re and im are lists over the colex
         ranks of the k-subsets, holding the integer real and imaginary parts
-        of D times each coordinate; one more slot, at rank C(n, k), holds
-        D itself, the value of the constant 1, so a monomial of lower degree
-        can be padded with it.  im is None when no coordinate is a
+        of D times each coordinate.  im is None when no coordinate is a
         GaussianRational, and gaussian is the set of ranks whose coordinate
         is one.
         """
         if self._cleared is None:
             rank = colex_ranks(self.n, self.k)
-            dense = [0] * len(rank) + [1]
+            dense = [0] * len(rank)
             gaussian = set()
             for I, v in self.coords.items():
                 if I not in rank:

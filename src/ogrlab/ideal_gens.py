@@ -52,15 +52,8 @@ def _mono(*subsets):
     return tuple(sorted((tuple(s) for s in subsets), key=colex_key))
 
 
-def _subsets(k: int, n: int, ranks) -> tuple:
-    """The monomial of a tuple of colex ranks of k-subsets, in its order; a
-    rank C(n, k), the constant slot of Polynomial.cleared, is dropped."""
-    subs = ksubsets(n, k)
-    return tuple(subs[r] for r in ranks if r < len(subs))
-
-
 class Polynomial:
-    """Sparse polynomial in Plucker variables with rational coefficients.
+    """Sparse quadric in Plucker variables with rational coefficients.
 
     The terms do not change after construction.  A polynomial stores only
     its integer form (`cleared`), built at construction; `terms`, a
@@ -71,29 +64,31 @@ class Polynomial:
     __slots__ = ("k", "n", "_terms", "_cleared", "_variables")
 
     def __init__(self, k: int, n: int, terms: dict | None = None):
-        """terms maps a monomial, a tuple of sorted k-subsets of [1, n], to
-        an int or Fraction coefficient; zero coefficients are dropped.  Any
-        other factor or coefficient is refused with InputError."""
+        """terms maps a monomial, two sorted k-subsets of [1, n] in colex
+        order, to an int or Fraction coefficient; zero coefficients are
+        dropped.  Any other monomial or coefficient is refused with
+        InputError."""
         terms = {m: c for m, c in terms.items() if c} if terms else {}
         if not all(isinstance(c, (int, Fraction)) for c in terms.values()):
             raise InputError("polynomial coefficients must be rational")
         L, coeffs, _ = clear_denominators(terms.values())
         rank = colex_ranks(n, k)
-        degree = max(map(len, terms), default=0)
-        pad = (len(rank),)
         try:
-            ranks = [tuple(rank[f] for f in m) + pad * (degree - len(m)) for m in terms]
+            ranks = [tuple(rank[f] for f in m) for m in terms]
         except KeyError as e:
             raise InputError(f"{e.args[0]} is not a sorted {k}-subset of [1, {n}]") from None
+        for m, r in zip(terms, ranks):
+            if len(r) != 2 or r[0] > r[1]:
+                raise InputError(f"{m} is not a degree-2 monomial: two factors in colex order")
         self.k, self.n = k, n
         self._cleared = (L, coeffs, ranks)
         self._terms = self._variables = None
 
     @classmethod
     def _from_ranks(cls, k: int, n: int, ints: dict) -> "Polynomial":
-        """Wrap integer coefficients keyed by sorted tuples of colex ranks,
-        all of one degree; zero coefficients are dropped.  The integer form
-        is the input itself."""
+        """Wrap integer coefficients keyed by pairs (a, b) of colex ranks,
+        a <= b; zero coefficients are dropped.  The integer form is the
+        input itself."""
         ints = {m: c for m, c in ints.items() if c}
         poly = object.__new__(cls)
         poly.k, poly.n = k, n
@@ -106,8 +101,9 @@ class Polynomial:
         """Monomial (a tuple of sorted k-subsets) -> Fraction coefficient."""
         if self._terms is None:
             L, coeffs, ranks = self._cleared
+            subs = ksubsets(self.n, self.k)
             self._terms = MappingProxyType({
-                _subsets(self.k, self.n, m): Fraction(c, L) for c, m in zip(coeffs, ranks)
+                (subs[a], subs[b]): Fraction(c, L) for c, (a, b) in zip(coeffs, ranks)
             })
         return self._terms
 
@@ -126,8 +122,7 @@ class Polynomial:
 
         L is the least common denominator of the coefficients and coeffs
         lists L times each of them, in the order of terms.  ranks lists each
-        monomial as the colex ranks of its factors, padded up to the top
-        degree with C(n, k), the constant slot of PluckerVector.cleared.
+        monomial as the pair (a, b) of the colex ranks of its factors, a <= b.
         """
         return self._cleared
 
@@ -147,25 +142,19 @@ class Polynomial:
         D, re, im, gaussian = p.cleared()
         if im is None or gaussian.isdisjoint(self._variables):
             total = 0
-            for c, m in zip(coeffs, ranks):
-                for r in m:
-                    c *= re[r]
-                total += c
+            for c, (a, b) in zip(coeffs, ranks):
+                total += c * re[a] * re[b]
             if not total:
                 return ZERO
-            return Fraction(total, L * D ** len(ranks[0]))
+            return Fraction(total, L * D * D)
         total_re = total_im = 0
-        for c, m in zip(coeffs, ranks):
-            vr, vi = c, 0
-            for r in m:
-                xr, xi = re[r], im[r]
-                vr, vi = vr * xr - vi * xi, vr * xi + vi * xr
-            total_re += vr
-            total_im += vi
+        for c, (a, b) in zip(coeffs, ranks):
+            total_re += c * (re[a] * re[b] - im[a] * im[b])
+            total_im += c * (re[a] * im[b] + im[a] * re[b])
         if not (total_re or total_im):
             # a new object: GaussianRational attributes can be assigned
             return GaussianRational(ZERO, ZERO)
-        den = L * D ** len(ranks[0])
+        den = L * D * D
         return GaussianRational(Fraction(total_re, den), Fraction(total_im, den))
 
     def sorted_terms(self):
@@ -211,42 +200,26 @@ class Polynomial:
 class TermOrder:
     """Reverse-lex order from a linear extension, poset-minimum largest.
 
-    Monomials of equal degree compare at the poset-*largest* variable where
+    Two degree-2 monomials compare at the poset-*largest* variable where
     their exponents differ; whichever has fewer of it is larger.  This makes
     the incomparable product the leading monomial of each straightening law.
-    Equivalently, the larger monomial has the higher degree or else the
-    lexicographically smaller list of factor positions sorted in descending
-    order.
+    Equivalently, the larger monomial has the lexicographically smaller
+    list of its two factor positions sorted in descending order.
 
-    position lists the extension position of each colex rank, and one more
-    entry above all of them for the constant slot C(n, k) that pads the
-    lower-degree monomials of Polynomial.cleared: a padded monomial then
-    loses to every monomial of higher degree.
-
-    For monomials of degree d, a rank weighs (d + 1)^position, and a
-    monomial's key is the sum of its factors' weights.  No digit of that sum
-    in base d + 1 exceeds d, so the keys compare as the descending position
-    lists do, and the least key leads.
+    position lists the extension position of each colex rank, and a rank
+    weighs 3^position; a monomial's key is the sum of its two factors'
+    weights.  No digit of that sum in base 3 exceeds 2, so the keys compare
+    as the descending position lists do, and the least key leads.
     """
 
     def __init__(self, k: int, n: int, tie_break: str = "colex"):
-        self.k = k
-        self.n = n
-        self.tie_break = tie_break
-        ext = linear_extension(k, n, tie_break)
+        self.k, self.n = k, n
         rank = colex_ranks(n, k)
-        self.position = [len(ext)] * (len(rank) + 1)
-        for i, e in enumerate(ext):
+        self.position = [0] * len(rank)
+        for i, e in enumerate(linear_extension(k, n, tie_break)):
             if e.kind == "Y":
                 self.position[rank[e.subset]] = i
-        self._weights = {}
-
-    def weights(self, degree: int) -> list[int]:
-        """(degree + 1)^position of each colex rank and the constant slot."""
-        w = self._weights.get(degree)
-        if w is None:
-            w = self._weights[degree] = [(degree + 1) ** p for p in self.position]
-        return w
+        self.weights = [3 ** p for p in self.position]
 
     def leading_monomial(self, poly: Polynomial):
         if (poly.k, poly.n) != (self.k, self.n):
@@ -254,9 +227,11 @@ class TermOrder:
         if poly.is_zero():
             raise InputError("zero polynomial has no leading monomial")
         ranks = poly.cleared()[2]
-        weigh = self.weights(len(ranks[0])).__getitem__
-        keys = [sum(map(weigh, m)) for m in ranks]
-        return _subsets(self.k, self.n, ranks[keys.index(min(keys))])
+        w = self.weights
+        keys = [w[a] + w[b] for a, b in ranks]
+        a, b = ranks[keys.index(min(keys))]
+        subs = ksubsets(self.n, self.k)
+        return subs[a], subs[b]
 
 
 # ---------------------------------------------------------------------------
@@ -542,14 +517,7 @@ class Degree2Span:
             raise SizeMismatchError("polynomial type does not match span type")
         L, coeffs, ranks = poly.cleared()
         N = binom(self.n, self.k)
-        vec = {}
-        for c, m in zip(coeffs, ranks):
-            if len(m) != 2 or not m[0] <= m[1] < N:
-                mono = _subsets(self.k, self.n, m)
-                raise InputError(f"{mono} is not a degree-2 monomial of the span")
-            a, b = m
-            vec[a * N - a * (a - 1) // 2 + b - a] = c
-        return vec, L
+        return {a * N - a * (a - 1) // 2 + b - a: c for c, (a, b) in zip(coeffs, ranks)}, L
 
     @staticmethod
     def _normalize(vec):
@@ -630,31 +598,15 @@ def _relation_span(k: int, n: int, form: QuadraticForm) -> Degree2Span:
     return span
 
 
-class MembershipResult:
-    """Outcome of a degree-2 ideal membership query."""
-
-    def __init__(self, success: bool, residual=None):
-        self.success = success
-        self.residual = residual
-
-    def __bool__(self):
-        return self.success
-
-
 def degree2_membership(f: Polynomial, k: int, n: int,
-                       form: QuadraticForm | None = None) -> MembershipResult:
+                       form: QuadraticForm | None = None) -> bool:
     """Is f in the degree-2 span of the shuffle + orthogonality quadrics?
-
-    On failure the result carries the nonzero residual after reduction.
-    """
+    Its residual is _relation_span(k, n, form).reduce(f)."""
     if (f.k, f.n) != (k, n):
         raise SizeMismatchError("polynomial type does not match (k, n)")
     if form is None:
         form = QuadraticForm.standard(n)
-    residual = _relation_span(k, n, form).reduce(f)
-    if residual.is_zero():
-        return MembershipResult(True)
-    return MembershipResult(False, residual=residual)
+    return _relation_span(k, n, form).reduce(f).is_zero()
 
 
 def groebner_degree2_check(k: int, n: int) -> dict:

@@ -8,6 +8,7 @@ Costs are in microseconds, fitted on a 2-vCPU VM (Python 3.11).
 """
 from __future__ import annotations
 
+from contextlib import suppress
 from typing import Callable, NamedTuple
 
 from .errors import InputError
@@ -139,3 +140,20 @@ OGR1_CANONICAL = Rule("ogr1 canonical runs for n <= 950", 950)
 # ogr1 sample builds the n x n alternating form of its one quadric, about
 # 1.6 n^2 us (n = 600 to 1500), so n <= 960 keeps a point within 1.5 s.
 OGR1_SAMPLE = Rule("ogr1 sample builds points for n <= 960", 960)
+
+# Its point's coordinates are products of (u^2 - 1)/(u^2 + 1) and 2u/(u^2 + 1)
+# over the parameters u: one of L characters adds at most 2L digits to a
+# coordinate's numerator and denominator; Python prints no integer past 4300 digits.
+OGR1_PARAMS_MAX_SIZE = 2000
+
+
+def require_params(*texts: str) -> None:
+    """Refuse, before Fraction expands them, parameter lists past OGR1_PARAMS_MAX_SIZE
+    in length with each exponent counted at its value (1e5000 has 5001 digits)."""
+    size = sum(map(len, texts))
+    for token in ",".join(texts).lower().split(",") if size <= OGR1_PARAMS_MAX_SIZE else ():
+        with suppress(ValueError):  # no integer exponent: Fraction refuses the token
+            size += abs(int(token.partition("e")[2] or 0))
+    if size > OGR1_PARAMS_MAX_SIZE:
+        raise InputError(f"ogr1 sample takes parameter lists of length at most "
+                         f"{OGR1_PARAMS_MAX_SIZE}, an exponent counted at its value; got {size}")

@@ -61,6 +61,8 @@ def make_cell(A, B, n: int) -> Cell1:
     A, B = tuple(sorted(A)), tuple(sorted(B))
     if not A or not B:
         raise InputError("both supports must be nonempty")
+    if len(set(A)) < len(A) or len(set(B)) < len(B):
+        raise InputError("a support must not repeat an entry")
     if any(a % 2 == 0 or not 1 <= a <= n for a in A):
         raise InputError("A must consist of odd coordinates in [1, n]")
     if any(b % 2 == 1 or not 1 <= b <= n for b in B):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 from unittest import mock
@@ -14,9 +15,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ogrlab
-from ogrlab import acceptance, cli, ideal_gens, orthopositroids
+from ogrlab import acceptance, cli, ideal_gens, limits, ogr1, orthopositroids, posets
 from ogrlab.cli import main
 from ogrlab.errors import InternalInvariantError
+from ogrlab.forms_points import PluckerVector
 
 
 def run_cli(argv, capsys):
@@ -84,6 +86,73 @@ def test_ogr1_sample(capsys):
     assert payload["quadric_residual"] == "0"
 
 
+def test_ogr1_sample_exits_1_off_the_quadric(monkeypatch, capsys):
+    # a point off the quadric fails the check, as sample's and phi-map's do
+    monkeypatch.setattr(ogr1, "parametrize_cell",
+                        lambda cell, n, us, vs: PluckerVector(1, n, {(1,): Fraction(2)}))
+    code, payload = run_json(["ogr1", "sample", "--n", "4", "--A", "1", "--B", "2"], capsys)
+    assert code == 1 and payload["quadric_residual"] == "4"
+
+
+def ogr1_sample_argv(n, A, B, params, params_b):
+    return ["ogr1", "sample", "--n", str(n), "--A", ",".join(map(str, A)),
+            "--B", ",".join(map(str, B)), f"--params={params}", f"--params-b={params_b}"]
+
+
+ODDS_960, EVENS_960 = list(range(1, 961, 2)), list(range(2, 961, 2))
+TWOS_479 = ",".join(["2"] * 479)
+
+# parameter lists of total length limits.OGR1_PARAMS_MAX_SIZE, an exponent
+# counted at its value: (n, A, B, --params, --params-b)
+LARGEST_PARAMS = {
+    "one integer": (4, [1, 3], [2], "9" * 2000, ""),
+    "an exponent": (4, [1, 3], [2], "9e1994", ""),
+    "a decimal": (4, [1, 3], [2], "1." + "9" * 1998, ""),
+    "a ratio": (4, [1, 3], [2], "9" * 1000 + "/" + "7" * 999, ""),
+    "both spheres": (8, [1, 3, 5, 7], [2, 4], ",".join(["9" * 333] * 3), "9" * 999),
+    "958 parameters": (960, ODDS_960, EVENS_960, TWOS_479,
+                       ",".join(["2"] * 478 + ["9" * 87])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGEST_PARAMS))
+def test_ogr1_sample_prints_the_largest_parameter_lists(name, capsys):
+    n, A, B, params, params_b = LARGEST_PARAMS[name]
+    if "e" not in params:
+        assert len(params) + len(params_b) == limits.OGR1_PARAMS_MAX_SIZE
+    code, payload = run_json(ogr1_sample_argv(n, A, B, params, params_b), capsys)
+    assert code == 0 and payload["quadric_residual"] == "0"
+    # a parameter of L characters adds at most 2L digits to a coordinate
+    digits = max(len(part) for value in payload["point"]["coords"].values()
+                 for part in value.split("/"))
+    assert digits <= 2 * limits.OGR1_PARAMS_MAX_SIZE
+
+
+PAST_PARAMS = {
+    "one integer": (4, [1, 3], [2], "9" * 2001, ""),
+    "an exponent": (4, [1, 3], [2], "9e1995", ""),
+    "1e5000": (4, [1, 3], [2, 4], "1e5000", "2"),
+    "1e1000000": (4, [1, 3], [2, 4], "1e1000000", "2"),
+    "1e10000000": (4, [1, 3], [2, 4], "1e10000000", "2"),
+    "a long exponent": (4, [1, 3], [2], "1e" + "9" * 5000, ""),
+    "nine ratios": (20, range(1, 21, 2), [2],
+                    ",".join([f"{10 ** 301 - 1}/{10 ** 300 + 3}"] * 9), ""),
+    "958 parameters": (960, ODDS_960, EVENS_960, TWOS_479,
+                       ",".join(["2"] * 478 + ["9" * 88])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAST_PARAMS))
+def test_ogr1_sample_refuses_longer_parameter_lists_at_once(name, capsys):
+    # each printed a coordinate past 4300 digits, or expanded for seconds first
+    start = time.perf_counter()
+    assert main(ogr1_sample_argv(*PAST_PARAMS[name])) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.startswith("input error: ogr1 sample takes parameter lists of length")
+
+
 def test_ogr1_cells(capsys):
     code, payload = run_json(["ogr1", "cells", "--n", "4"], capsys)
     assert code == 0
@@ -94,6 +163,18 @@ def test_ogr1_cells(capsys):
 def test_groebner_check_exit_code(capsys):
     code, payload = run_json(["groebner-check", "--k", "2", "--n", "5"], capsys)
     assert code == 0 and payload["ok"]
+
+
+@pytest.mark.xfail(raises=InternalInvariantError, strict=True,
+                   reason="at (4, 8) neither orientation of (2,4,5,6), (1,3,7,8) has a "
+                          "universal leading term: exit 3")
+def test_straighten_mu_at_4_8(capsys):
+    # any other failure, a refusal (exit 2) among them, fails outright
+    code, out = run_cli(["straighten", "--k", "4", "--n", "8", "--family", "mu"], capsys)
+    if code == 3:
+        raise InternalInvariantError(capsys.readouterr().err)
+    assert code == 0
+    assert json.loads(out)["count"] == len(posets.young_incomparable_pairs(4, 8))
 
 
 def test_sample_roundtrip(capsys):
@@ -207,6 +288,8 @@ TOP_CELL_15_30 = ",".join(str((i + 14) % 30 + 1) for i in range(1, 31))
     "ogr1 canonical --n 1000",
     "ogr1 sample --n 961 --A 1 --B 2",
     "ogr1 sample --n 1000000000000 --A 1 --B 2",
+    "ogr1 sample --n 5 --A 1,1 --B 2 --params 2",
+    "ogr1 sample --n 5 --A 1,3 --B 2,2 --params 2 --params-b 3",
     "orthopositroids test --k 0 --n 71 --perm " + ",".join(map(str, range(1, 72))),
 ])
 def test_refused_up_front(command, capsys):

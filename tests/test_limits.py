@@ -67,3 +67,16 @@ def test_hodge_count_bound():
     with pytest.raises(InputError) as exc:
         limits.require_count(3, 18, 209)
     assert str(exc.value) == "--count must lie in [0, 208] at (3, 18)"
+
+
+def test_params_bound():
+    limits.require_params("9" * 1000, "9" * 1000)
+    limits.require_params("9e1989", "2,3/2")
+    limits.require_params("1e5x")  # not a rational: parsing refuses it, not the bound
+    for texts, size in [(("9" * 2001,), 2001), (("9" * 1000, "9" * 1001), 2001),
+                        (("9e1995",), 2001), (("2,1E-2000",), 2009),
+                        (("1e" + "9" * 5000,), 5002)]:
+        with pytest.raises(InputError) as exc:
+            limits.require_params(*texts)
+        assert str(exc.value) == ("ogr1 sample takes parameter lists of length at most 2000, "
+                                  f"an exponent counted at its value; got {size}")

@@ -110,6 +110,13 @@ def test_quadric_residual_off_the_quadric(n):
     assert nonzero >= 15
 
 
+@pytest.mark.parametrize("A,B", [([1, 1], [2]), ([1, 3], [2, 2]), ([3, 1, 3], [4, 2, 4])])
+def test_make_cell_refuses_a_repeated_entry(A, B):
+    # a repeated entry made a "cell" whose points miss the quadric
+    with pytest.raises(InputError, match="repeat"):
+        make_cell(A, B, 5)
+
+
 def test_parametrize_rejects_boundary_parameters():
     c = make_cell([1, 3], [2], 5)
     with pytest.raises(InputError):
