@@ -27,10 +27,11 @@ from .exact_core import (
     I_UNIT,
     Mat,
     clear_denominators,
+    cleared_minors,
+    cleared_value,
     colex_ranks,
     fraction_str,
     ksubsets,
-    minors,
     rand_matrix,
     rand_rational,
     signed_extensions,
@@ -74,6 +75,13 @@ class QuadraticForm:
             raise InputError("diagonal entries must be +1 or -1")
         return cls(len(d), d, "diagonal")
 
+    def entries(self) -> list[tuple[int, int, int]]:
+        """The nonzero entries (l, m, Omega_lm) of the matrix, 1-based, row
+        by row: the diagonal, or the antidiagonal ones."""
+        if self.diag is None:
+            return [(l, self.n + 1 - l, 1) for l in range(1, self.n + 1)]
+        return [(l, l, d) for l, d in enumerate(self.diag, 1)]
+
     def matrix(self) -> Mat:
         n = self.n
         if self.diag is not None:
@@ -91,24 +99,40 @@ class QuadraticForm:
 class PluckerVector:
     """Projective coordinates of a k-plane: map from k-subsets to scalars.
 
-    The coordinates are not meant to change after construction: `cleared`
-    caches them in integer form.
+    The coordinates are not meant to change after construction.  A vector
+    holds them as the `coords` dict, its integer form (`cleared`) or both:
+    each is built from the other once, on first read.
     """
 
-    __slots__ = ("k", "n", "coords", "_cleared")
+    __slots__ = ("k", "n", "_coords", "_cleared")
 
     def __init__(self, k: int, n: int, coords: dict):
         self.k = k
         self.n = n
-        self.coords = {tuple(I): v for I, v in coords.items() if v != 0}
-        if not self.coords:
+        self._coords = {tuple(I): v for I, v in coords.items() if v != 0}
+        if not self._coords:
             raise DegenerateInputError("identically zero Plucker vector")
         self._cleared = None
 
     @classmethod
     def from_matrix(cls, matrix: Mat) -> "PluckerVector":
-        k = matrix.nrows
-        return cls(k, matrix.ncols, minors(matrix, k))
+        """The maximal minors of a matrix of full row rank, held in the
+        integer form of exact_core.cleared_minors."""
+        p = object.__new__(cls)
+        p.k, p.n = matrix.nrows, matrix.ncols
+        p._coords, p._cleared = None, cleared_minors(matrix)
+        return p
+
+    @property
+    def coords(self) -> dict:
+        """Sorted k-subset -> nonzero exact coordinate, in colex order when
+        read off the integer form."""
+        if self._coords is None:
+            re, im = self._cleared[1:3]
+            self._coords = {I: cleared_value(self._cleared, r)
+                            for r, I in enumerate(ksubsets(self.n, self.k))
+                            if re[r] or im and im[r]}
+        return self._coords
 
     def get(self, I):
         return self.coords.get(tuple(I), Fraction(0))
@@ -123,7 +147,8 @@ class PluckerVector:
         ranks of the k-subsets, holding the integer real and imaginary parts
         of D times each coordinate.  im is None when no coordinate is a
         GaussianRational, and gaussian is the set of ranks whose coordinate
-        is one.
+        is one.  D is a common denominator, not always the least: read off
+        a matrix, it is the product of the lcms of each row's denominators.
         """
         if self._cleared is None:
             rank = colex_ranks(self.n, self.k)

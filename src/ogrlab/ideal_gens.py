@@ -81,18 +81,17 @@ class Polynomial:
             if len(r) != 2 or r[0] > r[1]:
                 raise InputError(f"{m} is not a degree-2 monomial: two factors in colex order")
         self.k, self.n = k, n
-        self._cleared = (L, coeffs, ranks)
+        self._cleared = (L, tuple((c, a, b) for c, (a, b) in zip(coeffs, ranks)))
         self._terms = self._variables = None
 
     @classmethod
     def _from_ranks(cls, k: int, n: int, ints: dict) -> "Polynomial":
         """Wrap integer coefficients keyed by pairs (a, b) of colex ranks,
-        a <= b; zero coefficients are dropped.  The integer form is the
-        input itself."""
-        ints = {m: c for m, c in ints.items() if c}
+        a <= b; zero coefficients are dropped.  The integer form lists the
+        input's items as triples (c, a, b), in its order, over L = 1."""
         poly = object.__new__(cls)
         poly.k, poly.n = k, n
-        poly._cleared = (1, list(ints.values()), list(ints))
+        poly._cleared = (1, tuple((c, a, b) for (a, b), c in ints.items() if c))
         poly._terms = poly._variables = None
         return poly
 
@@ -100,15 +99,15 @@ class Polynomial:
     def terms(self) -> MappingProxyType:
         """Monomial (a tuple of sorted k-subsets) -> Fraction coefficient."""
         if self._terms is None:
-            L, coeffs, ranks = self._cleared
+            L, triples = self._cleared
             subs = ksubsets(self.n, self.k)
             self._terms = MappingProxyType({
-                (subs[a], subs[b]): Fraction(c, L) for c, (a, b) in zip(coeffs, ranks)
+                (subs[a], subs[b]): Fraction(c, L) for c, a, b in triples
             })
         return self._terms
 
     def is_zero(self) -> bool:
-        return not self._cleared[2]
+        return not self._cleared[1]
 
     def __eq__(self, other):
         return (
@@ -118,11 +117,11 @@ class Polynomial:
         )
 
     def cleared(self):
-        """The integer form: (L, coeffs, ranks).
+        """The integer form: (L, ((c, a, b), ...)).
 
-        L is the least common denominator of the coefficients and coeffs
-        lists L times each of them, in the order of terms.  ranks lists each
-        monomial as the pair (a, b) of the colex ranks of its factors, a <= b.
+        L is the least common denominator of the coefficients.  Each term,
+        in the order of terms, is one triple: c is L times its coefficient,
+        and a <= b are the colex ranks of its two factors.
         """
         return self._cleared
 
@@ -136,19 +135,19 @@ class Polynomial:
         """
         if (p.k, p.n) != (self.k, self.n):
             raise SizeMismatchError("vector type does not match polynomial type")
-        L, coeffs, ranks = self.cleared()
+        L, triples = self._cleared
         if self._variables is None:  # a tuple: a frozenset of 24 ranks takes 2 kB
-            self._variables = tuple({r for m in ranks for r in m})
+            self._variables = tuple({r for _, a, b in triples for r in (a, b)})
         D, re, im, gaussian = p.cleared()
         if im is None or gaussian.isdisjoint(self._variables):
             total = 0
-            for c, (a, b) in zip(coeffs, ranks):
+            for c, a, b in triples:
                 total += c * re[a] * re[b]
             if not total:
                 return ZERO
             return Fraction(total, L * D * D)
         total_re = total_im = 0
-        for c, (a, b) in zip(coeffs, ranks):
+        for c, a, b in triples:
             total_re += c * (re[a] * re[b] - im[a] * im[b])
             total_im += c * (re[a] * im[b] + im[a] * re[b])
         if not (total_re or total_im):
@@ -226,10 +225,8 @@ class TermOrder:
             raise SizeMismatchError("polynomial type does not match term order type")
         if poly.is_zero():
             raise InputError("zero polynomial has no leading monomial")
-        ranks = poly.cleared()[2]
         w = self.weights
-        keys = [w[a] + w[b] for a, b in ranks]
-        a, b = ranks[keys.index(min(keys))]
+        _, a, b = min(poly.cleared()[1], key=lambda t: w[t[1]] + w[t[2]])
         subs = ksubsets(self.n, self.k)
         return subs[a], subs[b]
 
@@ -297,9 +294,7 @@ def orthogonality_relations(k: int, n: int, form: QuadraticForm) -> tuple[Polyno
         raise InputError("need 1 <= k <= n")
     if form.n != n:
         raise SizeMismatchError("form dimension mismatch")
-    omega = form.matrix()
-    entries = [(l, m, int(omega[l - 1, m - 1])) for l in range(1, n + 1)
-               for m in range(1, n + 1) if omega[l - 1, m - 1]]
+    entries = form.entries()
     ext = signed_extensions(n, k - 1)
     out = []
     for a, ext_i in enumerate(ext):
@@ -430,7 +425,8 @@ def leading_term_universal(poly: Polynomial, m0) -> bool:
     rank = colex_ranks(poly.n, poly.k)
     up = young_upsets(poly.k, poly.n)
     m0 = tuple(rank[f] for f in m0)
-    for m in poly.cleared()[2]:
+    for _, a, b in poly.cleared()[1]:
+        m = a, b
         if m == m0:
             continue
         above = subset_mask(v for v in m if v not in m0)
@@ -515,9 +511,9 @@ class Degree2Span:
         colex ranks a <= b has index a*N - a*(a-1)/2 + b - a, N = C(n, k)."""
         if (poly.k, poly.n) != (self.k, self.n):
             raise SizeMismatchError("polynomial type does not match span type")
-        L, coeffs, ranks = poly.cleared()
+        L, triples = poly.cleared()
         N = binom(self.n, self.k)
-        return {a * N - a * (a - 1) // 2 + b - a: c for c, (a, b) in zip(coeffs, ranks)}, L
+        return {a * N - a * (a - 1) // 2 + b - a: c for c, a, b in triples}, L
 
     @staticmethod
     def _normalize(vec):

@@ -547,8 +547,8 @@ def _quadric_terms(k: int, n: int, form: QuadraticForm) -> _Quadrics:
     terms = [
         (row, a, b, c / L)
         for row, poly in enumerate(orthogonality_relations(k, n, form))
-        for L, coeffs, ranks in [poly.cleared()]
-        for c, (a, b) in zip(coeffs, ranks)
+        for L, triples in [poly.cleared()]
+        for c, a, b in triples
     ]
     row, ra, rb, coef = (np.array(col) for col in zip(*terms))
     # gradient entry (row, a) gains coef * p_b, and entry (row, b) coef * p_a

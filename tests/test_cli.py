@@ -192,6 +192,17 @@ def test_hodge_check_cli(capsys):
     assert code == 0 and payload["failures"] == 0
 
 
+@pytest.mark.parametrize("k", [2, 23])
+def test_hodge_check_eliminates_its_tall_matrices(k, capsys):
+    # the 22 x 24 complement at k = 2, and the 23 x 24 plane at k = 23, take
+    # 0.1 to 0.2 s by Bareiss elimination (2 vCPUs); Laplace expansion
+    # would make about 2e8 products for each
+    start = time.perf_counter()
+    code, payload = run_json(["hodge-check", "--k", str(k), "--n", "24", "--count", "1"], capsys)
+    assert time.perf_counter() - start < 5
+    assert code == 0 and payload["failures"] == 0
+
+
 def test_phi_map_cli(capsys):
     code, payload = run_json(["phi-map", "--k", "1", "--seed", "4"], capsys)
     assert code == 0 and payload["image_residual_zero"] is True

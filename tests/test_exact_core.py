@@ -179,6 +179,78 @@ def test_det_zero_leading_pivot_swaps_rows():
         assert minors(A, 3)[(1, 2, 3)] == A.det()
 
 
+def bareiss_reference(rows):
+    """Determinant by Bareiss elimination in Fraction and GaussianRational
+    arithmetic, each division exact in the field: the reference for the
+    minors kernel."""
+    m = [list(r) for r in rows]
+    sign, prev = 1, Fraction(1)
+    for p in range(len(m) - 1):
+        if m[p][p] == 0:
+            swap = next((r for r in range(p + 1, len(m)) if m[r][p] != 0), None)
+            if swap is None:
+                return Fraction(0)
+            m[p], m[swap], sign = m[swap], m[p], -sign
+        for r in range(p + 1, len(m)):
+            for c in range(p + 1, len(m)):
+                m[r][c] = (m[p][p] * m[r][c] - m[r][p] * m[p][c]) / prev
+        prev = m[p][p]
+    return sign * m[-1][-1] if m else Fraction(1)
+
+
+def assert_minors_match_reference(A, k):
+    """Every minor equals bareiss_reference of its columns, and is a
+    GaussianRational exactly when it is nonzero and one of its columns holds
+    a GaussianRational entry (zero imaginary part included)."""
+    gaussian = {j for row in A.rows for j, x in enumerate(row, 1)
+                if isinstance(x, GaussianRational)}
+    ms = minors(A, k)
+    assert list(ms) == list(ksubsets(A.ncols, k))
+    for cols, value in ms.items():
+        want = bareiss_reference([[row[j - 1] for j in cols] for row in A.rows])
+        assert value == want
+        assert type(value) is (GaussianRational if want != 0 and gaussian & set(cols)
+                               else Fraction)
+
+
+# 2k <= n, expanded, and 2k > n, eliminated, k = n among them
+KERNEL_SHAPES = [(1, 4), (2, 4), (2, 6), (3, 7), (4, 9), (3, 4), (4, 6), (5, 7), (6, 7),
+                 (4, 4), (9, 10), (10, 11), (11, 11)]
+
+
+@pytest.mark.parametrize("field", ["rational", "gaussian"])
+def test_minors_match_bareiss_reference(field):
+    rng = random.Random(41)
+    make = rand_matrix if field == "rational" else rand_gaussian_matrix
+    for k, n in KERNEL_SHAPES:
+        assert_minors_match_reference(make(rng, k, n), k)
+    assert minors(Mat([]), 0) == {(): 1}  # no rows, no columns: the empty minor
+    assert type(minors(Mat([]), 0)[()]) is Fraction
+
+
+@pytest.mark.parametrize("zero", [Fraction(0), GaussianRational(0, 0)])
+@pytest.mark.parametrize("k,n", [(2, 5), (3, 6), (4, 5), (10, 11)])
+def test_minors_with_a_zero_column_or_a_real_gaussian_entry(k, n, zero):
+    rng = random.Random(10 * k + n)
+    for make in (rand_matrix, rand_gaussian_matrix):
+        rows = make(rng, k, n).rows
+        for row in rows:
+            row[1] = zero  # every minor on column 2 vanishes
+        rows[0][n - 1] = GaussianRational(rand_rational(rng) or 1, 0)
+        assert_minors_match_reference(Mat(rows), k)
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (3, 7), (10, 11)])
+def test_rank_deficient_minors_are_refused_by_both_kernels(k, n):
+    rng = random.Random(n)
+    for make in (rand_matrix, rand_gaussian_matrix):
+        rows = make(rng, k, n).rows
+        z = GaussianRational(Fraction(1, 3), -2) if make is rand_gaussian_matrix else 3
+        rows[-1] = [z * a for a in rows[0]]
+        with pytest.raises(DegenerateInputError):
+            minors(Mat(rows), k)
+
+
 def test_minors_rank_deficient_gaussian():
     z = GaussianRational(1, Fraction(2, 3))
     with pytest.raises(DegenerateInputError):

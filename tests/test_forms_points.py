@@ -9,7 +9,7 @@ from ogrlab.errors import (
     NotAPointError,
     UnsupportedFormError,
 )
-from ogrlab.exact_core import GaussianRational, Mat, ksubsets, rand_matrix
+from ogrlab.exact_core import GaussianRational, Mat, ksubsets, minors, rand_matrix, rand_rational
 from ogrlab.forms_points import (
     PluckerVector,
     QuadraticForm,
@@ -32,6 +32,21 @@ def test_form_matrices():
     assert h[0, 2] == 1 and h[1, 1] == 1 and h[0, 0] == 0
 
 
+def dense_entries(form):
+    """The nonzero entries (l, m, Omega_lm) of the form's dense matrix, row
+    by row: the reference for QuadraticForm.entries."""
+    omega, n = form.matrix(), form.n
+    return [(l, m, int(omega[l - 1, m - 1])) for l in range(1, n + 1)
+            for m in range(1, n + 1) if omega[l - 1, m - 1]]
+
+
+@pytest.mark.parametrize("n", range(1, 26))
+def test_form_entries_match_the_dense_matrix(n):
+    for form in (QuadraticForm.standard(n), QuadraticForm.alternating(n),
+                 QuadraticForm.hyperbolic(n), QuadraticForm.signed_subset(range(1, n + 1, 3), n)):
+        assert form.entries() == dense_entries(form)
+
+
 def test_subspace_rank_from_minors():
     V = Subspace(Mat([[1, 2, 0, 3], [0, 0, 1, 1]]))
     assert V.plucker() is V.plucker()
@@ -39,6 +54,35 @@ def test_subspace_rank_from_minors():
     for rows in ([[1, 2, 0], [2, 4, 0]], [[0, 0], [0, 0]], [[1, 0], [0, 1], [1, 1]]):
         with pytest.raises(DegenerateInputError, match="rank"):
             Subspace(Mat(rows))
+
+
+@pytest.mark.parametrize("field", ["rational", "gaussian"])
+def test_from_matrix_holds_its_minors_in_integer_form(field):
+    # sampled planes, then wider and taller random bases (the last one
+    # eliminated), one entry a GaussianRational with imaginary part 0
+    rng = random.Random(field)
+    bases = [sample_isotropic(k, n, (QuadraticForm.alternating(n) if field == "rational"
+                                     else QuadraticForm.standard(n)), seed, field=field).basis
+             for k, n in [(1, 3), (2, 5), (3, 6), (3, 7)] for seed in range(3)]
+    for k, n in [(2, 5), (4, 5), (10, 11)]:
+        rows = rand_matrix(rng, k, n).rows
+        if field == "gaussian":
+            rows[0][0] = GaussianRational(rows[0][0], rng.choice((0, Fraction(1, 3))))
+            rows[-1] = [GaussianRational(x, rand_rational(rng)) for x in rows[-1]]
+        bases.append(Mat(rows))
+    for M in bases:
+        k, n = M.nrows, M.ncols
+        eager = PluckerVector(k, n, minors(M, k))
+        D0, re0, im0, gaussian0 = eager.cleared()
+        p = PluckerVector.from_matrix(M)
+        D, re, im, gaussian = p.cleared()
+        # the same coordinates over another common denominator
+        assert gaussian == gaussian0 and (im is None) == (im0 is None) == (field == "rational")
+        assert [a * D0 for a in re] == [a * D for a in re0]
+        assert [a * D0 for a in im or ()] == [a * D for a in im0 or ()]
+        for q in (p, PluckerVector.from_matrix(M)):  # coords read after or before cleared()
+            assert list(q.coords.items()) == list(eager.coords.items())
+            assert [type(v) for v in q.coords.values()] == [type(v) for v in eager.coords.values()]
 
 
 def cocircuit_matrix(p):

@@ -230,10 +230,10 @@ def test_cleared_reproduces_terms():
         gens += orthogonality_relations(k, n, form)
     gens += [poly for _, _, poly in all_straightening_mu(k, n) + all_straightening_lambda(k, n)]
     for poly in gens:
-        L, coeffs, ranks = poly.cleared()
-        read = [(tuple(subs[r] for r in m), Fraction(c, L)) for c, m in zip(coeffs, ranks)]
+        L, triples = poly.cleared()
+        read = [((subs[a], subs[b]), Fraction(c, L)) for c, a, b in triples]
         assert read == list(poly.terms.items())
-        assert Polynomial(k, n, poly.terms).cleared() == (L, coeffs, ranks)
+        assert Polynomial(k, n, poly.terms).cleared() == (L, triples)
 
 
 @pytest.mark.parametrize("factor", [(2, 1), (1, 1), (1, 7), (0, 1), (1, 2, 3)])
@@ -252,7 +252,7 @@ def test_non_rational_coefficient_is_refused(coeff):
     with pytest.raises(InputError, match="rational"):
         Polynomial(2, 4, terms)
     assert Polynomial(2, 4, {**terms, _mono((1, 3), (2, 4)): Fraction(1, 2)}).cleared() \
-        == (2, [2, 1], [(0, 5), (1, 4)])
+        == (2, ((2, 0, 5), (1, 1, 4)))
 
 
 @pytest.mark.parametrize("k,n", [(2, 4), (2, 5), (3, 6)])
@@ -510,7 +510,7 @@ def test_leading_monomial_matches_pairwise_rule(k, n, tb):
 def position_list_lead(order, poly):
     """The leading monomial by sorted position lists: each term's two factor
     positions in descending order; the least list leads."""
-    lead = min(poly.cleared()[2],
+    lead = min(((a, b) for _, a, b in poly.cleared()[1]),
                key=lambda m: sorted([order.position[r] for r in m], reverse=True))
     subs = ksubsets(poly.n, poly.k)
     return tuple(subs[r] for r in lead)
@@ -917,7 +917,7 @@ def eager_from_ranks(cls, k, n, ints):
     ints = {m: c for m, c in ints.items() if c}
     terms = {tuple(subs[r] for r in m): Fraction(c) for m, c in ints.items()}
     poly = Polynomial(k, n, terms)
-    poly._cleared = (1, list(ints.values()), list(ints))
+    poly._cleared = (1, tuple((c, a, b) for (a, b), c in ints.items()))
     poly._terms = MappingProxyType(terms)
     return poly
 
