@@ -190,94 +190,30 @@ def subset_complement(subset, n: int) -> tuple[int, ...]:
     return tuple(x for x in range(1, n + 1) if x not in inside)
 
 
-def sort_sign(word) -> tuple[tuple[int, ...], int]:
-    """Sort a word of indices, returning (sorted word, sign of the sort).
-
-    The sign is that of the permutation putting the word in increasing
-    order; it is 0 exactly when the word has a repeated entry.
-    """
-    w = tuple(word)
-    if len(set(w)) != len(w):
-        return tuple(sorted(w)), 0
-    inversions = 0
-    for i in range(len(w)):
-        for j in range(i + 1, len(w)):
-            if w[i] > w[j]:
-                inversions += 1
-    return tuple(sorted(w)), (-1) ** inversions
-
-
 @lru_cache(maxsize=None)
 def signed_extensions(n: int, j: int) -> tuple[MappingProxyType, ...]:
     """The signed extensions of each j-subset K of {1..n}, in colex order:
     a read-only map l -> (colex rank of K + l among the (j+1)-subsets,
-    epsilon(K, l)) over the l not in K, ascending, where epsilon(K, l) is
-    the sort_sign of the word K then l.  This single table backs every
-    epsilon(K, l) in the package.  Cached: callers share it."""
-    rank = colex_ranks(n, j + 1)
+    epsilon(K, l)) over the l not in K, ascending, where epsilon(K, l), the
+    sign of sorting the word K then l, is -1 to the number of entries of K
+    above l.  This single table backs every epsilon(K, l) in the package.
+    Cached: callers share it."""
+    rank = colex_mask_ranks(n, j + 1)
     table = []
     for K in ksubsets(n, j):
-        signed = (sort_sign(K + (l,)) for l in range(1, n + 1))
-        table.append(MappingProxyType(
-            {l: (rank[Kl], s) for l, (Kl, s) in enumerate(signed, 1) if s}))
+        mask, above, ext = subset_mask(K), j, {}
+        for l in range(1, n + 1):
+            if mask >> l & 1:
+                above -= 1
+            else:
+                ext[l] = (rank[mask | 1 << l], -1 if above & 1 else 1)
+        table.append(MappingProxyType(ext))
     return tuple(table)
 
 
 # ---------------------------------------------------------------------------
 # Integer-cleared kernel over Z and Z[i]
 # ---------------------------------------------------------------------------
-
-class GaussianInteger:
-    """Element re + im*i of Z[i], mixing with int.
-
-    The ring of the integer-cleared kernel: an entry cleared from a
-    GaussianRational becomes one of these, an entry cleared from a rational
-    stays an int, and results come back as GaussianRational or Fraction
-    accordingly.  `//` is exact division, valid only where the quotient is
-    known to lie in Z[i].
-    """
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: int, im: int):
-        self.re = re
-        self.im = im
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return GaussianInteger(self.re * other, self.im * other)
-        return GaussianInteger(self.re * other.re - self.im * other.im,
-                               self.re * other.im + self.im * other.re)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            return GaussianInteger(self.re - other, self.im)
-        return GaussianInteger(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        return GaussianInteger(other - self.re, -self.im)
-
-    def __neg__(self):
-        return GaussianInteger(-self.re, -self.im)
-
-    def __floordiv__(self, other):
-        if isinstance(other, int):
-            return GaussianInteger(self.re // other, self.im // other)
-        norm = other.re * other.re + other.im * other.im
-        return GaussianInteger((self.re * other.re + self.im * other.im) // norm,
-                               (self.im * other.re - self.re * other.im) // norm)
-
-    def __rfloordiv__(self, other):
-        return GaussianInteger(other, 0) // self
-
-    def __bool__(self):
-        return bool(self.re or self.im)
-
-    def __repr__(self):
-        return f"GaussianInteger({self.re}, {self.im})"
-
 
 def clear_denominators(values) -> tuple[int, list, list | None]:
     """(D, re, im): D is the least common multiple of the denominators of
@@ -294,48 +230,61 @@ def clear_denominators(values) -> tuple[int, list, list | None]:
     return D, re, im or None
 
 
-def _cleared_rows(rows):
-    """(scale, rows over Z or Z[i]): each row times the lcm of its own
-    denominators, a GaussianRational entry becoming a GaussianInteger and a
-    rational one an int; scale is the product of those multipliers."""
-    scale = 1
-    cleared = []
-    for row in rows:
-        s, re, im = clear_denominators(row)
-        scale *= s
-        if im is not None:
-            re = [GaussianInteger(a, b) if isinstance(x, GaussianRational) else a
-                  for x, a, b in zip(row, re, im)]
-        cleared.append(re)
-    return scale, cleared
+def _integer_rows(rows) -> tuple[int, list, list | None]:
+    """(D, re, im): each row times the lcm of its own denominators, as
+    integer rows of real and imaginary parts, and D the product of those
+    multipliers; im is None when no entry is a GaussianRational."""
+    cleared = [clear_denominators(row) for row in rows]
+    D = math.prod(s for s, _, _ in cleared)
+    re = [r for _, r, _ in cleared]
+    if all(i is None for _, _, i in cleared):
+        return D, re, None
+    return D, re, [i or [0] * len(r) for _, r, i in cleared]
 
 
-def _bareiss(m):
-    """Determinant of a square matrix over Z or Z[i] (the list of rows m is
-    overwritten), by fraction-free Bareiss elimination: by Sylvester's
-    identity every `//` below divides exactly.  Returns int 0 when a pivot
+def _bareiss(re, im=None):
+    """Determinant of a square matrix over Z, or over Z[i] when im holds
+    the imaginary parts of the rows re: (re, im), im None over Z.  Both
+    lists of rows are overwritten.  Fraction-free Bareiss elimination: by
+    Sylvester's identity each step's numerator is a multiple of the
+    previous pivot, so `//` divides exactly, over Z[i] as a product with
+    that pivot's conjugate divided by its norm.  Returns 0 when a pivot
     column is zero."""
-    n = len(m)
-    sign = 1
-    prev = 1
+    n = len(re)
+    sign, prev, prev_im = 1, 1, 0
     for p in range(n - 1):
-        if not m[p][p]:
+        if not (re[p][p] or im and im[p][p]):
             for r in range(p + 1, n):
-                if m[r][p]:
-                    m[p], m[r] = m[r], m[p]
+                if re[r][p] or im and im[r][p]:
+                    re[p], re[r] = re[r], re[p]
+                    if im:
+                        im[p], im[r] = im[r], im[p]
                     sign = -sign
                     break
             else:
-                return 0
-        top = m[p]
-        pivot = top[p]
-        for r in range(p + 1, n):
-            row = m[r]
-            lead = row[p]
+                return 0, None if im is None else 0
+        top, pivot = re[p], re[p][p]
+        if im is None:
+            for row in re[p + 1:]:
+                lead = row[p]
+                for c in range(p + 1, n):
+                    row[c] = (pivot * row[c] - lead * top[c]) // prev
+            prev = pivot
+            continue
+        top_im, pivot_im = im[p], im[p][p]
+        norm = prev * prev + prev_im * prev_im
+        for row, row_im in zip(re[p + 1:], im[p + 1:]):
+            lead, lead_im = row[p], row_im[p]
             for c in range(p + 1, n):
-                row[c] = (pivot * row[c] - lead * top[c]) // prev
-        prev = pivot
-    return sign * m[n - 1][n - 1] if n else 1
+                x, y, u, v = row[c], row_im[c], top[c], top_im[c]
+                a = pivot * x - pivot_im * y - lead * u + lead_im * v
+                b = pivot * y + pivot_im * x - lead * v - lead_im * u
+                row[c] = (a * prev + b * prev_im) // norm
+                row_im[c] = (b * prev - a * prev_im) // norm
+        prev, prev_im = pivot, pivot_im
+    if not n:
+        return 1, None if im is None else 0
+    return sign * re[-1][-1], None if im is None else sign * im[-1][-1]
 
 
 def _product_entry(row, col):
@@ -352,13 +301,6 @@ def _product_entry(row, col):
     re = sum(map(mul, rre, cre)) - sum(map(mul, rim, cim))
     im = sum(map(mul, rre, cim)) + sum(map(mul, rim, cre))
     return GaussianRational(Fraction(re, scale), Fraction(im, scale))
-
-
-def _unscale(d, scale: int):
-    """The exact value d / scale of a kernel result."""
-    if isinstance(d, GaussianInteger):
-        return GaussianRational(Fraction(d.re, scale), Fraction(d.im, scale))
-    return Fraction(d, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +417,11 @@ class Mat:
         integer matrix goes through the Bareiss kernel."""
         if self.nrows != self.ncols:
             raise SizeMismatchError("determinant of a non-square matrix")
-        scale, cleared = _cleared_rows(self.rows)
-        return _unscale(_bareiss(cleared), scale)
+        D, re, im = _integer_rows(self.rows)
+        d, d_im = _bareiss(re, im)
+        if im is None:
+            return Fraction(d, D)
+        return GaussianRational(Fraction(d, D), Fraction(d_im, D))
 
 
 @lru_cache(maxsize=None)
@@ -547,23 +492,19 @@ def cleared_minors(matrix: Mat) -> tuple[int, list, list | None, frozenset]:
     k, n = matrix.nrows, matrix.ncols
     if n < k:
         raise SizeMismatchError("fewer columns than rows")
-    rows = matrix.rows
-    gmask = subset_mask({j for row in rows for j, x in enumerate(row, 1)
+    gmask = subset_mask({j for row in matrix.rows for j, x in enumerate(row, 1)
                          if isinstance(x, GaussianRational)})
+    D, re_rows, im_rows = _integer_rows(matrix.rows)
     if 2 * k <= n:
-        cleared = [clear_denominators(row) for row in rows]
-        D = math.prod(s for s, _, _ in cleared)
-        zeros = [0] * n
-        re, im = _laplace(n, [r for _, r, _ in cleared],
-                          [i or zeros for _, _, i in cleared] if gmask else None)
+        re, im = _laplace(n, re_rows, im_rows)
     else:
-        D, ring = _cleared_rows(rows)
         re, im = [], []
-        for cols in ksubsets(n, k):
-            d = _bareiss([[row[j - 1] for j in cols] for row in ring])
-            gauss = isinstance(d, GaussianInteger)
-            re.append(d.re if gauss else d)
-            im.append(d.im if gauss else 0)
+        for cols, mask in zip(ksubsets(n, k), colex_mask_ranks(n, k)):
+            d, d_im = _bareiss([[row[j - 1] for j in cols] for row in re_rows],
+                               [[row[j - 1] for j in cols] for row in im_rows]
+                               if mask & gmask else None)
+            re.append(d)
+            im.append(d_im or 0)
     gaussian = frozenset(r for mask, r in colex_mask_ranks(n, k).items()
                          if mask & gmask and (re[r] or im[r])) if gmask else frozenset()
     if not (any(re) or gaussian):

@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .errors import (
     DegenerateInputError,
@@ -97,22 +98,33 @@ class QuadraticForm:
 
 
 class PluckerVector:
-    """Projective coordinates of a k-plane: map from k-subsets to scalars.
+    """Projective coordinates of a k-plane: k-subsets of [1, n] to scalars.
 
-    The coordinates are not meant to change after construction.  A vector
-    holds them as the `coords` dict, its integer form (`cleared`) or both:
-    each is built from the other once, on first read.
+    A vector holds one integer form, `cleared()`, built and checked at
+    construction; the coordinates are not meant to change afterwards.
     """
 
     __slots__ = ("k", "n", "_coords", "_cleared")
 
     def __init__(self, k: int, n: int, coords: dict):
-        self.k = k
-        self.n = n
-        self._coords = {tuple(I): v for I, v in coords.items() if v != 0}
-        if not self._coords:
+        """coords maps sorted k-subsets of [1, n] to exact scalars; any other
+        key is refused with InputError, and so is a vector of zeros."""
+        rank = colex_ranks(n, k)
+        dense = [0] * len(rank)
+        gaussian = set()
+        for I, v in coords.items():
+            r = rank.get(tuple(I))
+            if r is None:
+                raise InputError(f"{I} is not a sorted {k}-subset of [1, {n}]")
+            dense[r] = v
+            if isinstance(v, GaussianRational) and v:
+                gaussian.add(r)
+        D, re, im = clear_denominators(dense)
+        if not any(re) and not gaussian:
             raise DegenerateInputError("identically zero Plucker vector")
-        self._cleared = None
+        self.k, self.n = k, n
+        self._coords = None
+        self._cleared = (D, re, im if gaussian else None, frozenset(gaussian))
 
     @classmethod
     def from_matrix(cls, matrix: Mat) -> "PluckerVector":
@@ -123,69 +135,55 @@ class PluckerVector:
         p._coords, p._cleared = None, cleared_minors(matrix)
         return p
 
+    def cleared(self):
+        """The coordinates over one common denominator: (D, re, im, gaussian).
+
+        re and im are lists over the colex ranks of the k-subsets, holding
+        the integer real and imaginary parts of D times each coordinate.
+        gaussian is the set of ranks whose coordinate is a nonzero
+        GaussianRational, and im is None when it is empty.  D is a common
+        denominator, not always the least: read off a matrix, it is the
+        product of the lcms of each row's denominators.
+        """
+        return self._cleared
+
+    def _pairs(self):
+        """The (re, im) integer pair of each coordinate, by colex rank."""
+        _, re, im, _ = self._cleared
+        return zip(re, im or [0] * len(re))
+
     @property
-    def coords(self) -> dict:
-        """Sorted k-subset -> nonzero exact coordinate, in colex order when
-        read off the integer form."""
+    def coords(self) -> MappingProxyType:
+        """Sorted k-subset -> nonzero exact coordinate, in colex order: a
+        read-only view of the integer form, built on first read."""
         if self._coords is None:
-            re, im = self._cleared[1:3]
-            self._coords = {I: cleared_value(self._cleared, r)
-                            for r, I in enumerate(ksubsets(self.n, self.k))
-                            if re[r] or im and im[r]}
+            self._coords = MappingProxyType({
+                I: cleared_value(self._cleared, r)
+                for r, (I, (a, b)) in enumerate(zip(ksubsets(self.n, self.k), self._pairs()))
+                if a or b})
         return self._coords
 
     def get(self, I):
-        return self.coords.get(tuple(I), Fraction(0))
+        """The coordinate at the sorted k-subset I, zero included."""
+        r = colex_ranks(self.n, self.k).get(tuple(I))
+        if r is None:
+            raise InputError(f"{I} is not a sorted {self.k}-subset of [1, {self.n}]")
+        return cleared_value(self._cleared, r)
 
     def support(self):
-        return frozenset(self.coords)
-
-    def cleared(self):
-        """The coordinates over one common denominator, computed once.
-
-        Returns (D, re, im, gaussian).  re and im are lists over the colex
-        ranks of the k-subsets, holding the integer real and imaginary parts
-        of D times each coordinate.  im is None when no coordinate is a
-        GaussianRational, and gaussian is the set of ranks whose coordinate
-        is one.  D is a common denominator, not always the least: read off
-        a matrix, it is the product of the lcms of each row's denominators.
-        """
-        if self._cleared is None:
-            rank = colex_ranks(self.n, self.k)
-            dense = [0] * len(rank)
-            gaussian = set()
-            for I, v in self.coords.items():
-                if I not in rank:
-                    raise InputError(f"{I} is not a sorted {self.k}-subset of [1, {self.n}]")
-                dense[rank[I]] = v
-                if isinstance(v, GaussianRational):
-                    gaussian.add(rank[I])
-            self._cleared = (*clear_denominators(dense), frozenset(gaussian))
-        return self._cleared
-
-    def scale(self, c) -> "PluckerVector":
-        return PluckerVector(self.k, self.n, {I: c * v for I, v in self.coords.items()})
-
-    def normalized(self) -> "PluckerVector":
-        """Scale so the first nonzero coordinate in colex order equals 1."""
-        for I in ksubsets(self.n, self.k):
-            v = self.coords.get(I)
-            if v:
-                return self.scale(1 / v)
-        raise DegenerateInputError("zero vector")
+        return frozenset(I for I, (a, b) in zip(ksubsets(self.n, self.k), self._pairs())
+                         if a or b)
 
     def eq_projective(self, other: "PluckerVector") -> bool:
-        if (self.k, self.n) != (other.k, other.n):
-            return False
-        a, b = self.normalized(), other.normalized()
-        return a.coords == b.coords
+        """Equal up to a nonzero scalar, cross-multiplied on the integer
+        forms over Z or Z[i] from the first nonzero colex rank."""
+        return ((self.k, self.n) == (other.k, other.n)
+                and _first_disproportion(self._pairs(), other._pairs()) is None)
 
     def to_json(self) -> dict:
-        coords = {}
-        for I in ksubsets(self.n, self.k):
-            coords[json.dumps(list(I), separators=(",", ":"))] = fraction_str(
-                self.coords.get(I, Fraction(0))
-            )
+        coords = {json.dumps(list(I), separators=(",", ":")):
+                  fraction_str(cleared_value(self._cleared, r))
+                  for r, I in enumerate(ksubsets(self.n, self.k))}
         return {"k": self.k, "n": self.n, "coords": coords}
 
     def __repr__(self):
@@ -349,17 +347,22 @@ def sample_isotropic_component(k: int, seed: int) -> Subspace:
 
 def is_isotropic(p: PluckerVector, form: QuadraticForm) -> bool:
     """Is p a point of the form's isotropic Grassmannian?  Exact: row j of R
-    is the cocircuit (eps(J - j, l) p_{J - j + l})_l of p's first basis J;
-    p is a point iff R's minors are p up to scale, isotropic iff R Omega R^T = 0."""
+    is the cocircuit (eps(J - j, l) p_{J - j + l})_l of p's first basis J,
+    read off the integer form; p is a point iff R's minors are p up to
+    scale, isotropic iff R Omega R^T = 0."""
     k, n = p.k, p.n
     if not 1 <= k <= n:
         raise InputError("need 1 <= k <= n")
     if form.n != n:
         raise SizeMismatchError("form dimension mismatch")
-    p.cleared()  # refuses a coordinate that is not a sorted k-subset
-    subs, rank, table = ksubsets(n, k), colex_ranks(n, k - 1), signed_extensions(n, k - 1)
-    J = next(I for I in subs if I in p.coords)
-    R = Mat([ext[l][1] * p.get(subs[ext[l][0]]) if l in ext else 0 for l in range(1, n + 1)]
+    _, re, im, gaussian = p.cleared()
+    rank, table = colex_ranks(n, k - 1), signed_extensions(n, k - 1)
+
+    def entry(r, s):  # s times p at rank r, scaled by the common denominator
+        return GaussianRational(s * re[r], s * im[r]) if r in gaussian else s * re[r]
+
+    J = ksubsets(n, k)[_first_nonzero(p)]
+    R = Mat([entry(*ext[l]) if l in ext else 0 for l in range(1, n + 1)]
             for ext in (table[rank[tuple(x for x in J if x != j)]] for j in J))
     return (not any(map(any, (R * form.matrix() * R.transpose()).rows))
             and PluckerVector.from_matrix(R).eq_projective(p))
@@ -385,23 +388,17 @@ def hodge_check(V: Subspace):
 
     Returns (True, scalar) on success and (False, offending subset) on
     failure; the identity holds for every subspace, isotropic or not.
+    Complementing reverses colex order, so q read in colex order is
+    compared with p read backwards.
     """
     p = V.plucker()
     q = hodge_complement(V).plucker()
     n, k = V.n, V.k
-    scalar = None
-    for J in ksubsets(n, n - k):
-        qv = q.get(J)
-        pv = p.get(subset_complement(J, n))
-        if scalar is None:
-            if (qv == 0) != (pv == 0):
-                return False, J
-            if qv != 0:
-                scalar = qv / pv
-        else:
-            if qv != scalar * pv:
-                return False, J
-    return True, scalar
+    bad = _first_disproportion(q._pairs(), list(p._pairs())[::-1])
+    if bad is not None:
+        return False, ksubsets(n, n - k)[bad]
+    J = ksubsets(n, n - k)[_first_nonzero(q)]
+    return True, q.get(J) / p.get(subset_complement(J, n))
 
 
 def hodge_failures(k: int, n: int, count: int, rng) -> int:
@@ -417,23 +414,24 @@ def complementary_ratio_sign(k: int, flipped_subset) -> int:
 
 def component_of(p: PluckerVector) -> str:
     """Which connected component of the n = 2k isotropic Grassmannian:
-    'standard' when p_I = p_{I^c} throughout, 'twisted' for the sign flip."""
+    'standard' when p_I = p_{I^c} throughout, 'twisted' for the sign flip.
+    Read on the integer form, where complementing reverses colex order and
+    a ratio of +-1 means equal or opposite integer pairs."""
     if p.n != 2 * p.k:
         raise InputError("components are defined only for n = 2k")
+    pairs = list(p._pairs())
     sign = None
-    for I in ksubsets(p.n, p.k):
-        a = p.get(I)
-        b = p.get(subset_complement(I, p.n))
-        if (a == 0) != (b == 0):
+    for I, a, b in zip(ksubsets(p.n, p.k), pairs, reversed(pairs)):
+        if (a == (0, 0)) != (b == (0, 0)):
             raise NotAPointError("coordinates do not pair up; not on the variety")
-        if a == 0:
+        if a == (0, 0):
             continue
-        ratio = a / b
-        if ratio == 1:
+        if a == b:
             here = 1
-        elif ratio == -1:
+        elif a == (-b[0], -b[1]):
             here = -1
         else:
+            ratio = p.get(I) / p.get(subset_complement(I, p.n))
             raise NotAPointError(f"complementary ratio {ratio!r} is not +-1")
         if sign is None:
             sign = here
@@ -446,14 +444,30 @@ def component_of(p: PluckerVector) -> str:
 
 def is_totally_nonnegative(p: PluckerVector) -> bool:
     """All coordinates >= 0 or all <= 0 (non-real coordinates fail)."""
-    vals = list(p.coords.values())
-    for v in vals:
-        if isinstance(v, GaussianRational):
-            if v.im != 0:
-                return False
-    signs = {1 if v > 0 else -1 for v in (_real(v) for v in vals) if v != 0}
-    return len(signs) <= 1
+    _, re, im, _ = p.cleared()
+    if im and any(im):
+        return False
+    return len({x > 0 for x in re if x}) <= 1
 
 
-def _real(v):
-    return v.re if isinstance(v, GaussianRational) else v
+def _first_nonzero(p: PluckerVector) -> int:
+    """The colex rank of p's first nonzero coordinate."""
+    return next(r for r, (a, b) in enumerate(p._pairs()) if a or b)
+
+
+def _first_disproportion(xs, ys):
+    """The first index at which two lists of Gaussian integers, as (re, im)
+    pairs, stop being proportional by one nonzero scalar, or None when they
+    are.  From the first index (u, v) where either is nonzero, each (x, y)
+    must have x v = y u over Z[i]; at (u, v) itself, both must be nonzero."""
+    first = None
+    for r, ((xr, xi), (yr, yi)) in enumerate(zip(xs, ys)):
+        if first is None:
+            if not (xr or xi or yr or yi):
+                continue
+            if not (xr or xi) or not (yr or yi):
+                return r
+            first = ur, ui, vr, vi = xr, xi, yr, yi
+        elif xr * vr - xi * vi != yr * ur - yi * ui or xr * vi + xi * vr != yr * ui + yi * ur:
+            return r
+    return None

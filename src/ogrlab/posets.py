@@ -125,8 +125,22 @@ def count_mixed_pairs_formula(k: int, n: int) -> int:
 # The counting bijection behind the mixed-pair formula
 # ---------------------------------------------------------------------------
 
-def _cut(S, h):
-    return tuple(x for x in S if x <= h)
+def _swap_below_cutoff(A1, A2, n: int, grow: bool):
+    """The construction both directions of the pair bijection share.  With
+    L the shared elements of A1 and A2 and R their shared non-elements, h
+    is the least cutoff where R outnumbers L up to h (grow) or L outnumbers
+    R (not grow); both sets trade their elements of L up to h for those of
+    R up to h."""
+    shared = set(A1) & set(A2)
+    neither = set(range(1, n + 1)) - set(A1) - set(A2)
+    lead = 0  # |R up to h| - |L up to h|
+    for h in range(1, n + 1):
+        lead += (h in neither) - (h in shared)
+        if (lead > 0) if grow else (lead < 0):
+            low = {x for x in neither if x <= h}
+            return tuple(tuple(sorted({x for x in A if x > h or x not in shared} | low))
+                         for A in (A1, A2))
+    raise InternalInvariantError("no cutoff where one side outnumbers the other")
 
 
 def pair_bijection_forward(S1, S2, n: int):
@@ -141,18 +155,7 @@ def pair_bijection_forward(S1, S2, n: int):
         raise SizeMismatchError("sets must have equal size")
     if not young_leq(S1, S2):
         raise InputError("need S1 <= S2 componentwise")
-    L = tuple(sorted(set(S1) & set(S2)))
-    R = tuple(sorted(set(subset_complement(S1, n)) & set(subset_complement(S2, n))))
-    h = None
-    for cand in range(1, n + 1):
-        if len(_cut(L, cand)) < len(_cut(R, cand)):
-            h = cand
-            break
-    if h is None:
-        raise InternalInvariantError("cutoff must exist since |R| exceeds |L|")
-    Lh, Rh = set(_cut(L, h)), set(_cut(R, h))
-    T1 = tuple(sorted((set(S1) - Lh) | Rh))
-    T2 = tuple(sorted((set(S2) - Lh) | Rh))
+    T1, T2 = _swap_below_cutoff(S1, S2, n, grow=True)
     k = len(S1) + 1
     if len(T1) != k or len(T2) != k or not young_leq(T1, T2):
         raise InternalInvariantError("forward bijection produced a bad pair")
@@ -171,18 +174,7 @@ def pair_bijection_inverse(T1, T2, n: int):
         raise InputError("need T1 <= T2 componentwise")
     if mixed_leq(subset_complement(T1, n), T2, k):
         raise InputError("pair is not mixed-obstructed; not in the image")
-    L = tuple(sorted(set(T1) & set(T2)))
-    R = tuple(sorted(set(subset_complement(T1, n)) & set(subset_complement(T2, n))))
-    h = None
-    for cand in range(1, n + 1):
-        if len(_cut(L, cand)) > len(_cut(R, cand)):
-            h = cand
-            break
-    if h is None:
-        raise InternalInvariantError("cutoff must exist for an obstructed pair")
-    Lh, Rh = set(_cut(L, h)), set(_cut(R, h))
-    S1 = tuple(sorted((set(T1) - Lh) | Rh))
-    S2 = tuple(sorted((set(T2) - Lh) | Rh))
+    S1, S2 = _swap_below_cutoff(T1, T2, n, grow=False)
     if len(S1) != k - 1 or not young_leq(S1, S2):
         raise InternalInvariantError("inverse bijection produced a bad pair")
     return S1, S2

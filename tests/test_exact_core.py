@@ -18,9 +18,8 @@ from ogrlab.exact_core import (
     rand_matrix,
     rand_rational,
     signed_extensions,
-    sort_sign,
 )
-from sign_reference import eps
+from sign_reference import eps, sort_sign
 
 
 def colex_rank(subset) -> int:

@@ -88,8 +88,8 @@ def test_from_matrix_holds_its_minors_in_integer_form(field):
 def cocircuit_matrix(p):
     """Cocircuit matrix P of p: row I (a (k-1)-subset, colex order) holds
     eps(I, l) p_{I + l} in column l."""
-    return Mat([[eps(I, l) * p.get(tuple(sorted(I + (l,)))) for l in range(1, p.n + 1)]
-                for I in ksubsets(p.n, p.k - 1)])
+    return Mat([[eps(I, l) * p.get(tuple(sorted(I + (l,)))) if l not in I else 0
+                 for l in range(1, p.n + 1)] for I in ksubsets(p.n, p.k - 1)])
 
 
 def test_cocircuit_coordinate_subspace():
@@ -171,8 +171,9 @@ def test_sampler_line_case():
 def test_hodge_coordinate_subspace():
     V = Subspace(Mat([[1, 0, 0, 0], [0, 1, 0, 0]]))
     W = hodge_complement(V)
-    q = W.plucker().normalized()
-    assert q.get((3, 4)) == 1 and len(q.coords) == 1
+    q = W.plucker()
+    assert q.support() == {(3, 4)}
+    assert q.eq_projective(PluckerVector(2, 4, {(3, 4): 1}))
     ok, scalar = hodge_check(V)
     assert ok
 
@@ -240,6 +241,10 @@ def test_ratio_on_sampled_points():
         break
 
 
+def scaled(p, c):
+    return PluckerVector(p.k, p.n, {I: c * v for I, v in p.coords.items()})
+
+
 def test_tnn_examples():
     sigma = PluckerVector.from_matrix(
         Mat([[1, 1, 0, 0, -1, -1], [0, 0, 1, 1, 1, 1]])
@@ -250,7 +255,7 @@ def test_tnn_examples():
     )
     assert printed.get((3, 5)) == -2
     assert not is_totally_nonnegative(printed)
-    negated = sigma.scale(-1)
+    negated = scaled(sigma, -1)
     assert is_totally_nonnegative(negated)
 
 
@@ -260,6 +265,54 @@ def test_plucker_serialization():
     assert js["coords"]["[1]"] == "1/2"
     assert js["coords"]["[2]"] == "0"
     assert js["coords"]["[3]"] == "-2"
+
+
+def projective_examples():
+    """Rational and Gaussian vectors, read off a matrix and built from a dict."""
+    rational = sample_isotropic(2, 5, QuadraticForm.alternating(5), 1).plucker()
+    gaussian = sample_isotropic(2, 5, QuadraticForm.standard(5), 2, field="gaussian").plucker()
+    mixed = PluckerVector(2, 4, {(1, 2): Fraction(2, 3), (1, 4): GaussianRational(1, -2),
+                                 (3, 4): GaussianRational(5, 0)})
+    assert gaussian.cleared()[2] is not None
+    return [rational, gaussian, mixed]
+
+
+@pytest.mark.parametrize("c", [-1, Fraction(3, 7), GaussianRational(Fraction(1, 2), -3)])
+def test_eq_projective_holds_under_scaling(c):
+    for p in projective_examples():
+        q = scaled(p, c)
+        assert p.eq_projective(q) and q.eq_projective(p) and p.eq_projective(p)
+
+
+def test_eq_projective_fails_on_another_ratio_or_support():
+    for p in projective_examples():
+        first, *rest = p.coords
+        last = rest[-1]
+        for c in (2, -1, GaussianRational(0, 1), GaussianRational(1, 1)):
+            # the same support, one coordinate off the common ratio
+            q = PluckerVector(p.k, p.n, {**p.coords, last: c * p.get(last)})
+            assert not p.eq_projective(q) and not q.eq_projective(p)
+        for I in (first, last):  # a support one smaller, before or after p's first
+            q = PluckerVector(p.k, p.n, {**p.coords, I: 0})
+            assert q.support() == p.support() - {I}
+            assert not p.eq_projective(q) and not q.eq_projective(p)
+    p = projective_examples()[0]
+    assert not p.eq_projective(PluckerVector(2, 6, {(1, 2): 1}))
+
+
+def test_a_real_gaussian_coordinate_keeps_its_type():
+    p = PluckerVector(2, 4, {(1, 2): GaussianRational(3, 0), (1, 3): Fraction(1, 2),
+                             (2, 4): GaussianRational(0, 0)})
+    assert p.coords == {(1, 2): 3, (1, 3): Fraction(1, 2)}
+    assert [type(v) for v in p.coords.values()] == [GaussianRational, Fraction]
+    assert type(p.get((1, 2))) is GaussianRational and p.get((1, 2)) == 3
+    assert type(p.get((2, 4))) is Fraction and p.get((2, 4)) == 0
+    assert p.support() == {(1, 2), (1, 3)}
+    assert p.to_json()["coords"]["[1,2]"] == "3"
+    with pytest.raises(TypeError):
+        p.coords[(1, 4)] = 1  # a read-only view
+    with pytest.raises(DegenerateInputError):  # zero in both parts
+        PluckerVector(2, 4, {(1, 2): 0, (2, 4): GaussianRational(0, 0)})
 
 
 def test_sampler_hyperbolic_form():

@@ -20,7 +20,6 @@ from ogrlab.exact_core import (
     minors,
     rand_matrix,
     rand_rational,
-    sort_sign,
     subset_complement,
 )
 from ogrlab.forms_points import PluckerVector, QuadraticForm, is_isotropic, sample_isotropic
@@ -50,7 +49,7 @@ from ogrlab.posets import (
     young_incomparable_pairs,
     young_leq,
 )
-from sign_reference import eps
+from sign_reference import eps, sort_sign
 
 
 def full_rank(M) -> bool:
@@ -241,9 +240,9 @@ def test_factor_outside_the_k_subsets_is_refused(factor):
     # a polynomial is converted to its integer form at construction
     with pytest.raises(InputError, match="sorted 2-subset"):
         Polynomial(2, 6, {_mono((1, 2), (3, 4)): 1, (factor, (5, 6)): 2})
-    p = PluckerVector(2, 6, {(1, 2): 1, (2, 1): 3, (5, 6): 1})
-    with pytest.raises(InputError):
-        p.cleared()
+    # and so is a Plucker vector: the factor is refused there too
+    with pytest.raises(InputError, match="sorted 2-subset"):
+        PluckerVector(2, 6, {(1, 2): 1, factor: 3, (5, 6): 1})
 
 
 @pytest.mark.parametrize("coeff", [GaussianRational(1, 1), 0.5, "1/2"])
@@ -306,8 +305,8 @@ def cocircuit_reference(p, form):
     """Entries of P Omega P^T by (I, J), in Fraction / GaussianRational
     arithmetic: row I of the cocircuit matrix P holds eps(I, l) p_{I + l}."""
     subs = ksubsets(p.n, p.k - 1)
-    P = Mat([[eps(I, l) * p.get(tuple(sorted(I + (l,)))) for l in range(1, p.n + 1)]
-             for I in subs])
+    P = Mat([[eps(I, l) * p.get(tuple(sorted(I + (l,)))) if l not in I else 0
+              for l in range(1, p.n + 1)] for I in subs])
     R = P * form.matrix() * P.transpose()
     return {(I, J): R[a, b] for a, I in enumerate(subs) for b, J in enumerate(subs)}
 
@@ -350,9 +349,13 @@ def test_is_isotropic_size_mismatch():
 
 @pytest.mark.parametrize("k,n", [(0, 3), (4, 3)])
 def test_is_isotropic_refuses_k_outside_1_n(k, n):
-    p = PluckerVector(k, n, {tuple(range(1, k + 1)): 1})
+    point = {tuple(range(1, k + 1)): 1}
+    if k > n:  # [1, n] has no k-subset, so no vector reaches is_isotropic
+        with pytest.raises(InputError, match=f"sorted {k}-subset"):
+            PluckerVector(k, n, point)
+        return
     with pytest.raises(InputError, match="need 1 <= k <= n"):
-        is_isotropic(p, QuadraticForm.standard(n))
+        is_isotropic(PluckerVector(k, n, point), QuadraticForm.standard(n))
 
 
 def far_perturbation(rng, p):
@@ -890,6 +893,19 @@ def test_straightening_mu_at_4_8():
     assert len(laws) == len(young_incomparable_pairs(4, 8))
     for I, J, poly in laws:
         assert leading_term_universal(poly, _mono(I, J))
+
+
+@pytest.mark.parametrize("k,n", [(2, 5), (2, 6), (3, 6), (3, 7), (3, 8)])
+def test_mu_laws_are_p_i_p_j_plus_young_comparable_terms(k, n):
+    # coefficient 1 on p_I p_J and Young-comparable pairs elsewhere: this
+    # shape makes each law unique, p_I p_J minus its reduction against the
+    # Plucker span, which is how ROADMAP item 1 can build it
+    laws = all_straightening_mu(k, n)
+    assert len(laws) == len(young_incomparable_pairs(k, n))
+    for I, J, poly in laws:
+        assert poly.terms[_mono(I, J)] == 1
+        for (A, B), _ in poly.terms.items():
+            assert (A, B) == _mono(I, J) or young_leq(A, B) or young_leq(B, A)
 
 
 def test_straightening_lambda_refuses_n_below_2k():

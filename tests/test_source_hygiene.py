@@ -1,7 +1,8 @@
 """The package's sources, read with ast: every name a module imports is
 used in that module, every module-level private function or class is
 referenced somewhere in the package besides its definition, and every
-public one is read by the package or the benchmark.  The package neither
+public one, and every public method or property of a module-level class,
+is read by the package or the benchmark.  The package neither
 names nor loads scipy."""
 import ast
 import os
@@ -100,27 +101,35 @@ def dotted_parts(tree: ast.Module):
 
 
 def public_definitions():
-    """(module name, name) of each module-level public function or class."""
+    """(dotted name, name) of each module-level public function or class,
+    and of each public method or property of a module-level class."""
+    def public(nodes, kinds):
+        return [node for node in nodes
+                if isinstance(node, kinds) and not node.name.startswith("_")]
+
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     for module, tree in TREES.items():
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
-                    and not node.name.startswith("_"):
-                yield module.removesuffix(".py"), node.name
+        module = module.removesuffix(".py")
+        for node in public(tree.body, (*functions, ast.ClassDef)):
+            yield f"{module}.{node.name}", node.name
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for node in public(cls.body, functions):
+                yield f"{module}.{cls.name}.{node.name}", node.name
 
 
 def test_every_public_definition_is_read():
     trees = [*TREES.values(), *BENCH_TREES]
     read = set().union(*(names_read(tree) for tree in trees))
     read |= {part for tree in trees for part in dotted_parts(tree)}
-    unread = sorted(f"{module}.{name}" for module, name in public_definitions()
-                    if name not in read and f"{module}.{name}" not in UNREAD_PUBLIC)
+    unread = sorted(dotted for dotted, name in public_definitions()
+                    if name not in read and dotted not in UNREAD_PUBLIC)
     assert not unread, f"public names that neither src/ nor perfbench/ reads: {unread}"
 
 
 def test_unread_allowlist_is_current():
     # each entry names a definition that exists, so a deleted or renamed one
     # leaves the list
-    defined = {f"{module}.{name}" for module, name in public_definitions()}
+    defined = {dotted for dotted, _ in public_definitions()}
     assert set(UNREAD_PUBLIC) <= defined
 
 
