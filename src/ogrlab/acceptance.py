@@ -66,7 +66,7 @@ def criterion_03_example_verdicts():
 def criterion_04_degree2_dimensions():
     details = []
     ok = True
-    for (k, n) in [(2, 6), (2, 5), (2, 7), (3, 7)]:
+    for (k, n) in [(2, 6), (2, 5), (2, 7), (3, 7), (4, 9)]:
         std = posets.count_standard_monomials(k, n, 2)
         wd = weyl.weyl_dim(k, n, 2)
         pred = weyl.standard_monomial_prediction(k, n)
@@ -121,7 +121,7 @@ def criterion_05_pair_count_and_bijection():
 def criterion_06_groebner_checks():
     details = []
     ok = True
-    for (k, n) in [(2, 5), (2, 6), (3, 7)]:
+    for (k, n) in [(2, 5), (2, 6), (3, 7), (4, 9)]:
         rep = ideal_gens.groebner_degree2_check(k, n)
         ok = ok and rep["ok"]
         details.append(

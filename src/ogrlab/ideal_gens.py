@@ -370,8 +370,10 @@ def _snake_shuffle(I, J, l: int, n: int, coyoung: bool) -> Polynomial:
 def straightening_mu(I, J, n: int) -> Polynomial:
     """Straightening quadric for an incomparable Young pair.
 
-    Shuffles the snake i_1..i_l, j_l..j_k over two sorted blocks; the
-    leading monomial is p_I p_J.
+    Shuffles the snake i_1..i_l, j_l..j_k over two sorted blocks.  The
+    shuffle holds p_I p_J with coefficient 1 and may hold other incomparable
+    pairs; all_straightening_mu rewrites those into the law of {I, J},
+    whose leading monomial is p_I p_J.
     """
     I, J = tuple(I), tuple(J)
     k = len(I)
@@ -414,56 +416,46 @@ def straightening_lambda(I, Jp, n: int) -> Polynomial:
     return _snake_shuffle(I, Jp, l, n, coyoung=True)
 
 
-def leading_term_universal(poly: Polynomial, m0) -> bool:
-    """Is m0 the leading monomial of poly under EVERY poset-extension order?
-
-    Holds iff in each other term, every variable missing from that term is
-    strictly below some variable missing from m0; then the deciding variable
-    always sits on the other term's side.  Read on colex ranks and the
-    Young up-sets.
-    """
-    rank = colex_ranks(poly.n, poly.k)
-    up = young_upsets(poly.k, poly.n)
-    m0 = tuple(rank[f] for f in m0)
-    for _, a, b in poly.cleared()[1]:
-        m = a, b
-        if m == m0:
-            continue
-        above = subset_mask(v for v in m if v not in m0)
-        for u in m0:
-            if u not in m and not up[u] & above & ~(1 << u):
-                return False
-    return True
-
-
-def straightening_mu_canonical(I, J, n: int) -> tuple[tuple, tuple, Polynomial]:
-    """Straightening quadric of an unordered incomparable Young pair.
-
-    The two row orders give different shuffle quadrics; exactly one of them
-    rewrites the product into meet/join-bounded terms, making the leading
-    monomial independent of the chosen linear extension.  That orientation
-    is returned (as reordered (I, J) plus the quadric).
-    """
-    m0 = _mono(I, J)
-    cand = straightening_mu(I, J, n)
-    if leading_term_universal(cand, m0):
-        return I, J, cand
-    cand = straightening_mu(J, I, n)
-    if not leading_term_universal(cand, m0):
-        raise InternalInvariantError(
-            f"no orientation of {I}, {J} has a universal leading term"
-        )
-    return J, I, cand
-
-
 @lru_cache(maxsize=None)
 def all_straightening_mu(k: int, n: int) -> tuple[tuple[tuple, tuple, Polynomial], ...]:
-    """straightening_mu_canonical of each incomparable Young pair.  Cached:
+    """The straightening law of each incomparable Young pair, built by
+    classical straightening (Garnir relations; De Concini-Procesi 1976).
+
+    The pair of colex ranks a < b starts from its shuffle,
+    straightening_mu(subs[a], subs[b], n), which holds p_a p_b with
+    coefficient 1.  Each other term c p_x p_y whose x, y are incomparable is
+    rewritten by that pair's own law, built the same way and memoised for
+    this build: subtracting c times that law trades the term for the law's
+    lower terms.  So every law is p_a p_b plus Young-comparable terms, a
+    shape that makes it unique.  The pair is (I, J) = (subs[a], subs[b])
+    when no term was rewritten and (subs[b], subs[a]) otherwise.  Cached:
     callers share the quadrics and must not change them."""
     require(SPAN, k, n)
-    return tuple(
-        straightening_mu_canonical(I, J, n) for I, J in young_incomparable_pairs(k, n)
-    )
+    subs, rank, up = ksubsets(n, k), colex_ranks(n, k), young_upsets(k, n)
+    laws = {}  # (a, b) -> (the law's terms keyed by rank pair, whether it rewrote)
+
+    def law(a, b):
+        if (a, b) in laws:
+            return laws[a, b]
+        terms, rewrote = {}, False
+        for c, x, y in straightening_mu(subs[a], subs[b], n).cleared()[1]:
+            if (x, y) == (a, b) or up[x] >> y & 1 or up[y] >> x & 1:
+                terms[x, y] = terms.get((x, y), 0) + c
+                continue
+            rewrote = True
+            for m, d in law(x, y)[0].items():
+                if m != (x, y):
+                    terms[m] = terms.get(m, 0) - c * d
+        laws[a, b] = terms, rewrote
+        return laws[a, b]
+
+    out = []
+    for I, J in young_incomparable_pairs(k, n):
+        terms, rewrote = law(rank[I], rank[J])
+        if rewrote:
+            I, J = J, I
+        out.append((I, J, Polynomial._from_ranks(k, n, terms)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)

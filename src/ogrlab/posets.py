@@ -130,7 +130,8 @@ def _swap_below_cutoff(A1, A2, n: int, grow: bool):
     L the shared elements of A1 and A2 and R their shared non-elements, h
     is the least cutoff where R outnumbers L up to h (grow) or L outnumbers
     R (not grow); both sets trade their elements of L up to h for those of
-    R up to h."""
+    R up to h.  A pair with no such h lies outside the bijection's domain
+    and is refused; only forward pairs with n < 2k meet one."""
     shared = set(A1) & set(A2)
     neither = set(range(1, n + 1)) - set(A1) - set(A2)
     lead = 0  # |R up to h| - |L up to h|
@@ -140,7 +141,8 @@ def _swap_below_cutoff(A1, A2, n: int, grow: bool):
             low = {x for x in neither if x <= h}
             return tuple(tuple(sorted({x for x in A if x > h or x not in shared} | low))
                          for A in (A1, A2))
-    raise InternalInvariantError("no cutoff where one side outnumbers the other")
+    raise InputError(f"no cutoff in [1, {n}] where one side outnumbers the other: "
+                     "the pair lies outside the bijection's domain")
 
 
 def pair_bijection_forward(S1, S2, n: int):

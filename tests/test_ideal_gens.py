@@ -9,7 +9,6 @@ import pytest
 from ogrlab.errors import (
     DegenerateInputError,
     InputError,
-    InternalInvariantError,
     SizeMismatchError,
 )
 from ogrlab.exact_core import (
@@ -35,13 +34,12 @@ from ogrlab.ideal_gens import (
     degree2_membership,
     degree2_monomials,
     groebner_degree2_check,
-    leading_term_universal,
     orthogonality_relations,
     plucker_relations,
     straightening_lambda,
     straightening_mu,
-    straightening_mu_canonical,
 )
+from ogrlab.limits import SPAN
 from ogrlab.posets import (
     mixed_incomparable_pairs,
     mixed_leq,
@@ -552,7 +550,7 @@ def test_canonical_orientation_picks_universal_lead():
     # this pair's two orientations give different shuffles; only one has an
     # extension-independent leading term
     I, J = (2, 3, 4), (1, 5, 6)
-    A, B, poly = straightening_mu_canonical(I, J, 7)
+    A, B, poly = next(law for law in all_straightening_mu(3, 7) if {law[0], law[1]} == {I, J})
     assert {A, B} == {I, J}
     for tb in ("colex", "colex_desc", "kind_first"):
         assert TermOrder(3, 7, tb).leading_monomial(poly) == _mono(I, J)
@@ -857,7 +855,10 @@ def test_rows_match_reference_elimination(k, n):
 
 
 def universal_by_young_leq(poly, m0):
-    """leading_term_universal read pair by pair through young_leq."""
+    """Is m0 the leading monomial of poly under every poset-extension order?
+    It is when, in each other term, every variable missing from that term
+    lies strictly below some variable missing from m0; read through
+    young_leq."""
     for m in poly.terms:
         if m != m0:
             only1 = [w for w in m if w not in m0]
@@ -873,11 +874,6 @@ def test_young_comparisons_match_young_leq(k, n):
     pairs = [(I, J) for a, I in enumerate(subs) for J in subs[a + 1:]
              if not young_leq(I, J) and not young_leq(J, I)]
     assert young_incomparable_pairs(k, n) == pairs
-    for I, J in pairs[::3]:
-        m0 = _mono(I, J)
-        for A, B in ((I, J), (J, I)):
-            poly = straightening_mu(A, B, n)
-            assert leading_term_universal(poly, m0) == universal_by_young_leq(poly, m0)
     for I in subs[::4]:
         for J in subs[::3]:
             if young_leq(I, J) or young_leq(J, I):
@@ -885,27 +881,35 @@ def test_young_comparisons_match_young_leq(k, n):
                     straightening_mu(I, J, n)
 
 
-@pytest.mark.xfail(raises=InternalInvariantError, strict=True,
-                   reason="at (4, 8) neither orientation of (2,4,5,6), (1,3,7,8) has a "
-                          "universal leading term")
 def test_straightening_mu_at_4_8():
     laws = all_straightening_mu(4, 8)
     assert len(laws) == len(young_incomparable_pairs(4, 8))
     for I, J, poly in laws:
-        assert leading_term_universal(poly, _mono(I, J))
+        assert universal_by_young_leq(poly, _mono(I, J))
 
 
-@pytest.mark.parametrize("k,n", [(2, 5), (2, 6), (3, 6), (3, 7), (3, 8)])
+@pytest.mark.parametrize("k,n", [(2, 5), (2, 6), (3, 6), (3, 7), (3, 8), (4, 8), (4, 9), (5, 9)])
 def test_mu_laws_are_p_i_p_j_plus_young_comparable_terms(k, n):
     # coefficient 1 on p_I p_J and Young-comparable pairs elsewhere: this
     # shape makes each law unique, p_I p_J minus its reduction against the
-    # Plucker span, which is how ROADMAP item 1 can build it
+    # Plucker span
     laws = all_straightening_mu(k, n)
     assert len(laws) == len(young_incomparable_pairs(k, n))
     for I, J, poly in laws:
         assert poly.terms[_mono(I, J)] == 1
         for (A, B), _ in poly.terms.items():
             assert (A, B) == _mono(I, J) or young_leq(A, B) or young_leq(B, A)
+
+
+def test_straightening_mu_builds_at_every_admitted_size_with_k_at_least_4():
+    sizes = [(k, n) for n in range(4, 12) for k in range(4, n + 1) if SPAN.fits(k, n)]
+    # at these four, some law's shuffle leads universally in neither orientation
+    assert {(4, 8), (4, 9), (5, 9), (4, 10)} <= set(sizes)
+    for k, n in sizes:
+        laws = all_straightening_mu(k, n)
+        assert len(laws) == len(young_incomparable_pairs(k, n))
+        for I, J, poly in laws:
+            assert poly.terms[_mono(I, J)] == 1
 
 
 def test_straightening_lambda_refuses_n_below_2k():

@@ -188,6 +188,17 @@ def test_mixed_leq_refuses_a_coyoung_element_that_runs_out():
     assert not mixed_leq((3,), (2, 3), 2)  # decided at the first column
 
 
+@pytest.mark.parametrize("S1,S2,n", [
+    ((1,), (1,), 2), ((1,), (2,), 2), ((1, 3), (2, 4), 4),
+    ((1, 2, 3, 4), (1, 2, 4, 5), 7), ((1, 2, 3, 4, 6, 8), (2, 3, 4, 5, 6, 8), 8),
+])
+def test_bijection_forward_refuses_a_pair_with_no_cutoff(S1, S2, n):
+    # n < 2k with k = |S1| + 1, and no prefix of [1, n] holds more shared
+    # non-elements than shared elements
+    with pytest.raises(InputError, match="outside the bijection's domain"):
+        pair_bijection_forward(S1, S2, n)
+
+
 def test_bijection_singleton_case():
     T1, T2 = pair_bijection_forward((1,), (1,), 5)
     assert T1 == T2 and len(T1) == 2
